@@ -154,7 +154,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_mine(args) -> int:
-    tick = as_tick_seconds(args.tick)
+    try:
+        tick = as_tick_seconds(args.tick)
+    except ValueError as exc:
+        raise UsageError(f"bad --tick value: {exc}") from None
     if args.kind in ("serial", "synfire") and not args.intervals:
         raise UsageError(f"{args.kind} mining requires --intervals")
     if args.kind in ("parallel", "synfire") and args.expiry is None:

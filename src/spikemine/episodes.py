@@ -185,16 +185,12 @@ def is_subepisode(beta: Episode, alpha: Episode) -> bool:
     )
 
 
-def bootstrap_serial(
-    alphabet: Iterable[str], intervals: Sequence[Interval] = ()
-) -> list[SerialEpisode]:
+def bootstrap_serial(alphabet: Iterable[str]) -> list[SerialEpisode]:
     """All 1-node serial episodes over an alphabet.
 
-    1-node episodes carry no gap windows; ``intervals`` is the candidate
-    window set that the level-2 join will cross such episodes with (see
-    generate_serial_candidates).
+    1-node episodes carry no gap windows; windows enter at the 1 -> 2 join
+    (see generate_serial_candidates).
     """
-    del intervals  # windows enter at the 1 -> 2 join, not here
     return [SerialEpisode((t,)) for t in sorted(alphabet)]
 
 
@@ -210,6 +206,13 @@ def generate_serial_candidates(
     chains like A -> A -> A are reachable. For size 1 the overlap is
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
+
+    The size-1 join is not pruned here. ``mine_serial`` counts all of it
+    when there is one window or no count floor; otherwise it first counts
+    each type pair once under the hull of the windows and counts exactly
+    only the candidates of pairs that reach the floor. Either way
+    ``MiningLevel.n_candidates`` (the CLI's ``candidates=N``) is the full
+    join.
     """
     pool = list(frequent)
     if not pool:

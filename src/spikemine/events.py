@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Union
@@ -35,6 +35,23 @@ class SpikeFileError(ValueError):
         self.reason = reason
 
 
+# Decimal exponents beyond this are refused before conversion: Fraction of
+# 1e999999999 builds a billion-digit integer. The bound admits every float
+# repr (5e-324 .. 1.8e308), which is the widest a written stamp can be.
+MAX_DECIMAL_EXPONENT = 400
+
+
+def decimal_fraction(text: str) -> Fraction:
+    """Exact value of a finite decimal string; ValueError for anything else."""
+    try:
+        value = Decimal(text)
+        if abs(value.adjusted()) <= MAX_DECIMAL_EXPONENT:
+            return Fraction(value)
+    except (ArithmeticError, ValueError):  # not a number, nan, inf
+        raise ValueError(f"{text!r} is not a finite decimal number") from None
+    raise ValueError(f"{text!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+
+
 def as_tick_seconds(value: TickSeconds) -> Fraction:
     """Coerce a tick duration to an exact positive Fraction.
 
@@ -48,7 +65,7 @@ def as_tick_seconds(value: TickSeconds) -> Fraction:
     elif isinstance(value, float):
         tick = Fraction(Decimal(repr(value)))
     elif isinstance(value, str):
-        tick = Fraction(Decimal(value))
+        tick = decimal_fraction(value)
     else:
         raise TypeError(f"unsupported tick_seconds type: {type(value)!r}")
     if tick <= 0:
@@ -128,29 +145,45 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
     ``round(seconds / tick_seconds)`` (half up) and the result is
     re-sorted stably by tick. An empty file yields an empty sequence.
 
-    Raises SpikeFileError with a line number on malformed lines or
-    negative times.
+    Raises SpikeFileError with a line number on malformed lines, times
+    that are negative, not finite or out of decimal range (see
+    decimal_fraction), and bytes that are not UTF-8.
     """
     tick = as_tick_seconds(tick_seconds)
     events = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            label, sep, stamp = line.partition(",")
-            label = label.strip()
-            stamp = stamp.strip()
-            if not sep or not label or not stamp:
-                raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
-            try:
-                seconds = Fraction(Decimal(stamp))
-            except InvalidOperation:
-                raise SpikeFileError(path, lineno, f"bad time value {stamp!r}") from None
-            if seconds < 0:
-                raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
-            events.append(Event(label, round_half_up(seconds / tick)))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                label, sep, stamp = line.partition(",")
+                label = label.strip()
+                stamp = stamp.strip()
+                if not sep or not label or not stamp:
+                    raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
+                try:
+                    seconds = decimal_fraction(stamp)
+                except ValueError as exc:
+                    raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
+                if seconds < 0:
+                    raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
+                events.append(Event(label, round_half_up(seconds / tick)))
+    except UnicodeDecodeError:
+        raise SpikeFileError(path, _first_non_utf8_line(path), "not UTF-8 text") from None
     return EventSequence(events, tick)
+
+
+def _first_non_utf8_line(path) -> int:
+    # text mode decodes whole chunks, so the failing line is found again here
+    lineno = 0
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                break
+    return lineno
 
 
 def write_spike_file(seq: EventSequence, path) -> None:

@@ -28,6 +28,16 @@ outgoing window can no longer reach any future event.
 Entries are ``(time, event_index, back)`` tuples; ``back`` links the
 predecessor entry that licensed acceptance (kept only when tracking), so
 a completed occurrence is recovered by walking the chain.
+
+Level 2 of ``mine_serial`` is counted in two passes when the count floor
+is above zero and there are at least two candidate windows. Every
+occurrence of ``A -(w)-> B`` is also one of ``A -(hull)-> B`` for the hull
+``(lowest low, highest high]`` of the windows, so the hull count bounds
+each per-window count from above. Pass 1 counts each type pair once under
+the hull; pass 2 counts exactly only the per-window candidates of the
+pairs that reach the floor. The rest cannot be frequent, so the level's
+frequent set is unchanged. ``MiningLevel.n_candidates``, and with it the
+CLI's ``candidates=N``, still reports the full join.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from dataclasses import dataclass
 
 from .episodes import (
     EpisodeCount,
+    Interval,
     MiningConfig,
     SerialEpisode,
     bootstrap_serial,
@@ -233,22 +244,42 @@ def _rank(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
+def _hull_survivors(candidates, seq, cfg, floor, jobs):
+    """Level-2 candidates whose type pair reaches ``floor`` under the window hull.
+
+    The hull counts only bound, so they are taken without tracking (no cfg).
+    """
+    ivs = cfg.candidate_intervals
+    hull = (Interval(ivs[0].low, ivs[-1].high),)
+    pairs = sorted({ep.etypes for ep in candidates})
+    bounds = count_serial_constrained(
+        [SerialEpisode(p, hull) for p in pairs], seq, None, jobs=jobs
+    )
+    kept = {b.episode.etypes for b in bounds if b.freq >= floor}
+    return [ep for ep in candidates if ep.etypes in kept]
+
+
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise search: bootstrap, count, filter, join, repeat.
 
     Stops when a level has no frequent episodes or ``max_size`` is
     reached. Every returned level lists only frequent episodes, sorted by
-    descending frequency.
+    descending frequency. Level 2 may prune its candidates by their hull
+    count first (see the module docstring); ``seconds`` covers both passes.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
     levels: list[MiningLevel] = []
-    candidates = bootstrap_serial(seq.alphabet, cfg.candidate_intervals)
+    two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
+    candidates = bootstrap_serial(seq.alphabet)
     size = 1
     while candidates and size <= cfg.max_size:
         t0 = _time.perf_counter()
-        counts = count_serial_constrained(candidates, seq, cfg, jobs=jobs)
+        counted = candidates
+        if size == 2 and two_pass:
+            counted = _hull_survivors(candidates, seq, cfg, floor, jobs)
+        counts = count_serial_constrained(counted, seq, cfg, jobs=jobs)
         frequent = sorted((c for c in counts if c.freq >= floor), key=_rank)
         levels.append(
             MiningLevel(size, len(candidates), tuple(frequent), _time.perf_counter() - t0)

@@ -106,6 +106,25 @@ def test_malformed_input_exits_2(tmp_path):
     assert main(["mine", "serial", str(bad), "--intervals", "4-6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"A,0.001\nB,nan\n", b"A,0.001\nB,inf\n", b"A,0.001\nB,1e999999999\n",
+     b"A,0.001\n\xff,0.002\n"],
+    ids=["nan", "inf", "huge-exponent", "non-utf8"],
+)
+def test_bad_spike_values_exit_2_with_line(tmp_path, capsys, content):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(content)
+    assert main(["mine", "serial", str(bad), "--intervals", "4-6"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
+
+
+@pytest.mark.parametrize("tick", ["abc", "0"])
+def test_bad_tick_exits_1(tiny_csv, capsys, tick):
+    assert main(["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--tick", tick]) == 1
+    assert capsys.readouterr().err.startswith("error: bad --tick value")
+
+
 def test_bad_config_exits_3(tmp_path):
     cfg = tmp_path / "net.cfg"
     cfg.write_text("nonsense = 4\n")

@@ -51,6 +51,11 @@ def test_comments_and_blank_lines(tmp_path):
         (",0.001\n", "expected 'label,seconds'"),
         ("A,zebra\n", "bad time value"),
         ("A,-0.5\n", "negative time"),
+        ("A,nan\n", "not a finite decimal"),
+        ("A,inf\n", "not a finite decimal"),
+        ("A,-Infinity\n", "not a finite decimal"),
+        ("A,1e999999999\n", "decimal exponent beyond"),
+        ("A,1e-999999999\n", "decimal exponent beyond"),
     ],
 )
 def test_malformed_lines_report_position(tmp_path, content, fragment):
@@ -60,6 +65,22 @@ def test_malformed_lines_report_position(tmp_path, content, fragment):
         parse_spike_file(path, 0.001)
     assert ":2:" in str(err.value)
     assert fragment in str(err.value)
+
+
+def test_widest_decimal_exponent_is_accepted(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("A,1e-400\nB,0.002\n")
+    assert [ev.time for ev in parse_spike_file(path, 0.001)] == [0, 2]
+
+
+def test_non_utf8_byte_reports_its_line(tmp_path):
+    # far past the first decoded chunk, so the text reader fails late
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"A,0.001\n" * 3000 + b"\xff,0.002\n" + b"B,0.003\n")
+    with pytest.raises(SpikeFileError) as err:
+        parse_spike_file(path, 0.001)
+    assert err.value.lineno == 3001
+    assert "not UTF-8" in err.value.reason
 
 
 def test_empty_file_is_empty_sequence(tmp_path):

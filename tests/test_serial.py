@@ -9,7 +9,9 @@ from spikemine import (
     Interval,
     MiningConfig,
     SerialEpisode,
+    bootstrap_serial,
     count_serial_constrained,
+    generate_serial_candidates,
     mine_serial,
     tracked_occurrences,
 )
@@ -204,3 +206,91 @@ def test_jobs_partition_matches_single_process(worked_sequence):
     solo = count_serial_constrained(eps, seq)
     multi = count_serial_constrained(eps, seq, jobs=3)
     assert [(c.episode, c.freq) for c in solo] == [(c.episode, c.freq) for c in multi]
+
+
+def random_windows(rng):
+    """2-4 disjoint sorted windows, some of them touching."""
+    windows = []
+    low = rng.randint(0, 2)
+    for _ in range(rng.randint(2, 4)):
+        high = low + rng.randint(1, 3)
+        windows.append(Interval(low, high))
+        low = high + rng.randint(0, 2)
+    return tuple(windows)
+
+
+def full_count_levels(seq, cfg):
+    """The level loop of mine_serial with every join candidate counted exactly."""
+    floor = cfg.count_floor(len(seq))
+    levels = []
+    candidates = bootstrap_serial(seq.alphabet)
+    size = 1
+    while candidates and size <= cfg.max_size:
+        counts = count_serial_constrained(candidates, seq, cfg)
+        frequent = sorted((c for c in counts if c.freq >= floor), key=lambda c: (-c.freq, c.episode))
+        levels.append((size, len(candidates), tuple(frequent)))
+        if not frequent or size == cfg.max_size:
+            break
+        seeds = frequent[: cfg.beam_width] if cfg.beam_width else frequent
+        candidates = generate_serial_candidates([c.episode for c in seeds], cfg.candidate_intervals)
+        size += 1
+    return levels
+
+
+def level_tuples(levels):
+    return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
+
+
+def test_hull_prepass_keeps_levels_of_full_count():
+    rng = random.Random(4242)
+    pruned = 0
+    for _ in range(60):
+        seq = random_sequence(rng, max_events=150)
+        cfg = MiningConfig(
+            max_size=3,
+            candidate_intervals=random_windows(rng),
+            min_count=rng.randint(1, 8),
+            track_occurrences=rng.random() < 0.5,
+            beam_width=rng.choice((None, 3)),
+        )
+        levels = mine_serial(seq, cfg)
+        assert level_tuples(levels) == full_count_levels(seq, cfg)
+        for level in levels:
+            for count in level.counts[:3]:
+                assert count.freq == serial_oracle_count(count.episode, seq)
+        if len(levels) > 1:
+            hull = Interval(cfg.candidate_intervals[0].low, cfg.candidate_intervals[-1].high)
+            pairs = {ep.etypes for ep in generate_serial_candidates(
+                [c.episode for c in levels[0].counts], (hull,))}
+            bounds = count_serial_constrained([SerialEpisode(p, (hull,)) for p in pairs], seq)
+            pruned += sum(b.freq < cfg.min_count for b in bounds)
+    assert pruned > 0  # the sweep exercises the elimination, not only its bypass
+
+
+def test_hull_count_bounds_each_window_count():
+    rng = random.Random(808)
+    for _ in range(80):
+        seq = random_sequence(rng, max_events=150)
+        windows = random_windows(rng)
+        hull = Interval(windows[0].low, windows[-1].high)
+        types = sorted(seq.alphabet) or ["A"]
+        pair = (rng.choice(types), rng.choice(types))
+        counts = count_serial_constrained(
+            [SerialEpisode(pair, (iv,)) for iv in (hull, *windows)], seq
+        )
+        assert all(counts[0].freq >= c.freq for c in counts[1:])
+        assert counts[0].freq == serial_oracle_count(counts[0].episode, seq)
+
+
+def test_hull_prepass_jobs_match_single_process():
+    rng = random.Random(31)
+    seq = random_sequence(rng, max_events=200)
+    while len(seq.alphabet) < 3:
+        seq = random_sequence(rng, max_events=200)
+    cfg = MiningConfig(
+        max_size=3,
+        candidate_intervals=(Interval(0, 1), Interval(1, 3), Interval(4, 6)),
+        min_count=4,
+        track_occurrences=True,
+    )
+    assert level_tuples(mine_serial(seq, cfg, jobs=2)) == level_tuples(mine_serial(seq, cfg))
