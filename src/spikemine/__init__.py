@@ -9,6 +9,7 @@ from .episodes import (
     EpisodeCount,
     Interval,
     MiningConfig,
+    MiningLevel,
     ParallelEpisode,
     SerialEpisode,
     bootstrap_serial,
@@ -25,7 +26,7 @@ from .events import (
     write_spike_file,
 )
 from .parallel import count_parallel_expiry, mine_parallel
-from .serial import MiningLevel, count_serial_constrained, mine_serial
+from .serial import count_serial_constrained, mine_serial
 from .significance import SignificanceReport, run_significance
 from .simulator import (
     ConfigError,

@@ -18,7 +18,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from .episodes import Interval, MiningConfig
-from .events import SpikeFileError, as_tick_seconds, parse_spike_file, write_spike_file
+from .events import SpikeFileError, as_tick_seconds, decimal_fraction
+from .events import parse_spike_file, write_spike_file
 from .parallel import mine_parallel
 from .serial import mine_serial
 from .significance import run_significance
@@ -45,6 +46,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; usage errors are 1 here
         self.print_usage(sys.stderr)
         raise SystemExit(_fail(EXIT_USAGE, message))
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        for name, value in vars(parsed).items():
+            if isinstance(value, list):  # argparse before 3.12 reads --tick=-- as []
+                self.error(f"argument --{name.replace('_', '-')}: expected one argument")
+        return parsed
 
 
 def _fail(code: int, message: str) -> int:
@@ -85,8 +93,8 @@ def _parse_intervals_ms(spec: str, tick_seconds: Fraction) -> tuple[Interval, ..
 
 def _ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
     try:
-        ms = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
+        ms = decimal_fraction(text.strip())
+    except ValueError:
         raise UsageError(f"bad millisecond value {text!r}") from None
     ticks = ms / 1000 / tick_seconds
     if ticks.denominator != 1:
@@ -222,6 +230,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    if args.max_size < 1:
+        raise UsageError("--max-size must be at least 1")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scale == "paper":

@@ -17,14 +17,21 @@ project onto skipping subepisodes. Parallel candidates use the classic
 sorted-prefix join plus full sub-multiset pruning, which is sound because
 expiry-constrained non-overlapped frequency is monotone under
 sub-multisets.
+
+One driver, ``mine_levels``, mines both kinds: ``mine_serial`` and
+``mine_parallel`` only pass it their size-1 candidates, their counter and
+their join. The counters spread a level over processes with ``fan_out``.
 """
 
 from __future__ import annotations
 
 import math
+import time as _time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 
@@ -160,6 +167,57 @@ class EpisodeCount:
             )
 
 
+@dataclass(frozen=True)
+class MiningLevel:
+    """Frequent episodes of one size, with the pass cost for the level."""
+
+    size: int
+    n_candidates: int
+    counts: tuple[EpisodeCount, ...]
+    seconds: float
+
+
+def rank_key(count: EpisodeCount):
+    """Result order within a level: descending frequency, then episode."""
+    return (-count.freq, count.episode)
+
+
+def fan_out(count, candidates: list, seq, cfg, jobs: int) -> list[EpisodeCount]:
+    """Run ``count(chunk, seq, cfg)`` in ``jobs`` processes, one chunk of ``ceil(n / jobs)``
+    consecutive candidates each; the merge keeps input order."""
+    jobs = min(jobs, len(candidates))
+    step = -(-len(candidates) // jobs)
+    chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        parts = pool.map(count, chunks, repeat(seq), repeat(cfg))
+        return [c for part in parts for c in part]
+
+
+def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
+    """Level-wise search from the size-1 ``candidates``: count, filter, rank, join.
+
+    ``count(candidates)`` gives one ``EpisodeCount`` per candidate (its time
+    is the level's ``seconds``); ``join(episodes)`` makes the next level's
+    candidates from the best ``beam_width`` episodes counted ``floor`` times
+    or more. Stops at a level with none of those or at ``max_size``.
+    """
+    levels: list[MiningLevel] = []
+    size = 1
+    while candidates and size <= cfg.max_size:
+        t0 = _time.perf_counter()
+        counts = count(candidates)
+        frequent = sorted((c for c in counts if c.freq >= floor), key=rank_key)
+        levels.append(
+            MiningLevel(size, len(candidates), tuple(frequent), _time.perf_counter() - t0)
+        )
+        if not frequent or size == cfg.max_size:
+            break
+        seeds = frequent[: cfg.beam_width] if cfg.beam_width else frequent
+        candidates = join([c.episode for c in seeds])
+        size += 1
+    return levels
+
+
 def tracked_occurrences(count: EpisodeCount) -> tuple[tuple[int, ...], ...]:
     """The counted occurrences of one result; error if counting did not track."""
     if count.occurrences is None:
@@ -207,12 +265,13 @@ def generate_serial_candidates(
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
 
-    The size-1 join is not pruned here. ``mine_serial`` counts all of it
-    when there is one window or no count floor; otherwise it first counts
-    each type pair once under the hull of the windows and counts exactly
-    only the candidates of pairs that reach the floor. Either way
-    ``MiningLevel.n_candidates`` (the CLI's ``candidates=N``) is the full
-    join.
+    This is the ``join`` that ``mine_serial`` hands to ``mine_levels``.
+    The size-1 join is not pruned here. ``mine_serial``'s counter counts
+    all of it when there is one window or no count floor; otherwise it
+    first counts each type pair once under the hull of the windows and
+    counts exactly only the candidates of pairs that reach the floor.
+    Either way ``MiningLevel.n_candidates`` (the CLI's ``candidates=N``)
+    is the full join.
     """
     pool = list(frequent)
     if not pool:

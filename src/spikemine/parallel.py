@@ -15,17 +15,18 @@ feasible event plus a full clear yields the maximum non-overlapped count
 
 from __future__ import annotations
 
-import time as _time
 from collections import deque
 
 from .episodes import (
     EpisodeCount,
     MiningConfig,
+    MiningLevel,
     ParallelEpisode,
+    fan_out,
     generate_parallel_candidates,
+    mine_levels,
 )
 from .events import EventSequence
-from .serial import MiningLevel, _fan_out, _rank
 
 
 class _Recognizer:
@@ -53,7 +54,7 @@ def count_parallel_expiry(
     if not candidates:
         return []
     if jobs > 1 and len(candidates) > 1:
-        return _fan_out(_count_parallel_chunk, candidates, seq, cfg, jobs)
+        return fan_out(count_parallel_expiry, candidates, seq, cfg, jobs)
     expiry = cfg.expiry
     track = cfg.track_occurrences
 
@@ -97,27 +98,10 @@ def count_parallel_expiry(
     ]
 
 
-def _count_parallel_chunk(args):
-    candidates, seq, cfg, _unused = args
-    return count_parallel_expiry(candidates, seq, cfg)
-
-
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
-    """Level-wise parallel mining; returns frequent episodes per size."""
-    floor = cfg.count_floor(len(seq))
-    levels: list[MiningLevel] = []
-    candidates = [ParallelEpisode((t,)) for t in sorted(seq.alphabet)]
-    size = 1
-    while candidates and size <= cfg.max_size:
-        t0 = _time.perf_counter()
-        counts = count_parallel_expiry(candidates, seq, cfg, jobs=jobs)
-        frequent = sorted((c for c in counts if c.freq >= floor), key=_rank)
-        levels.append(
-            MiningLevel(size, len(candidates), tuple(frequent), _time.perf_counter() - t0)
-        )
-        if not frequent or size == cfg.max_size:
-            break
-        seeds = frequent[: cfg.beam_width] if cfg.beam_width else frequent
-        candidates = generate_parallel_candidates([c.episode for c in seeds])
-        size += 1
-    return levels
+    """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size."""
+    return mine_levels(
+        [ParallelEpisode((t,)) for t in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
+        lambda candidates: count_parallel_expiry(candidates, seq, cfg, jobs=jobs),
+        generate_parallel_candidates,
+    )

@@ -29,9 +29,10 @@ Entries are ``(time, event_index, back)`` tuples; ``back`` links the
 predecessor entry that licensed acceptance (kept only when tracking), so
 a completed occurrence is recovered by walking the chain.
 
-Level 2 of ``mine_serial`` is counted in two passes when the count floor
-is above zero and there are at least two candidate windows. Every
-occurrence of ``A -(w)-> B`` is also one of ``A -(hull)-> B`` for the hull
+``mine_serial`` runs ``episodes.mine_levels`` with a counter that counts
+level 2 in two passes when the count floor is above zero and there are
+at least two candidate windows. Every occurrence of
+``A -(w)-> B`` is also one of ``A -(hull)-> B`` for the hull
 ``(lowest low, highest high]`` of the windows, so the hull count bounds
 each per-window count from above. Pass 1 counts each type pair once under
 the hull; pass 2 counts exactly only the per-window candidates of the
@@ -42,18 +43,18 @@ CLI's ``candidates=N``, still reports the full join.
 
 from __future__ import annotations
 
-import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from collections import deque
-from dataclasses import dataclass
 
 from .episodes import (
     EpisodeCount,
     Interval,
     MiningConfig,
+    MiningLevel,
     SerialEpisode,
     bootstrap_serial,
+    fan_out,
     generate_serial_candidates,
+    mine_levels,
 )
 from .events import EventSequence
 
@@ -115,24 +116,18 @@ def count_serial_constrained(
     cfg: MiningConfig | None = None,
     *,
     jobs: int = 1,
-    forward_prune: bool = True,
-    peak_entries: list | None = None,
 ) -> list[EpisodeCount]:
     """Count all candidates in one pass; returns counts in input order.
 
-    ``forward_prune`` toggles the own-list cleanup a stage performs when
-    it consumes an event (drop entries whose outgoing window is already
-    behind the stream). It frees memory early and never changes counts;
-    the flag exists so the property suite can check exactly that.
-    ``peak_entries``, when given an empty list, receives one number per
-    candidate: the largest total entry population its recognizer held at
-    any point of the pass (a debug/instrumentation hook).
+    A stage consuming an event first drops its own entries whose outgoing
+    window is behind the stream: counts never change, and memory stays
+    bounded when the next stage's type never occurs.
     """
     candidates = list(candidates)
     if not candidates:
         return []
     if jobs > 1 and len(candidates) > 1:
-        return _fan_out(_count_serial_chunk, candidates, seq, cfg, jobs, forward_prune)
+        return fan_out(count_serial_constrained, candidates, seq, cfg, jobs)
     track = bool(cfg and cfg.track_occurrences)
 
     recs = [_Recognizer(ep) for ep in candidates]
@@ -154,7 +149,7 @@ def count_serial_constrained(
                 continue
             high_out = stage.high_out
             tl = stage.tlist
-            if forward_prune and high_out is not None:
+            if high_out is not None:
                 cut = t - high_out
                 while tl and tl[0][0] < cut:
                     tl.popleft()
@@ -198,50 +193,11 @@ def count_serial_constrained(
                         node = node[2]
                     rec.occurrences.append(tuple(reversed(chain)))
                 rec.reset(waits)
-        if peak_entries is not None:
-            if not peak_entries:
-                peak_entries.extend(0 for _ in recs)
-            for i, rec in enumerate(recs):
-                held = sum(len(stage.tlist) for stage in rec.stages)
-                if held > peak_entries[i]:
-                    peak_entries[i] = held
 
     return [
         EpisodeCount(rec.episode, rec.freq, tuple(rec.occurrences) if track else None)
         for rec in recs
     ]
-
-
-def _count_serial_chunk(args):
-    candidates, seq, cfg, forward_prune = args
-    return count_serial_constrained(candidates, seq, cfg, forward_prune=forward_prune)
-
-
-def _fan_out(worker, candidates, seq, cfg, jobs, forward_prune=True):
-    """Partition candidates across processes; merge preserves input order."""
-    jobs = min(jobs, len(candidates))
-    step = (len(candidates) + jobs - 1) // jobs
-    chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(worker, [(c, seq, cfg, forward_prune) for c in chunks])
-    merged: list[EpisodeCount] = []
-    for part in parts:
-        merged.extend(part)
-    return merged
-
-
-@dataclass(frozen=True)
-class MiningLevel:
-    """Frequent episodes of one size, with the pass cost for the level."""
-
-    size: int
-    n_candidates: int
-    counts: tuple[EpisodeCount, ...]
-    seconds: float
-
-
-def _rank(count: EpisodeCount):
-    return (-count.freq, count.episode)
 
 
 def _hull_survivors(candidates, seq, cfg, floor, jobs):
@@ -260,35 +216,22 @@ def _hull_survivors(candidates, seq, cfg, floor, jobs):
 
 
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
-    """Level-wise search: bootstrap, count, filter, join, repeat.
+    """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
-    Stops when a level has no frequent episodes or ``max_size`` is
-    reached. Every returned level lists only frequent episodes, sorted by
-    descending frequency. Level 2 may prune its candidates by their hull
-    count first (see the module docstring); ``seconds`` covers both passes.
+    Level 2 may first prune its candidates by hull count (see the module
+    docstring); ``seconds`` covers both passes.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
-    levels: list[MiningLevel] = []
     two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
-    candidates = bootstrap_serial(seq.alphabet)
-    size = 1
-    while candidates and size <= cfg.max_size:
-        t0 = _time.perf_counter()
-        counted = candidates
-        if size == 2 and two_pass:
-            counted = _hull_survivors(candidates, seq, cfg, floor, jobs)
-        counts = count_serial_constrained(counted, seq, cfg, jobs=jobs)
-        frequent = sorted((c for c in counts if c.freq >= floor), key=_rank)
-        levels.append(
-            MiningLevel(size, len(candidates), tuple(frequent), _time.perf_counter() - t0)
-        )
-        if not frequent or size == cfg.max_size:
-            break
-        seeds = frequent[: cfg.beam_width] if cfg.beam_width else frequent
-        candidates = generate_serial_candidates(
-            [c.episode for c in seeds], cfg.candidate_intervals
-        )
-        size += 1
-    return levels
+
+    def count(candidates):
+        if two_pass and candidates[0].size == 2:
+            candidates = _hull_survivors(candidates, seq, cfg, floor, jobs)
+        return count_serial_constrained(candidates, seq, cfg, jobs=jobs)
+
+    return mine_levels(
+        bootstrap_serial(seq.alphabet), cfg, floor, count,
+        lambda seeds: generate_serial_candidates(seeds, cfg.candidate_intervals),
+    )

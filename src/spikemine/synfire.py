@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .episodes import EpisodeCount, MiningConfig, is_subepisode
+from .episodes import EpisodeCount, MiningConfig, MiningLevel, is_subepisode, rank_key
 from .events import Event, EventSequence, round_half_up
 from .parallel import mine_parallel
-from .serial import MiningLevel, mine_serial
+from .serial import mine_serial
 
 
 class RewriteConflictError(ValueError):
@@ -110,7 +110,7 @@ def mine_synfire(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> Syn
             for other in frequent
         )
     ]
-    maximal.sort(key=lambda c: (-c.freq, c.episode))
+    maximal.sort(key=rank_key)
     rewritten = rewrite_stream(seq, maximal, on_conflict="skip")
     serial_levels = mine_serial(rewritten, cfg, jobs=jobs)
     return SynfireResult(

@@ -1,6 +1,9 @@
 import hashlib
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spikemine.cli import main
 
@@ -123,6 +126,89 @@ def test_bad_spike_values_exit_2_with_line(tmp_path, capsys, content):
 def test_bad_tick_exits_1(tiny_csv, capsys, tick):
     assert main(["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--tick", tick]) == 1
     assert capsys.readouterr().err.startswith("error: bad --tick value")
+
+
+@pytest.mark.parametrize(
+    "kind,flag,value",
+    [("serial", "--intervals", "0-1e999999999"), ("serial", "--intervals", "0-1e300000"),
+     ("parallel", "--expiry", "1e999999999")],
+)
+def test_huge_millisecond_values_exit_1(tiny_csv, tmp_path, capsys, kind, flag, value):
+    out = tmp_path / "res.txt"
+    t0 = time.perf_counter()
+    assert main(["mine", kind, str(tiny_csv), "--out", str(out), flag, value]) == 1
+    assert time.perf_counter() - t0 < 5
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("error: bad millisecond value")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "tiny.csv").write_text("A,0.001\nB,0.005\nA,0.011\nB,0.015\nC,0.016\n")
+    return path
+
+
+csv_lines = st.tuples(
+    st.sampled_from(["A", "B", " C ", "", "#", "\u00e9"]),
+    st.sampled_from([",", ",", ";", ",,"]),
+    st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,4})?(e-?[0-9]{1,4})?|nan|inf", fullmatch=True),
+).map("".join)
+spike_csv = st.binary(max_size=200) | st.lists(csv_lines, max_size=12).map(
+    lambda lines: "\n".join(lines).encode()
+)
+
+
+def exit_code(argv):
+    """``main``'s return value, or the code of the SystemExit argparse raises."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=spike_csv)
+def test_fuzz_spike_csv_exits_0_or_2(fuzz_dir, content):
+    path = fuzz_dir / "fuzz.csv"
+    path.write_bytes(content)
+    argv = ["mine", "serial", str(path), "--out", str(fuzz_dir / "fuzz.out"),
+            "--intervals", "0-4,4-6", "--min-count", "1", "--max-size", "3"]
+    assert exit_code(argv) in (0, 2)
+
+
+ms_value = st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True)
+ms_windows = st.lists(
+    st.tuples(ms_value, st.just("-"), ms_value).map("".join), min_size=1, max_size=3
+).map(",".join)
+
+
+def option_text(*valid):
+    """Half the time one of ``valid``, else arbitrary or number-like text."""
+    noise = st.text(max_size=12) | ms_value | ms_windows
+    return st.booleans().flatmap(lambda pick: st.sampled_from(valid) if pick else noise)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tick=option_text("0.001", "0.0005"),
+    intervals=option_text("4-6", "0-2,2-4"),
+    expiry=option_text("1", "2"),
+)
+def test_fuzz_option_text_exits_0_or_1(fuzz_dir, tick, intervals, expiry):
+    argv = ["mine", "synfire", str(fuzz_dir / "tiny.csv"), "--out", str(fuzz_dir / "opt.out"),
+            "--min-count", "1", "--max-size", "3",
+            f"--tick={tick}", f"--intervals={intervals}", f"--expiry={expiry}"]
+    assert exit_code(argv) in (0, 1)
+
+
+def test_significance_max_size_below_1_exits_1(tmp_path, monkeypatch):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_significance", lambda **_: pytest.fail("simulated"))
+    out_dir = tmp_path / "sig"
+    assert main(["significance", str(out_dir), "--max-size", "0"]) == 1
+    assert not out_dir.exists()
 
 
 def test_bad_config_exits_3(tmp_path):

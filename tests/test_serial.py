@@ -1,7 +1,9 @@
 import random
+from collections import deque
 
 import pytest
 
+import spikemine.serial
 from oracles import random_sequence, random_serial_episode, serial_oracle_count
 from spikemine import (
     Event,
@@ -119,14 +121,20 @@ def test_tracked_occurrences_are_valid_and_nonoverlapped():
             last_end = occ[-1]
 
 
-def test_forward_prune_never_changes_counts():
+def test_shared_pass_matches_solo_counts_and_oracle():
+    # many recognizers in one pass share the waits index and its resets;
+    # each must count exactly what it counts alone, which is the oracle count
     rng = random.Random(321)
     for _ in range(120):
         seq = random_sequence(rng, max_events=120)
-        eps = [random_serial_episode(rng, seq) for _ in range(3)]
-        with_prune = count_serial_constrained(eps, seq)
-        without = count_serial_constrained(eps, seq, forward_prune=False)
-        assert [c.freq for c in with_prune] == [c.freq for c in without]
+        eps = [random_serial_episode(rng, seq) for _ in range(rng.randint(2, 10))]
+        eps += rng.choices(eps, k=rng.randint(0, 2))
+        rng.shuffle(eps)
+        shared = count_serial_constrained(eps, seq, TRACK)
+        for ep, res in zip(eps, shared):
+            assert res.episode == ep
+            assert res == count_serial_constrained([ep], seq, TRACK)[0]
+            assert res.freq == serial_oracle_count(ep, seq), f"{ep} among {len(eps)}"
 
 
 def test_child_count_never_exceeds_parent():
@@ -141,29 +149,55 @@ def test_child_count_never_exceeds_parent():
         assert counts[0].freq <= counts[2].freq
 
 
-def test_memory_stays_near_window_population():
-    # dense stream, every type keeps recurring, so stale entries get pruned
-    # promptly: the retained entries stay within the population of the
-    # episode's maximum span window (one entry per stage an event can sit in)
-    rng = random.Random(5)
-    events = []
-    t = 0
-    for _ in range(400):
-        t += rng.choice((0, 1, 1))
-        events.append(Event(rng.choice("ABC"), t))
-    seq = EventSequence(events)
+def peak_live_entries(monkeypatch, ep, seq):
+    """Largest number of time-list entries held at once while counting ``ep``."""
+    live = peak = 0
+
+    class CountedDeque(deque):
+        def append(self, item):
+            nonlocal live, peak
+            super().append(item)
+            live += 1
+            peak = max(peak, live)
+
+        def popleft(self):
+            nonlocal live
+            live -= 1
+            return super().popleft()
+
+        def clear(self):
+            nonlocal live
+            live -= len(self)
+            super().clear()
+
+    monkeypatch.setattr(spikemine.serial, "deque", CountedDeque)
+    count_serial_constrained([ep], seq)
+    return peak
+
+
+def test_memory_stays_near_window_population(monkeypatch):
+    # dense streams, so stale entries get pruned promptly: the retained
+    # entries stay within the population of the episode's maximum span
+    # window (one entry per stage an event can sit in). Without C events
+    # stage 3 never prunes stage 2, and only the own-list prune bounds it.
     ep = SerialEpisode(("A", "B", "C"), (Interval(0, 4), Interval(0, 4)))
     span = sum(iv.high for iv in ep.intervals)
-    times = [e.time for e in seq]
-    window_max = 0
-    for i in range(len(times)):
-        j = i
-        while j < len(times) and times[j] - times[i] <= span:
-            j += 1
-        window_max = max(window_max, j - i)
-    peaks: list = []
-    count_serial_constrained([ep], seq, peak_entries=peaks)
-    assert peaks[0] <= ep.size * window_max
+    for types in ("ABC", "AB"):
+        rng = random.Random(5)
+        events = []
+        t = 0
+        for _ in range(400):
+            t += rng.choice((0, 1, 1))
+            events.append(Event(rng.choice(types), t))
+        seq = EventSequence(events, alphabet=set("ABC"))
+        times = [e.time for e in seq]
+        window_max = 0
+        for i in range(len(times)):
+            j = i
+            while j < len(times) and times[j] - times[i] <= span:
+                j += 1
+            window_max = max(window_max, j - i)
+        assert peak_live_entries(monkeypatch, ep, seq) <= ep.size * window_max, types
 
 
 def test_mine_serial_levels():
