@@ -39,17 +39,27 @@ class SpikeFileError(ValueError):
 # 1e999999999 builds a billion-digit integer. The bound admits every float
 # repr (5e-324 .. 1.8e308), which is the widest a written stamp can be.
 MAX_DECIMAL_EXPONENT = 400
+# Significant digits beyond this are refused too. With the exponent bound,
+# the numerator and denominator of an accepted value, and of a product of
+# two of them, stay far below Python's 4300-digit limit on int-to-str
+# conversion, so every message and header can print them.
+MAX_DECIMAL_DIGITS = 1000
 
 
 def decimal_fraction(text: str) -> Fraction:
     """Exact value of a finite decimal string; ValueError for anything else."""
     try:
         value = Decimal(text)
-        if abs(value.adjusted()) <= MAX_DECIMAL_EXPONENT:
-            return Fraction(value)
-    except (ArithmeticError, ValueError):  # not a number, nan, inf
-        raise ValueError(f"{text!r} is not a finite decimal number") from None
-    raise ValueError(f"{text!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+    except (ArithmeticError, ValueError):
+        value = None
+    if value is None or not value.is_finite():
+        raise ValueError(f"{text!r} is not a finite decimal number")
+    if abs(value.adjusted()) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"{text!r} has a decimal exponent beyond +-{MAX_DECIMAL_EXPONENT}")
+    # a digit count never exceeds the text length, so short texts skip the count
+    if len(text) > MAX_DECIMAL_DIGITS and len(value.as_tuple().digits) > MAX_DECIMAL_DIGITS:
+        raise ValueError(f"{text[:20]!r}... has more than {MAX_DECIMAL_DIGITS} significant digits")
+    return Fraction(value)
 
 
 def as_tick_seconds(value: TickSeconds) -> Fraction:

@@ -1,33 +1,41 @@
 """Non-overlapped counting of gap-constrained serial episodes.
 
-One recognizer per candidate: a chain of stages, one per episode node.
-Each stage keeps a time list of events accepted there, i.e. events of the
-stage's type that extend a gap-valid chain from stage 1. An event is
-accepted at stage j > 1 only if some stage j-1 entry lies inside the
-incoming window ``(low, high]``; at stage 1 every event of the first type
-is accepted. Acceptance at the last stage completes one occurrence: the
-count increments and the whole recognizer resets (all time lists cleared,
-all stages deactivated back to stage 1), which is exactly what makes the
-counted occurrences non-overlapped -- the next occurrence can only use
-strictly later events.
+One counting pass holds all candidates in a prefix trie. A node stands
+for one prefix, its event types and its gap windows; candidates that
+share a prefix share its node. A node with children keeps one time list
+of entries ``(time, index, start, back)``, one per event of its last type
+that ends a gap-valid chain of the prefix:
 
-The count equals the maximum-cardinality set of non-overlapped valid
-occurrences: the recognizer tracks every viable partial match in
-parallel, so it completes at the earliest event that finishes any valid
-occurrence, and earliest-completion greedy is optimal for this
-interval-scheduling structure (the randomized oracle suite checks this
-exactly).
+* at depth 1 every event of the type is an entry, with ``start`` its own
+  index;
+* an event of type ``x`` at time ``t`` makes an entry at child
+  ``prefix -(low, high]-> x`` iff the parent list has an entry in
+  ``[t - high, t - low)``. The new entry copies the ``start`` of the
+  latest such entry and links it as ``back``.
 
-A waits index (event type -> stages currently able to consume it) keeps
-a pass linear in the events each candidate actually cares about. Stages
-of one recognizer enter a waits list in ascending stage order, so on a
-shared event type the earlier stage always sees the event first. Time
-lists are monotone in time and are pruned from the front once an entry's
-outgoing window can no longer reach any future event.
+``start`` is thus the first event of the entry's latest-starting chain,
+and it never decreases along a list: a later event's window ends later,
+so its latest parent entry is no earlier. The latest entry in a window
+therefore carries the largest ``start`` of all entries in it.
 
-Entries are ``(time, event_index, back)`` tuples; ``back`` links the
-predecessor entry that licensed acceptance (kept only when tracking), so
-a completed occurrence is recovered by walking the chain.
+Each distinct candidate has a slot with its count, its watermark (the
+index of its last completion) and its occurrences. Counted occurrences
+must not overlap, so only chains that start after the watermark may
+complete; an event completes the candidate iff the latest entry in its
+last window has ``start > watermark``. That is exact: by the monotone
+``start``, no other entry in the window has a later chain. The candidate
+completes at the earliest event that ends any valid occurrence after its
+last one, and earliest-completion greedy gives the maximum number of
+non-overlapped occurrences for this interval-scheduling structure (the
+randomized oracle suite checks this exactly). Following ``back`` from a
+completion recovers its occurrence: the latest event at each node, walking
+back from the end.
+
+An event touches only the depth-1 node of its type and the parents that
+have a live (non-empty) list and a child of its type. Lists grow in time
+order and are pruned from the front at each append and each scan, by the
+cut ``t - (largest high among the node's children)``: an older entry can
+lie in no future window.
 
 ``mine_serial`` runs ``episodes.mine_levels`` with a counter that counts
 level 2 in two passes when the count floor is above zero and there are
@@ -59,55 +67,17 @@ from .episodes import (
 from .events import EventSequence
 
 
-class _Stage:
-    __slots__ = (
-        "rec", "pos", "etype", "low_in", "high_in", "high_out",
-        "tlist", "visited", "prev", "after", "waiting",
-    )
+class _Node:
+    """One candidate prefix: its time list, its children and its candidate's slot."""
 
-    def __init__(self, rec, pos, etype):
-        self.rec = rec
-        self.pos = pos
-        self.etype = etype
-        self.low_in = self.high_in = None   # incoming window, stages >= 2
-        self.high_out = None                # outgoing window high, stages < last
+    __slots__ = ("tlist", "reach", "kids", "slot", "live")
+
+    def __init__(self):
         self.tlist = deque()
-        self.visited = False
-        self.prev = None
-        self.after = None
-        self.waiting = False
-
-
-class _Recognizer:
-    __slots__ = ("episode", "stages", "freq", "occurrences")
-
-    def __init__(self, episode: SerialEpisode):
-        self.episode = episode
-        self.freq = 0
-        self.occurrences: list[tuple[int, ...]] = []
-        stages = []
-        prev = None
-        for pos, etype in enumerate(episode.etypes, 1):
-            stage = _Stage(self, pos, etype)
-            if pos >= 2:
-                iv = episode.intervals[pos - 2]
-                stage.low_in, stage.high_in = iv.low, iv.high
-            if pos <= episode.size - 1:
-                stage.high_out = episode.intervals[pos - 1].high
-            stage.prev = prev
-            if prev is not None:
-                prev.after = stage
-            stages.append(stage)
-            prev = stage
-        self.stages = stages
-
-    def reset(self, waits):
-        for stage in self.stages:
-            stage.tlist.clear()
-            stage.visited = False
-            if stage.pos > 1 and stage.waiting:
-                waits[stage.etype].remove(stage)
-                stage.waiting = False
+        self.reach = 0      # largest high among the children's windows
+        self.kids = {}      # event type -> {(low, high): child}
+        self.slot = None    # [freq, watermark, occurrences] of the candidate ending here
+        self.live = False   # registered as a parent in the active index
 
 
 def count_serial_constrained(
@@ -117,11 +87,14 @@ def count_serial_constrained(
     *,
     jobs: int = 1,
 ) -> list[EpisodeCount]:
-    """Count all candidates in one pass; returns counts in input order.
+    """Count all candidates in one pass over a prefix trie; returns counts in input order.
 
-    A stage consuming an event first drops its own entries whose outgoing
-    window is behind the stream: counts never change, and memory stays
-    bounded when the next stage's type never occurs.
+    Candidates that share a prefix share its time list, and equal
+    candidates share one slot. The count is still each candidate's own:
+    ``start`` never decreases along a list, so the latest entry in a
+    window carries the largest ``start`` there, and the candidate
+    completes exactly when some chain in the window starts after its last
+    completion (see the module docstring).
     """
     candidates = list(candidates)
     if not candidates:
@@ -130,73 +103,78 @@ def count_serial_constrained(
         return fan_out(count_serial_constrained, candidates, seq, cfg, jobs)
     track = bool(cfg and cfg.track_occurrences)
 
-    recs = [_Recognizer(ep) for ep in candidates]
-    waits: dict[str, list[_Stage]] = {}
-    for rec in recs:
-        first = rec.stages[0]
-        waits.setdefault(first.etype, []).append(first)
-        first.waiting = True
+    roots: dict[str, _Node] = {}
+    slots = []
+    for ep in candidates:
+        node = roots.get(ep.etypes[0])
+        if node is None:
+            node = roots[ep.etypes[0]] = _Node()
+        for x, iv in zip(ep.etypes[1:], ep.intervals):
+            by_window = node.kids.setdefault(x, {})
+            child = by_window.get((iv.low, iv.high))
+            if child is None:
+                child = by_window[iv.low, iv.high] = _Node()
+                node.reach = max(node.reach, iv.high)
+            node = child
+        if node.slot is None:
+            node.slot = [0, -1, []]
+        slots.append(node.slot)
+    # event type -> live parents with a child of that type
+    active: dict[str, dict[_Node, None]] = {}
 
-    events = seq.events
-    for idx in range(len(events)):
-        ev = events[idx]
-        lst = waits.get(ev.etype)
-        if not lst:
-            continue
+    def add(node, entry):
+        slot = node.slot
+        if slot is not None and entry[2] > slot[1]:
+            slot[0] += 1
+            slot[1] = entry[1]
+            if track:
+                chain = []
+                link = entry
+                while link is not None:
+                    chain.append(link[1])
+                    link = link[3]
+                slot[2].append(tuple(reversed(chain)))
+        if node.kids:
+            tl = node.tlist
+            cut = entry[0] - node.reach
+            while tl and tl[0][0] < cut:
+                tl.popleft()
+            tl.append(entry)
+            if not node.live:
+                node.live = True
+                for x in node.kids:
+                    active.setdefault(x, {})[node] = None
+
+    for idx, ev in enumerate(seq.events):
+        x = ev.etype
         t = ev.time
-        for stage in tuple(lst):
-            if not stage.waiting:
+        root = roots.get(x)
+        if root is not None:
+            add(root, (t, idx, idx, None))
+        parents = active.get(x)
+        if not parents:
+            continue
+        for node in tuple(parents):  # the scan may add and drop parents of this type
+            tl = node.tlist
+            cut = t - node.reach
+            while tl and tl[0][0] < cut:
+                tl.popleft()
+            if not tl:
+                node.live = False
+                for y in node.kids:
+                    del active[y][node]
                 continue
-            high_out = stage.high_out
-            tl = stage.tlist
-            if high_out is not None:
-                cut = t - high_out
-                while tl and tl[0][0] < cut:
-                    tl.popleft()
-            if stage.pos == 1:
-                entry = (t, idx, None)
-                accepted = True
-            else:
-                prev_tl = stage.prev.tlist
-                cut = t - stage.high_in
-                while prev_tl and prev_tl[0][0] < cut:
-                    prev_tl.popleft()
-                limit = t - stage.low_in  # licensed iff predecessor time < limit
-                if prev_tl and prev_tl[0][0] < limit:
-                    back = None
-                    if track:
-                        for cand in reversed(prev_tl):
-                            if cand[0] < limit:
-                                back = cand
-                                break
-                    entry = (t, idx, back)
-                    accepted = True
-                else:
-                    accepted = False
-            if not accepted:
-                continue
-            if stage.after is not None:
-                tl.append(entry)
-                if not stage.visited:
-                    stage.visited = True
-                    nxt = stage.after
-                    waits.setdefault(nxt.etype, []).append(nxt)
-                    nxt.waiting = True
-            else:
-                rec = stage.rec
-                rec.freq += 1
-                if track:
-                    chain = []
-                    node = entry
-                    while node is not None:
-                        chain.append(node[1])
-                        node = node[2]
-                    rec.occurrences.append(tuple(reversed(chain)))
-                rec.reset(waits)
+            for (low, high), child in node.kids[x].items():
+                limit = t - low
+                for prev in reversed(tl):
+                    if prev[0] < limit:
+                        if prev[0] >= t - high:
+                            add(child, (t, idx, prev[2], prev if track else None))
+                        break
 
     return [
-        EpisodeCount(rec.episode, rec.freq, tuple(rec.occurrences) if track else None)
-        for rec in recs
+        EpisodeCount(ep, slot[0], tuple(slot[2]) if track else None)
+        for ep, slot in zip(candidates, slots)
     ]
 
 

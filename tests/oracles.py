@@ -101,11 +101,12 @@ def enumerate_parallel_occurrences(episode, seq, expiry):
     return results
 
 
-def max_nonoverlapped(occurrences):
-    """Greedy earliest-end selection of index-disjoint occurrences."""
+def max_nonoverlapped(occurrences, key=lambda o: (o[-1], o[0])):
+    """Greedy earliest-end selection of index-disjoint occurrences; ``key``
+    orders them by end first and breaks the ties."""
     chosen = []
     last_end = -1
-    for occ in sorted(occurrences, key=lambda o: (o[-1], o[0])):
+    for occ in sorted(occurrences, key=key):
         if occ[0] > last_end:
             chosen.append(occ)
             last_end = occ[-1]
@@ -114,6 +115,19 @@ def max_nonoverlapped(occurrences):
 
 def serial_oracle_count(episode, seq):
     return len(max_nonoverlapped(enumerate_serial_occurrences(episode, seq)))
+
+
+def serial_oracle_occurrences(episode, seq):
+    """The occurrences a tracked serial count reports, in order.
+
+    Repeatedly takes, among the valid occurrences that start after the last
+    one taken ends, the earliest-ending one; ties go to the latest event at
+    the second-to-last node, then at the node before it, walking back.
+    """
+    def preference(occ):
+        return (occ[-1],) + tuple(-idx for idx in reversed(occ[:-1]))
+
+    return tuple(max_nonoverlapped(enumerate_serial_occurrences(episode, seq), preference))
 
 
 def parallel_oracle_count(episode, seq, expiry):

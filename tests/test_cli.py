@@ -109,11 +109,15 @@ def test_malformed_input_exits_2(tmp_path):
     assert main(["mine", "serial", str(bad), "--intervals", "4-6"]) == 2
 
 
+# 4402 significant digits: more than Python prints of one integer
+HUGE_DIGITS = "0.001" + "0" * 4400 + "1"
+
+
 @pytest.mark.parametrize(
     "content",
     [b"A,0.001\nB,nan\n", b"A,0.001\nB,inf\n", b"A,0.001\nB,1e999999999\n",
-     b"A,0.001\n\xff,0.002\n"],
-    ids=["nan", "inf", "huge-exponent", "non-utf8"],
+     b"A,0.001\n\xff,0.002\n", b"A,0.001\nB," + HUGE_DIGITS.encode() + b"\n"],
+    ids=["nan", "inf", "huge-exponent", "non-utf8", "huge-digits"],
 )
 def test_bad_spike_values_exit_2_with_line(tmp_path, capsys, content):
     bad = tmp_path / "bad.csv"
@@ -122,16 +126,19 @@ def test_bad_spike_values_exit_2_with_line(tmp_path, capsys, content):
     assert capsys.readouterr().err.startswith(f"error: {bad}:2: ")
 
 
-@pytest.mark.parametrize("tick", ["abc", "0"])
+@pytest.mark.parametrize("tick", ["abc", "0", pytest.param(HUGE_DIGITS, id="huge-digits")])
 def test_bad_tick_exits_1(tiny_csv, capsys, tick):
     assert main(["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--tick", tick]) == 1
     assert capsys.readouterr().err.startswith("error: bad --tick value")
+    assert not tiny_csv.with_suffix(".episodes").exists()
 
 
 @pytest.mark.parametrize(
     "kind,flag,value",
     [("serial", "--intervals", "0-1e999999999"), ("serial", "--intervals", "0-1e300000"),
-     ("parallel", "--expiry", "1e999999999")],
+     ("parallel", "--expiry", "1e999999999"),
+     pytest.param("serial", "--intervals", f"0-{HUGE_DIGITS}", id="serial-intervals-huge-digits"),
+     pytest.param("parallel", "--expiry", HUGE_DIGITS, id="parallel-expiry-huge-digits")],
 )
 def test_huge_millisecond_values_exit_1(tiny_csv, tmp_path, capsys, kind, flag, value):
     out = tmp_path / "res.txt"

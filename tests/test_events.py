@@ -56,6 +56,7 @@ def test_comments_and_blank_lines(tmp_path):
         ("A,-Infinity\n", "not a finite decimal"),
         ("A,1e999999999\n", "decimal exponent beyond"),
         ("A,1e-999999999\n", "decimal exponent beyond"),
+        ("A,0." + "1" * 1001 + "\n", "more than 1000 significant digits"),
     ],
 )
 def test_malformed_lines_report_position(tmp_path, content, fragment):
@@ -71,6 +72,12 @@ def test_widest_decimal_exponent_is_accepted(tmp_path):
     path = tmp_path / "s.csv"
     path.write_text("A,1e-400\nB,0.002\n")
     assert [ev.time for ev in parse_spike_file(path, 0.001)] == [0, 2]
+
+
+def test_most_significant_digits_are_accepted(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("A,0.002" + "0" * 998 + "1\nB,0.002\n")  # 1000 digits
+    assert [ev.time for ev in parse_spike_file(path, 0.001)] == [2, 2]
 
 
 def test_non_utf8_byte_reports_its_line(tmp_path):

@@ -1,10 +1,16 @@
 import random
+import string
 from collections import deque
 
 import pytest
 
 import spikemine.serial
-from oracles import random_sequence, random_serial_episode, serial_oracle_count
+from oracles import (
+    random_sequence,
+    random_serial_episode,
+    serial_oracle_count,
+    serial_oracle_occurrences,
+)
 from spikemine import (
     Event,
     EventSequence,
@@ -59,7 +65,7 @@ def test_single_node_counts_every_event(worked_sequence):
 
 
 def test_repeated_type_chain():
-    # one event must not advance two adjacent stages
+    # one event must not advance two adjacent nodes
     seq = EventSequence([Event("A", t) for t in (0, 2, 4, 6)])
     ep = SerialEpisode(("A", "A"), (Interval(0, 3),))
     (res,) = count_serial_constrained([ep], seq, TRACK)
@@ -108,7 +114,7 @@ def test_oracle_equivalence_smoke():
 
 
 def test_tracked_occurrences_are_valid_and_nonoverlapped():
-    for seq, ep, res in oracle_sweep(100, seed=77):
+    for seq, ep, res in oracle_sweep(200, seed=77):
         last_end = -1
         for occ in res.occurrences:
             assert len(occ) == ep.size
@@ -119,22 +125,47 @@ def test_tracked_occurrences_are_valid_and_nonoverlapped():
                 gap = seq[occ[j + 1]].time - seq[occ[j]].time
                 assert iv.low < gap <= iv.high
             last_end = occ[-1]
+        assert res.occurrences == serial_oracle_occurrences(ep, seq), f"{ep} on {len(seq)} events"
+
+
+def check_shared_pass(eps, seq):
+    """Counted in one pass, each candidate counts exactly what it counts
+    alone, which is the oracle count; returns the shared results."""
+    shared = count_serial_constrained(eps, seq, TRACK)
+    for ep, res in zip(eps, shared):
+        assert res.episode == ep
+        assert res == count_serial_constrained([ep], seq, TRACK)[0]
+        assert res.freq == serial_oracle_count(ep, seq), f"{ep} among {len(eps)}"
+    return shared
 
 
 def test_shared_pass_matches_solo_counts_and_oracle():
-    # many recognizers in one pass share the waits index and its resets;
-    # each must count exactly what it counts alone, which is the oracle count
     rng = random.Random(321)
     for _ in range(120):
         seq = random_sequence(rng, max_events=120)
         eps = [random_serial_episode(rng, seq) for _ in range(rng.randint(2, 10))]
         eps += rng.choices(eps, k=rng.randint(0, 2))
         rng.shuffle(eps)
-        shared = count_serial_constrained(eps, seq, TRACK)
-        for ep, res in zip(eps, shared):
-            assert res.episode == ep
-            assert res == count_serial_constrained([ep], seq, TRACK)[0]
-            assert res.freq == serial_oracle_count(ep, seq), f"{ep} among {len(eps)}"
+        check_shared_pass(eps, seq)
+
+
+def test_heavily_shared_prefixes_match_solo_counts_and_oracle():
+    # full joins share every prefix; shorter candidates are prefixes of
+    # longer ones, some candidates repeat, and windows touch with low > 0
+    rng = random.Random(6060)
+    for case in range(8):
+        seq = random_sequence(rng, max_events=80, max_types=2)
+        windows = random_windows(rng, first_low=1)
+        level = bootstrap_serial("AB")
+        eps = []
+        for _ in range(3):
+            level = generate_serial_candidates(level, windows)
+            eps += level
+        eps += rng.choices(eps, k=20)
+        rng.shuffle(eps)
+        shared = check_shared_pass(eps, seq)
+        if case < 2:
+            assert count_serial_constrained(eps, seq, TRACK, jobs=2) == shared
 
 
 def test_child_count_never_exceeds_parent():
@@ -149,8 +180,8 @@ def test_child_count_never_exceeds_parent():
         assert counts[0].freq <= counts[2].freq
 
 
-def peak_live_entries(monkeypatch, ep, seq):
-    """Largest number of time-list entries held at once while counting ``ep``."""
+def peak_live_entries(monkeypatch, eps, seq):
+    """Largest number of time-list entries held at once while counting ``eps`` in one pass."""
     live = peak = 0
 
     class CountedDeque(deque):
@@ -171,25 +202,29 @@ def peak_live_entries(monkeypatch, ep, seq):
             super().clear()
 
     monkeypatch.setattr(spikemine.serial, "deque", CountedDeque)
-    count_serial_constrained([ep], seq)
+    count_serial_constrained(eps, seq)
     return peak
+
+
+def dense_stream(rng, types, alphabet):
+    """400 events of ``types``, 0 or 1 tick apart."""
+    events = []
+    t = 0
+    for _ in range(400):
+        t += rng.choice((0, 1, 1))
+        events.append(Event(rng.choice(types), t))
+    return EventSequence(events, alphabet=alphabet)
 
 
 def test_memory_stays_near_window_population(monkeypatch):
     # dense streams, so stale entries get pruned promptly: the retained
     # entries stay within the population of the episode's maximum span
-    # window (one entry per stage an event can sit in). Without C events
-    # stage 3 never prunes stage 2, and only the own-list prune bounds it.
+    # window (one entry per node an event can sit in). Without C events
+    # no scan prunes the A->B list, and only the prune at append bounds it.
     ep = SerialEpisode(("A", "B", "C"), (Interval(0, 4), Interval(0, 4)))
     span = sum(iv.high for iv in ep.intervals)
     for types in ("ABC", "AB"):
-        rng = random.Random(5)
-        events = []
-        t = 0
-        for _ in range(400):
-            t += rng.choice((0, 1, 1))
-            events.append(Event(rng.choice(types), t))
-        seq = EventSequence(events, alphabet=set("ABC"))
+        seq = dense_stream(random.Random(5), types, "ABC")
         times = [e.time for e in seq]
         window_max = 0
         for i in range(len(times)):
@@ -197,7 +232,16 @@ def test_memory_stays_near_window_population(monkeypatch):
             while j < len(times) and times[j] - times[i] <= span:
                 j += 1
             window_max = max(window_max, j - i)
-        assert peak_live_entries(monkeypatch, ep, seq) <= ep.size * window_max, types
+        assert peak_live_entries(monkeypatch, [ep], seq) <= ep.size * window_max, types
+
+
+def test_shared_prefix_holds_no_extra_entries(monkeypatch):
+    # 26 candidates that differ only in their last type share both time lists
+    w = Interval(0, 4)
+    seq = dense_stream(random.Random(17), "ABC", string.ascii_uppercase)
+    fan = [SerialEpisode(("A", "B", x), (w, w)) for x in string.ascii_uppercase]
+    one = SerialEpisode(("A", "B", "C"), (w, w))
+    assert peak_live_entries(monkeypatch, fan, seq) <= peak_live_entries(monkeypatch, [one], seq)
 
 
 def test_mine_serial_levels():
@@ -242,10 +286,10 @@ def test_jobs_partition_matches_single_process(worked_sequence):
     assert [(c.episode, c.freq) for c in solo] == [(c.episode, c.freq) for c in multi]
 
 
-def random_windows(rng):
+def random_windows(rng, first_low=0):
     """2-4 disjoint sorted windows, some of them touching."""
     windows = []
-    low = rng.randint(0, 2)
+    low = rng.randint(first_low, 2)
     for _ in range(rng.randint(2, 4)):
         high = low + rng.randint(1, 3)
         windows.append(Interval(low, high))
