@@ -141,12 +141,6 @@ class EventSequence:
     def __getitem__(self, i: int) -> Event:
         return self.events[i]
 
-    @property
-    def span_ticks(self) -> int:
-        if not self.events:
-            return 0
-        return self.events[-1].time - self.events[0].time
-
 
 def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
     """Read a spike CSV, quantizing second-stamps to ticks.

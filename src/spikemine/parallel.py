@@ -1,16 +1,19 @@
 """Non-overlapped counting of parallel episodes under an expiry span.
 
-A recognizer per candidate keeps, for each required event type, the
-pending times seen so far that are still within ``expiry`` ticks of the
-stream head. When every type's pending list covers its multiplicity, an
-occurrence completes using the earliest pending entries per type -- all
-retained entries lie within the expiry window of the completing event, so
-the selected span is <= expiry by construction, and consuming earliest
-entries leaves the freshest ones no longer needed. Completion clears all
-pending state for the candidate, so successive counted occurrences use
-strictly later events: the non-overlap rule. Completing at the earliest
-feasible event plus a full clear yields the maximum non-overlapped count
-(checked exactly against the exhaustive oracle in the test suite).
+A counting pass keeps one time list of ``(time, index)`` per event type
+that some candidate needs. An event of type ``x`` at ``t`` prunes ``x``'s
+list by the cut ``t - expiry`` and then appends itself, so a list never
+holds more than one expiry span of its type's events.
+
+Each distinct candidate has a slot: its count, its watermark (the index of
+its last completion) and its occurrences. It may use only events after the
+watermark and not before the cut; in each list, ordered by index and time,
+those form a suffix. So the candidate completes at ``t`` iff, for each of
+its types with multiplicity ``m``, the ``m``-th entry from the end of that
+type's list is usable, and a tracked occurrence takes the earliest ``m``
+usable entries of each type. Completing at the earliest feasible event
+gives the maximum non-overlapped count (checked exactly against the
+exhaustive oracle in the test suite, occurrences included).
 """
 
 from __future__ import annotations
@@ -29,17 +32,6 @@ from .episodes import (
 from .events import EventSequence
 
 
-class _Recognizer:
-    __slots__ = ("episode", "needed", "pending", "freq", "occurrences")
-
-    def __init__(self, episode: ParallelEpisode):
-        self.episode = episode
-        self.needed = dict(episode.multiplicities())
-        self.pending = {t: deque() for t in self.needed}
-        self.freq = 0
-        self.occurrences: list[tuple[int, ...]] = []
-
-
 def count_parallel_expiry(
     candidates,
     seq: EventSequence,
@@ -47,7 +39,12 @@ def count_parallel_expiry(
     *,
     jobs: int = 1,
 ) -> list[EpisodeCount]:
-    """Count all candidates in one pass; returns counts in input order."""
+    """Count all candidates in one pass over shared time lists; returns counts in input order.
+
+    Candidates that need a type share its list and equal candidates share
+    a slot; each count is still exact, since the events a candidate may use
+    form a suffix of each list (see the module docstring).
+    """
     if cfg.expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
     candidates = list(candidates)
@@ -58,43 +55,45 @@ def count_parallel_expiry(
     expiry = cfg.expiry
     track = cfg.track_occurrences
 
-    recs = [_Recognizer(ep) for ep in candidates]
-    interested: dict[str, list[_Recognizer]] = {}
-    for rec in recs:
-        for etype in rec.needed:
-            interested.setdefault(etype, []).append(rec)
+    tlists: dict[str, deque] = {}
+    watchers: dict[str, list] = {}  # event type -> (slot, needs) of each candidate needing it
+    slot_of: dict[ParallelEpisode, list] = {}
+    for ep in dict.fromkeys(candidates):
+        slot = slot_of[ep] = [0, -1, []]  # freq, watermark, occurrences
+        mult = ep.multiplicities()
+        needs = [(tlists.setdefault(y, deque()), m) for y, m in mult.items()]
+        for y in mult:
+            watchers.setdefault(y, []).append((slot, needs))
 
     for idx, ev in enumerate(seq.events):
-        watchers = interested.get(ev.etype)
-        if not watchers:
+        tl = tlists.get(ev.etype)
+        if tl is None:
             continue
         t = ev.time
         cut = t - expiry
-        for rec in watchers:
-            pending = rec.pending
-            pending[ev.etype].append((t, idx))
-            complete = True
-            for etype, need in rec.needed.items():
-                q = pending[etype]
-                while q and q[0][0] < cut:
-                    q.popleft()
-                if len(q) < need:
-                    complete = False
-            if complete:
-                rec.freq += 1
+        while tl and tl[0][0] < cut:
+            tl.popleft()
+        tl.append((t, idx))
+        for slot, needs in watchers[ev.etype]:
+            mark = slot[1]
+            for q, m in needs:
+                if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
+                    break
+            else:
+                slot[0] += 1
+                slot[1] = idx
                 if track:
                     chosen = []
-                    for etype, need in rec.needed.items():
-                        q = pending[etype]
-                        for _ in range(need):
-                            chosen.append(q.popleft()[1])
-                    rec.occurrences.append(tuple(sorted(chosen)))
-                for q in pending.values():
-                    q.clear()
+                    for q, m in needs:
+                        k = len(q) - m
+                        while k and q[k - 1][0] >= cut and q[k - 1][1] > mark:
+                            k -= 1
+                        chosen.extend(q[i][1] for i in range(k, k + m))
+                    slot[2].append(tuple(sorted(chosen)))
 
     return [
-        EpisodeCount(rec.episode, rec.freq, tuple(rec.occurrences) if track else None)
-        for rec in recs
+        EpisodeCount(ep, slot_of[ep][0], tuple(slot_of[ep][2]) if track else None)
+        for ep in candidates
     ]
 
 

@@ -43,8 +43,9 @@ can vary noise under fixed wiring.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -76,6 +77,8 @@ class StrongEdge:
             raise ConfigError(f"edge endpoints must be >= 0: {self}")
         if self.delay_steps < 1:
             raise ConfigError(f"edge delay must be >= 1 step: {self}")
+        if not math.isfinite(self.weight):
+            raise ConfigError(f"edge weight must be finite: {self}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +101,9 @@ class NetworkConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "strong_edges", tuple(self.strong_edges))
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.num_neurons < 1:
             raise ConfigError("num_neurons must be >= 1")
         if self.weight_bound < 0:
@@ -206,6 +212,8 @@ def _idx(label: str, n: int) -> int:
 
 
 def _ms_to_steps(ms: float, delta_t: float) -> int:
+    if not math.isfinite(ms):
+        raise ConfigError(f"delay {ms} ms is not finite")
     steps = Fraction(str(ms)) / 1000 / Fraction(str(delta_t))
     if steps.denominator != 1 or steps < 1:
         raise ConfigError(f"delay {ms} ms is not a whole number of {delta_t}s steps")
@@ -259,9 +267,6 @@ def _pattern_edges(name: str, config: NetworkConfig):
     raise ConfigError(f"unknown pattern {name!r}")
 
 
-PATTERN_NAMES = ("example1", "example2", "example3", "chain-<k>")
-
-
 def embed_pattern(config: NetworkConfig, pattern: str) -> NetworkConfig:
     """Return a copy of ``config`` with the named topology as strong edges."""
     if pattern in ("", "none"):
@@ -307,7 +312,7 @@ _FIELD_PARSERS = {
 
 def parse_network_config(path) -> NetworkConfig:
     """Read a key=value config file; errors carry the line number."""
-    fields: dict = {}
+    config = NetworkConfig()
     edge_specs: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -323,15 +328,13 @@ def parse_network_config(path) -> NetworkConfig:
                 edge_specs.append((lineno, value))
             elif key in _FIELD_PARSERS:
                 try:
-                    fields[key] = _FIELD_PARSERS[key](value)
+                    config = replace(config, **{key: _FIELD_PARSERS[key](value)})
+                except ConfigError as exc:
+                    raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    try:
-        config = NetworkConfig(**fields)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
     edges = []
     for lineno, spec in edge_specs:
         parts = [p.strip() for p in spec.split(",")]

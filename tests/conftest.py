@@ -1,3 +1,6 @@
+import sys
+from collections import deque
+
 import pytest
 
 from spikemine import Event, EventSequence, Interval, SerialEpisode
@@ -16,3 +19,36 @@ def worked_episode() -> SerialEpisode:
         ("A", "B", "C", "D"),
         (Interval(0, 5), Interval(5, 10), Interval(0, 5)),
     )
+
+
+@pytest.fixture
+def peak_live_entries(monkeypatch):
+    """``peak(count, eps, seq, cfg)``: the most time-list entries held at once
+    while ``count`` counts ``eps`` in one pass. It replaces the ``deque`` of
+    the counter's module with a subclass that counts its entries."""
+
+    def peak(count, eps, seq, cfg=None):
+        live = top = 0
+
+        class CountedDeque(deque):
+            def append(self, item):
+                nonlocal live, top
+                super().append(item)
+                live += 1
+                top = max(top, live)
+
+            def popleft(self):
+                nonlocal live
+                live -= 1
+                return super().popleft()
+
+            def clear(self):
+                nonlocal live
+                live -= len(self)
+                super().clear()
+
+        monkeypatch.setattr(sys.modules[count.__module__], "deque", CountedDeque)
+        count(eps, seq, cfg)
+        return top
+
+    return peak

@@ -134,6 +134,17 @@ def parallel_oracle_count(episode, seq, expiry):
     return len(max_nonoverlapped(enumerate_parallel_occurrences(episode, seq, expiry)))
 
 
+def parallel_oracle_occurrences(episode, seq, expiry):
+    """The occurrences a tracked parallel count reports, in order.
+
+    Repeatedly takes, among the valid occurrences that start after the last
+    one taken ends, the earliest-ending one; ties go to the lexicographically
+    smallest index tuple.
+    """
+    occurrences = enumerate_parallel_occurrences(episode, seq, expiry)
+    return tuple(max_nonoverlapped(occurrences, key=lambda o: (o[-1], o)))
+
+
 # ---------------------------------------------------------------------------
 # random-case generators for the oracle-equivalence sweeps
 
@@ -150,6 +161,16 @@ def random_sequence(rng: random.Random, max_events=200, max_types=5) -> EventSeq
         t += rng.choice((0, 0, 1, 1, 1, 2, 3))  # equal ticks are common on purpose
         events.append(Event(rng.choice(types), t))
     return EventSequence(events)
+
+
+def dense_stream(rng: random.Random, types, alphabet) -> EventSequence:
+    """400 events of ``types``, 0 or 1 tick apart."""
+    events = []
+    t = 0
+    for _ in range(400):
+        t += rng.choice((0, 1, 1))
+        events.append(Event(rng.choice(types), t))
+    return EventSequence(events, alphabet=alphabet)
 
 
 def random_serial_episode(rng: random.Random, seq, min_nodes=2, max_nodes=4) -> SerialEpisode:

@@ -224,6 +224,28 @@ def test_bad_config_exits_3(tmp_path):
     assert main(["simulate", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_duration_exits_3(tmp_path, capsys, value):
+    assert main(["simulate", str(tmp_path / "o.csv"), "--duration", value]) == 3
+    assert "duration must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "delta_t = inf", "weight_bound = nan", "rate_offset = nan", "lambda_max = nan",
+        "strong_weight = nan", "edge = A,B,1,nan", "edge = A,B,nan,5",
+    ],
+)
+def test_non_finite_config_exits_3_with_line(tmp_path, capsys, line):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(f"num_neurons = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 3
+    assert f"{cfg}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_pattern_exits_3(tmp_path):
     assert main(["simulate", str(tmp_path / "o.csv"), "--pattern", "spiral"]) == 3
 

@@ -2,7 +2,13 @@ import random
 
 import pytest
 
-from oracles import parallel_oracle_count, random_parallel_episode, random_sequence
+from oracles import (
+    dense_stream,
+    parallel_oracle_count,
+    parallel_oracle_occurrences,
+    random_parallel_episode,
+    random_sequence,
+)
 from spikemine import (
     Event,
     EventSequence,
@@ -100,6 +106,7 @@ def test_tracked_occurrences_respect_span_and_nonoverlap():
             assert max(times) - min(times) <= expiry
             assert occ[0] > last_end
             last_end = occ[-1]
+        assert res.occurrences == parallel_oracle_occurrences(ep, seq, expiry), f"{ep} T={expiry}"
 
 
 def test_submultiset_monotonicity():
@@ -139,6 +146,50 @@ def test_jobs_partition_matches_single_process():
     rng = random.Random(6)
     seq = random_sequence(rng, max_events=90)
     eps = [random_parallel_episode(rng, seq) for _ in range(6)]
-    solo = count_parallel_expiry(eps, seq, cfg_for(6))
-    multi = count_parallel_expiry(eps, seq, cfg_for(6), jobs=3)
-    assert [(c.episode, c.freq) for c in solo] == [(c.episode, c.freq) for c in multi]
+    solo = count_parallel_expiry(eps, seq, cfg_for(6, track=True))
+    assert count_parallel_expiry(eps, seq, cfg_for(6, track=True), jobs=3) == solo
+
+
+def check_shared_pass(eps, seq, expiry):
+    """Counted in one tracked pass, each candidate counts and reports exactly
+    what it does alone, which is what the oracle does."""
+    cfg = cfg_for(expiry, track=True)
+    for ep, res in zip(eps, count_parallel_expiry(eps, seq, cfg)):
+        assert res.episode == ep
+        assert res == count_parallel_expiry([ep], seq, cfg)[0]
+        assert res.freq == parallel_oracle_count(ep, seq, expiry), f"{ep} T={expiry} among {eps}"
+        assert res.occurrences == parallel_oracle_occurrences(ep, seq, expiry)
+
+
+def test_shared_pass_matches_solo_counts_and_oracle():
+    # candidates share their types' time lists; some repeat and some are
+    # sub-multisets of others, so they complete on the same events
+    rng = random.Random(515)
+    for _ in range(120):
+        seq = random_sequence(rng, max_events=100, max_types=3)
+        eps = [random_parallel_episode(rng, seq, min_nodes=1) for _ in range(rng.randint(2, 7))]
+        for big in rng.sample(eps, k=rng.randint(0, 2)):
+            if big.size > 1:
+                drop = rng.randrange(big.size)
+                eps.append(ParallelEpisode(big.etypes[:drop] + big.etypes[drop + 1 :]))
+        eps += rng.choices(eps, k=rng.randint(0, 2))
+        rng.shuffle(eps)
+        check_shared_pass(eps, seq, rng.randint(1, 10))
+
+
+def test_shared_lists_hold_no_extra_entries(peak_live_entries):
+    # six candidates over {A, B} keep the same two time lists as {A B} alone
+    seq = dense_stream(random.Random(23), "AB", "AB")
+    six = [ParallelEpisode(tuple(p)) for p in ("A", "B", "AB", "AA", "BB", "AAB")]
+    one = [ParallelEpisode(("A", "B"))]
+    cfg = cfg_for(3)
+    peak_six = peak_live_entries(count_parallel_expiry, six, seq, cfg)
+    assert peak_six <= peak_live_entries(count_parallel_expiry, one, seq, cfg)
+
+
+def test_time_list_is_pruned_at_append(peak_live_entries):
+    # no A ever arrives, so no completion check reaches B's list
+    seq = EventSequence([Event("B", t) for t in range(2000)], alphabet="AB")
+    ab = [ParallelEpisode(("A", "B"))]
+    expiry = 4
+    assert peak_live_entries(count_parallel_expiry, ab, seq, cfg_for(expiry)) <= 2 * (expiry + 1)

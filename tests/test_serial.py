@@ -1,11 +1,10 @@
 import random
 import string
-from collections import deque
 
 import pytest
 
-import spikemine.serial
 from oracles import (
+    dense_stream,
     random_sequence,
     random_serial_episode,
     serial_oracle_count,
@@ -180,43 +179,7 @@ def test_child_count_never_exceeds_parent():
         assert counts[0].freq <= counts[2].freq
 
 
-def peak_live_entries(monkeypatch, eps, seq):
-    """Largest number of time-list entries held at once while counting ``eps`` in one pass."""
-    live = peak = 0
-
-    class CountedDeque(deque):
-        def append(self, item):
-            nonlocal live, peak
-            super().append(item)
-            live += 1
-            peak = max(peak, live)
-
-        def popleft(self):
-            nonlocal live
-            live -= 1
-            return super().popleft()
-
-        def clear(self):
-            nonlocal live
-            live -= len(self)
-            super().clear()
-
-    monkeypatch.setattr(spikemine.serial, "deque", CountedDeque)
-    count_serial_constrained(eps, seq)
-    return peak
-
-
-def dense_stream(rng, types, alphabet):
-    """400 events of ``types``, 0 or 1 tick apart."""
-    events = []
-    t = 0
-    for _ in range(400):
-        t += rng.choice((0, 1, 1))
-        events.append(Event(rng.choice(types), t))
-    return EventSequence(events, alphabet=alphabet)
-
-
-def test_memory_stays_near_window_population(monkeypatch):
+def test_memory_stays_near_window_population(peak_live_entries):
     # dense streams, so stale entries get pruned promptly: the retained
     # entries stay within the population of the episode's maximum span
     # window (one entry per node an event can sit in). Without C events
@@ -232,16 +195,18 @@ def test_memory_stays_near_window_population(monkeypatch):
             while j < len(times) and times[j] - times[i] <= span:
                 j += 1
             window_max = max(window_max, j - i)
-        assert peak_live_entries(monkeypatch, [ep], seq) <= ep.size * window_max, types
+        peak = peak_live_entries(count_serial_constrained, [ep], seq)
+        assert peak <= ep.size * window_max, types
 
 
-def test_shared_prefix_holds_no_extra_entries(monkeypatch):
+def test_shared_prefix_holds_no_extra_entries(peak_live_entries):
     # 26 candidates that differ only in their last type share both time lists
     w = Interval(0, 4)
     seq = dense_stream(random.Random(17), "ABC", string.ascii_uppercase)
     fan = [SerialEpisode(("A", "B", x), (w, w)) for x in string.ascii_uppercase]
     one = SerialEpisode(("A", "B", "C"), (w, w))
-    assert peak_live_entries(monkeypatch, fan, seq) <= peak_live_entries(monkeypatch, [one], seq)
+    peak_fan = peak_live_entries(count_serial_constrained, fan, seq)
+    assert peak_fan <= peak_live_entries(count_serial_constrained, [one], seq)
 
 
 def test_mine_serial_levels():

@@ -13,7 +13,13 @@ from spikemine import (
     simulate,
     update_rates,
 )
-from spikemine.simulator import neuron_labels, write_network_config
+from spikemine.simulator import _ms_to_steps, neuron_labels, write_network_config
+
+FLOAT_FIELDS = (
+    "weight_bound", "lambda_max", "rate_offset", "delta_t", "duration",
+    "strong_weight", "relay_weight", "group_weight",
+)
+NON_FINITE = ("nan", "inf", "-inf")
 
 
 def fast_config(**overrides):
@@ -197,6 +203,28 @@ class TestConfigFile:
         path.write_text("edge = A,B,11\n")
         with pytest.raises(ConfigError, match="FROM,TO,WEIGHT,DELAY_MS"):
             parse_network_config(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", FLOAT_FIELDS)
+    def test_non_finite_field_rejected_with_line(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=field):
+            NetworkConfig(**{field: float(value)})
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"num_neurons = 3\n{field} = {value}\n")
+        with pytest.raises(ConfigError, match=":2:"):
+            parse_network_config(path)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_edge_rejected_with_line(self, tmp_path, value):
+        with pytest.raises(ConfigError):
+            StrongEdge(0, 1, float(value), 5)
+        with pytest.raises(ConfigError):
+            _ms_to_steps(float(value), 0.001)
+        for edge in (f"A,B,{value},5", f"A,B,1,{value}"):
+            path = tmp_path / "bad.cfg"
+            path.write_text(f"num_neurons = 3\nedge = {edge}\n")
+            with pytest.raises(ConfigError, match=":2:"):
+                parse_network_config(path)
 
     def test_edge_indices_validated(self, tmp_path):
         path = tmp_path / "bad.cfg"
