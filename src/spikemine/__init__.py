@@ -3,6 +3,8 @@ constraints (per-edge gap windows for serial episodes, an expiry span for
 parallel episodes), plus a spiking-network simulator for generating
 synthetic streams with embedded connectivity patterns and a significance
 study comparing random against patterned data.
+
+The public names are exactly those imported below.
 """
 
 from .episodes import (
@@ -46,44 +48,5 @@ from .synfire import (
     mine_synfire,
     rewrite_stream,
 )
-
-__all__ = [
-    "CompositeEvent",
-    "ConfigError",
-    "Event",
-    "EventSequence",
-    "EpisodeCount",
-    "Interval",
-    "MiningConfig",
-    "MiningLevel",
-    "NetworkConfig",
-    "ParallelEpisode",
-    "RewriteConflictError",
-    "SerialEpisode",
-    "SignificanceReport",
-    "SpikeFileError",
-    "SpikeRun",
-    "StrongEdge",
-    "SynfireResult",
-    "bootstrap_serial",
-    "composite_label",
-    "count_parallel_expiry",
-    "count_serial_constrained",
-    "embed_pattern",
-    "generate_parallel_candidates",
-    "generate_serial_candidates",
-    "is_subepisode",
-    "mine_parallel",
-    "mine_serial",
-    "mine_synfire",
-    "parse_network_config",
-    "parse_spike_file",
-    "rewrite_stream",
-    "run_significance",
-    "simulate",
-    "tracked_occurrences",
-    "update_rates",
-    "write_spike_file",
-]
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import argparse
 import hashlib
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -103,13 +103,8 @@ def _ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
 
 
 def _config_entries(config: NetworkConfig) -> list[tuple[str, object]]:
-    entries = []
-    for key in (
-        "num_neurons", "weight_bound", "lambda_max", "rate_offset", "delta_t",
-        "synaptic_delay_steps", "refractory_steps", "duration", "seed",
-        "weight_seed", "strong_weight", "relay_weight", "group_weight", "rate_mode",
-    ):
-        entries.append((f"config.{key}", getattr(config, key)))
+    entries = [(f"config.{f.name}", getattr(config, f.name))
+               for f in fields(config) if f.name != "strong_edges"]
     labels = config.labels
     for i, edge in enumerate(config.strong_edges):
         entries.append(
@@ -312,11 +307,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail(EXIT_USAGE, str(exc))
-    except (ConfigError,) as exc:
+    except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except SpikeFileError as exc:
-        return _fail(EXIT_IO, str(exc))
-    except OSError as exc:
+    except (SpikeFileError, OSError) as exc:
         return _fail(EXIT_IO, str(exc))
 
 

@@ -72,10 +72,6 @@ class SignificanceReport:
         return "\n".join(lines) + "\n"
 
 
-def _default_base() -> NetworkConfig:
-    return NetworkConfig()
-
-
 def _max_profile(args) -> list[int]:
     """Simulate one random dataset and return max frequency per size."""
     config, max_size, interval, beam = args
@@ -125,7 +121,7 @@ def run_significance(
     seed0: int = 1,
 ) -> SignificanceReport:
     """Generate both dataset families, mine them, and aggregate profiles."""
-    base = base if base is not None else _default_base()
+    base = base if base is not None else NetworkConfig()
     base = replace(base, strong_edges=())
 
     random_specs = []

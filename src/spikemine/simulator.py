@@ -39,10 +39,22 @@ against these defaults.
 Runs are reproducible: the weight draw and the firing draws use separate
 generators derived from (weight_seed, seed), so the significance study
 can vary noise under fixed wiring.
+
+Decision order. Every input of step k is a spike at least one step back
+(one synaptic delay or one strong-edge delay), and zero input gives
+exactly the resting probability. So ``simulate`` decides every step at
+rest with one comparison of all draws (uniform mode, which has no input,
+at each step's own probability), flags the steps those spikes reach, and
+recomputes only flagged steps, in step order and with the per-step
+arithmetic, so every row they read is final; a spike a recomputation
+adds flags its own targets. With ``refractory_steps > 1`` each step that
+holds a spike is visited too, in the same order, for the refractory mask.
+The events are bit-identical to deciding one step at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -55,8 +67,19 @@ from .events import Event, EventSequence, as_tick_seconds
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
+# Largest grid ``simulate`` builds, in cells of steps * num_neurons (and of
+# the num_neurons ** 2 weight matrix): 100 times the default 50 s x 26-neuron
+# grid. Its draws alone take 8 bytes a cell, about 1 GiB at the bound; a
+# larger grid would fail in numpy's allocator rather than as a config error.
+MAX_GRID_CELLS = 100 * 50_000 * 26
+
+
 class ConfigError(ValueError):
     """Bad simulator configuration, from file or from field validation."""
+
+
+class _GridTooLarge(ConfigError):
+    """A grid-size error, which a later line of a config file may lift."""
 
 
 def neuron_labels(n: int) -> tuple[str, ...]:
@@ -110,6 +133,11 @@ class NetworkConfig:
             raise ConfigError("weight_bound must be >= 0")
         if self.lambda_max <= 0 or self.delta_t <= 0 or self.duration <= 0:
             raise ConfigError("lambda_max, delta_t and duration must be positive")
+        span = self.duration / self.delta_t  # inf if the quotient overflows
+        if (self.num_neurons ** 2 > MAX_GRID_CELLS or span == math.inf
+                or self.steps * self.num_neurons > MAX_GRID_CELLS):
+            raise _GridTooLarge(f"{span:g} steps x {self.num_neurons} neurons exceeds "
+                                f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
         if self.synaptic_delay_steps < 1:
             raise ConfigError("synaptic_delay_steps must be >= 1")
         if self.refractory_steps < 1:
@@ -149,7 +177,11 @@ def update_rates(inputs, config: NetworkConfig):
 
 
 def simulate(config: NetworkConfig) -> SpikeRun:
-    """Run the network; deterministic for a fixed (seed, weight_seed)."""
+    """Run the network; deterministic for a fixed (seed, weight_seed).
+
+    Decides each step at zero input, then recomputes the steps a spike
+    reaches, in step order (see "Decision order" in the module docstring).
+    """
     n = config.num_neurons
     steps = config.steps
     weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
@@ -161,41 +193,60 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     for edge in config.strong_edges:
         weights[edge.src, edge.dst] = 0.0  # strong edges applied with their own delay
 
-    fired = np.zeros((steps, n), dtype=np.uint8)
-    last_spike = np.full(n, -(10**9), dtype=np.int64)
     h = config.synaptic_delay_steps
     dt = config.delta_t
-    uniform = config.rate_mode == "uniform"
-    edges = config.strong_edges
+    network = config.rate_mode == "network"
+    edges = config.strong_edges if network else ()
 
-    # draw all randomness up front; the step loop then only does arithmetic
-    if uniform:
-        step_rates = noise_rng.uniform(0.0, config.lambda_max, (steps, n))
-    draws = noise_rng.random((steps, n))
+    # draw all randomness up front; every step starts at its zero-input decision
+    if network:
+        draws = noise_rng.random((steps, n))
+        fired = draws < -np.expm1(-update_rates(np.zeros(n), config) * dt)
+    else:
+        # -expm1(-rates * dt) in place, so the grid holds two float arrays, not four
+        p_fire = noise_rng.uniform(0.0, config.lambda_max, (steps, n))
+        np.negative(np.expm1(np.multiply(p_fire, -dt, out=p_fire), out=p_fire), out=p_fire)
+        fired = noise_rng.random((steps, n)) < p_fire
 
-    for k in range(steps):
-        if uniform:
-            rates = step_rates[k]
-        else:
-            if k >= h:
-                total_in = fired[k - h] @ weights
-            else:
-                total_in = np.zeros(n)
+    # a spike of neuron j at step k is input to step k + delay for each delay in delays[j]
+    delays = [[h] for _ in range(n)]
+    for edge in edges:
+        delays[edge.src].append(edge.delay_steps)
+    flagged = np.zeros(steps + max(map(max, delays)), dtype=bool)
+    if network:
+        flagged[h:h + steps] = fired.any(axis=1)
+        for edge in edges:
+            flagged[edge.delay_steps:edge.delay_steps + steps] |= fired[:, edge.src]
+    todo = flagged[:steps] | fired.any(axis=1) if config.refractory_steps > 1 else flagged[:steps]
+    visit = np.flatnonzero(todo).tolist()  # ascending, so already a heap
+    last_spike = np.full(n, -(10**9), dtype=np.int64)
+    done = -1
+
+    while visit:
+        k = heapq.heappop(visit)
+        if k == done:
+            continue  # listed for the refractory mask and flagged later
+        done = k
+        if flagged[k]:
+            total_in = fired[k - h] @ weights if k >= h else np.zeros(n)
             for edge in edges:
                 back = k - edge.delay_steps
                 if back >= 0 and fired[back, edge.src]:
                     total_in[edge.dst] += edge.weight
-            rates = update_rates(total_in, config)
-        p_fire = -np.expm1(-rates * dt)
-        can_fire = (k - last_spike) >= config.refractory_steps
-        spikes = (draws[k] < p_fire) & can_fire
-        if spikes.any():
-            fired[k, spikes] = 1
-            last_spike[spikes] = k
+            row = draws[k] < -np.expm1(-update_rates(total_in, config) * dt)
+            for j in np.flatnonzero(row & ~fired[k]).tolist():
+                for delay in delays[j]:
+                    if k + delay < steps and not flagged[k + delay]:
+                        flagged[k + delay] = True
+                        heapq.heappush(visit, k + delay)
+            fired[k] = row
+        if config.refractory_steps > 1:
+            fired[k] &= (k - last_spike) >= config.refractory_steps
+            last_spike[fired[k]] = k
 
     labels = config.labels
     ks, js = np.nonzero(fired)
-    events = [Event(labels[j], int(k)) for k, j in zip(ks, js)]
+    events = [Event(labels[j], k) for k, j in zip(ks.tolist(), js.tolist())]
     seq = EventSequence(events, as_tick_seconds(config.delta_t), labels)
     return SpikeRun(seq, config, len(events))
 
@@ -292,27 +343,17 @@ def embed_pattern(config: NetworkConfig, pattern: str) -> NetworkConfig:
 # ---------------------------------------------------------------------------
 # config file: flat "key = value" lines; edges as "edge = FROM,TO,WEIGHT,DELAY_MS"
 
-_FIELD_PARSERS = {
-    "num_neurons": int,
-    "weight_bound": float,
-    "lambda_max": float,
-    "rate_offset": float,
-    "delta_t": float,
-    "synaptic_delay_steps": int,
-    "refractory_steps": int,
-    "duration": float,
-    "seed": int,
-    "weight_seed": int,
-    "strong_weight": float,
-    "relay_weight": float,
-    "group_weight": float,
-    "rate_mode": str,
+_FIELD_PARSERS = {  # every field but strong_edges, parsed by its annotated type
+    f.name: {"float": float, "str": str}.get(f.type, int)
+    for f in fields(NetworkConfig) if f.name != "strong_edges"
 }
 
 
 def parse_network_config(path) -> NetworkConfig:
     """Read a key=value config file; errors carry the line number."""
     config = NetworkConfig()
+    values: dict[str, object] = {}
+    too_large = None  # a grid-size error that a later field line may still lift
     edge_specs: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -328,33 +369,31 @@ def parse_network_config(path) -> NetworkConfig:
                 edge_specs.append((lineno, value))
             elif key in _FIELD_PARSERS:
                 try:
-                    config = replace(config, **{key: _FIELD_PARSERS[key](value)})
+                    values[key] = _FIELD_PARSERS[key](value)
+                    config, too_large = NetworkConfig(**values), None
+                except _GridTooLarge as exc:
+                    too_large = too_large or ConfigError(f"{path}:{lineno}: {exc}")
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+    if too_large:
+        raise too_large
     edges = []
     for lineno, spec in edge_specs:
         parts = [p.strip() for p in spec.split(",")]
         if len(parts) != 4:
             raise ConfigError(f"{path}:{lineno}: edge needs FROM,TO,WEIGHT,DELAY_MS, got {spec!r}")
         try:
-            src = parts[0] if parts[0].isalpha() else int(parts[0])
-            dst = parts[1] if parts[1].isalpha() else int(parts[1])
-            weight = float(parts[2])
-            delay_ms = float(parts[3])
-        except ValueError:
-            raise ConfigError(f"{path}:{lineno}: bad edge spec {spec!r}") from None
-        try:
-            src_i = _idx(src, config.num_neurons) if isinstance(src, str) else src
-            dst_i = _idx(dst, config.num_neurons) if isinstance(dst, str) else dst
-            edges.append(
-                StrongEdge(src_i, dst_i, weight, _ms_to_steps(delay_ms, config.delta_t))
-            )
+            src, dst = (_idx(p, config.num_neurons) if p.isalpha() else int(p) for p in parts[:2])
+            weight, delay_ms = float(parts[2]), float(parts[3])
+            edges.append(StrongEdge(src, dst, weight, _ms_to_steps(delay_ms, config.delta_t)))
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: bad edge spec {spec!r}") from None
     if edges:
         config = replace(config, strong_edges=tuple(sorted(edges)))
     return config
@@ -364,10 +403,8 @@ def write_network_config(config: NetworkConfig, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# network configuration\n")
         for key in _FIELD_PARSERS:
-            value = getattr(config, key)
-            if value is None:
-                continue
-            fh.write(f"{key} = {value}\n")
+            if getattr(config, key) is not None:
+                fh.write(f"{key} = {getattr(config, key)}\n")
         labels = config.labels
         for edge in config.strong_edges:
             delay_ms = edge.delay_steps * config.delta_t * 1000

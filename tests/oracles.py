@@ -7,6 +7,9 @@ intervals [first, last]; non-overlap means one ends strictly before the
 other starts, so greedy by end index is optimal). They share no code with
 the counting engines under test; only bisect narrows the enumeration
 windows, membership decisions are spelled out directly.
+
+``simulate_oracle`` is the network simulator's reference: it decides one
+step at a time, computing every step's input, rate and refractory mask.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
 from itertools import combinations
 
+import numpy as np
+
 from spikemine import Event, EventSequence, Interval, ParallelEpisode, SerialEpisode
+from spikemine.simulator import update_rates
 
 
 def _positions_by_type(seq):
@@ -188,3 +194,50 @@ def random_parallel_episode(rng: random.Random, seq, min_nodes=2, max_nodes=4) -
     types = sorted(seq.alphabet) or ["A"]
     size = rng.randint(min_nodes, max_nodes)
     return ParallelEpisode(tuple(rng.choice(types) for _ in range(size)))
+
+
+def simulate_oracle(config) -> tuple[Event, ...]:
+    """The events of ``simulate(config)``, deciding one step at a time."""
+    n = config.num_neurons
+    steps = config.steps
+    weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
+    weight_rng = np.random.default_rng([weight_seed, 0])
+    noise_rng = np.random.default_rng([config.seed, 1])
+
+    weights = weight_rng.uniform(-config.weight_bound, config.weight_bound, (n, n))
+    np.fill_diagonal(weights, 0.0)
+    for edge in config.strong_edges:
+        weights[edge.src, edge.dst] = 0.0
+
+    fired = np.zeros((steps, n), dtype=np.uint8)
+    last_spike = np.full(n, -(10**9), dtype=np.int64)
+    h = config.synaptic_delay_steps
+    dt = config.delta_t
+    uniform = config.rate_mode == "uniform"
+    if uniform:
+        step_rates = noise_rng.uniform(0.0, config.lambda_max, (steps, n))
+    draws = noise_rng.random((steps, n))
+
+    for k in range(steps):
+        if uniform:
+            rates = step_rates[k]
+        else:
+            if k >= h:
+                total_in = fired[k - h] @ weights
+            else:
+                total_in = np.zeros(n)
+            for edge in config.strong_edges:
+                back = k - edge.delay_steps
+                if back >= 0 and fired[back, edge.src]:
+                    total_in[edge.dst] += edge.weight
+            rates = update_rates(total_in, config)
+        p_fire = -np.expm1(-rates * dt)
+        can_fire = (k - last_spike) >= config.refractory_steps
+        spikes = (draws[k] < p_fire) & can_fire
+        if spikes.any():
+            fired[k, spikes] = 1
+            last_spike[spikes] = k
+
+    labels = config.labels
+    ks, js = np.nonzero(fired)
+    return tuple(Event(labels[j], int(k)) for k, j in zip(ks, js))

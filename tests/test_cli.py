@@ -246,6 +246,23 @@ def test_non_finite_config_exits_3_with_line(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["1e300", "1e7"])
+def test_oversized_duration_exits_3(tmp_path, capsys, value):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--duration", value]) == 3
+    assert "MAX_GRID_CELLS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_oversized_config_duration_exits_3_with_line(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("num_neurons = 3\nduration = 1e300\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg)]) == 3
+    assert f"{cfg}:2:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_pattern_exits_3(tmp_path):
     assert main(["simulate", str(tmp_path / "o.csv"), "--pattern", "spiral"]) == 3
 

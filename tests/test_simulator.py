@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,14 @@ from spikemine import (
     simulate,
     update_rates,
 )
-from spikemine.simulator import _ms_to_steps, neuron_labels, write_network_config
+from spikemine.simulator import (
+    MAX_GRID_CELLS,
+    _ms_to_steps,
+    neuron_labels,
+    write_network_config,
+)
+
+from oracles import simulate_oracle
 
 FLOAT_FIELDS = (
     "weight_bound", "lambda_max", "rate_offset", "delta_t", "duration",
@@ -124,6 +133,112 @@ class TestSimulate:
         assert run.sequence.tick_seconds == run.config.delta_t or float(
             run.sequence.tick_seconds
         ) == run.config.delta_t
+
+
+def assert_matches_oracle(cfg):
+    events = simulate(cfg).sequence.events
+    assert events == simulate_oracle(cfg), cfg
+    return events
+
+
+class TestDecisionOrder:
+    """``simulate`` against the loop that decides one step at a time."""
+
+    @pytest.mark.parametrize("pattern", ["none", "example1", "example2", "example3", "chain-5"])
+    def test_sweep_equals_step_oracle(self, pattern):
+        for seed, refractory, mode, delay in itertools.product(
+            range(3), (1, 2, 4), ("network", "uniform"), (1, 5)
+        ):
+            assert_matches_oracle(embed_pattern(
+                NetworkConfig(duration=1.0, seed=seed, refractory_steps=refractory,
+                              rate_mode=mode, synaptic_delay_steps=delay),
+                pattern,
+            ))
+
+    def test_one_step_edge_delay(self):
+        # A -> B -> C with 1-step delays: a recomputed step flags the very next one
+        edges = (StrongEdge(0, 1, 11.0, 1), StrongEdge(1, 2, 11.0, 1))
+        for seed in range(3):
+            events = assert_matches_oracle(
+                NetworkConfig(num_neurons=5, duration=3.0, seed=seed, strong_edges=edges)
+            )
+            times = {(ev.etype, ev.time) for ev in events}
+            a_times = [t for label, t in times if label == "A"]
+            assert sum(("B", t + 1) in times and ("C", t + 2) in times for t in a_times) > 0
+
+    def test_edge_delays_below_synaptic_delay(self):
+        # example 3 has 3-step edges under the 5-step synaptic delay, and a 7-step one
+        cfg = embed_pattern(NetworkConfig(duration=5.0), "example3")
+        assert {e.delay_steps for e in cfg.strong_edges} == {3, 5, 7}
+        for seed in range(3):
+            assert_matches_oracle(replace(cfg, seed=seed))
+
+    def test_grids_shorter_than_and_not_a_multiple_of_a_delay(self):
+        # busy neurons so that short grids hold spikes whose targets fall past the end
+        busy = NetworkConfig(rate_offset=2.0, seed=7)
+        for pattern, steps in itertools.product(("none", "example1", "example3"), range(1, 19)):
+            events = assert_matches_oracle(
+                embed_pattern(replace(busy, duration=steps / 1000), pattern)
+            )
+            assert events and max(ev.time for ev in events) < steps
+
+    def test_refractory_binds_within_one_delay(self):
+        # near-saturating drive fires neurons on consecutive steps, so masks of
+        # 2..4 steps remove spikes from steps less than one synaptic delay apart
+        base = embed_pattern(
+            NetworkConfig(num_neurons=8, rate_offset=-3.0, duration=1.0, seed=2), "example1"
+        )
+        unmasked = {(ev.etype, ev.time) for ev in simulate(base).sequence}
+        assert any((label, t + 1) in unmasked for label, t in unmasked)
+        for refractory in (2, 3, 4):
+            events = assert_matches_oracle(replace(base, refractory_steps=refractory))
+            last = {}
+            for ev in events:
+                assert ev.time - last.get(ev.etype, -refractory) >= refractory
+                last[ev.etype] = ev.time
+
+    def test_uniform_mode_with_refractory(self):
+        for seed in range(3):
+            assert_matches_oracle(
+                NetworkConfig(rate_mode="uniform", refractory_steps=3, duration=2.0, seed=seed)
+            )
+
+
+class TestGridBound:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(duration=1e300),
+            dict(duration=1e7),
+            dict(duration=1e300, delta_t=1e-300),  # the step count overflows a float
+            dict(duration=5000.001),               # one step past the bound
+            dict(num_neurons=11402, duration=1.0),  # only the weight matrix is too large
+            dict(num_neurons=10**400),
+        ],
+    )
+    def test_oversized_grid_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="MAX_GRID_CELLS"):
+            NetworkConfig(**overrides)
+
+    def test_grid_at_the_bound_accepted(self):
+        assert NetworkConfig(duration=5000.0).steps * 26 == MAX_GRID_CELLS
+        assert NetworkConfig(num_neurons=11401, duration=1.0).num_neurons ** 2 <= MAX_GRID_CELLS
+
+    def test_config_line_carries_line_number(self, tmp_path):
+        path = tmp_path / "big.cfg"
+        path.write_text("num_neurons = 3\nduration = 1e300\nseed = 4\n")
+        with pytest.raises(ConfigError, match=":2:.*MAX_GRID_CELLS"):
+            parse_network_config(path)
+
+    def test_field_order_does_not_matter(self, tmp_path):
+        # 3000 neurons over the default 50 s exceed the bound until duration is read
+        cfg = NetworkConfig(num_neurons=3000, duration=10.0)
+        path = tmp_path / "wide.cfg"
+        write_network_config(cfg, path)
+        assert parse_network_config(path) == cfg
+        path.write_text("num_neurons = 3000\nseed = 4\n")
+        with pytest.raises(ConfigError, match=":1:.*MAX_GRID_CELLS"):
+            parse_network_config(path)
 
 
 class TestPatterns:
