@@ -18,7 +18,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .episodes import Interval, MiningConfig
-from .events import SpikeFileError, as_tick_seconds, decimal_fraction
+from .events import SpikeFileError, as_tick_seconds, ms_to_ticks
 from .events import parse_spike_file, write_spike_file
 from .parallel import mine_parallel
 from .serial import mine_serial
@@ -76,30 +76,16 @@ def _write_manifest(path: Path, entries: list[tuple[str, object]]) -> None:
 
 
 def _parse_intervals_ms(spec: str, tick_seconds: Fraction) -> tuple[Interval, ...]:
-    """'a-b,c-d' in milliseconds -> tick intervals (a,b],(c,d]."""
+    """'a-b,c-d' in milliseconds -> tick intervals (a,b],(c,d]; ValueError if malformed."""
     intervals = []
     for part in spec.split(","):
         lo_txt, sep, hi_txt = part.strip().partition("-")
         if not sep:
-            raise UsageError(f"bad interval {part!r}, expected LOW-HIGH in ms")
-        try:
-            intervals.append(
-                Interval(_ms_to_ticks(lo_txt, tick_seconds), _ms_to_ticks(hi_txt, tick_seconds))
-            )
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+            raise ValueError(f"bad interval {part!r}, expected LOW-HIGH in ms")
+        intervals.append(
+            Interval(ms_to_ticks(lo_txt, tick_seconds), ms_to_ticks(hi_txt, tick_seconds))
+        )
     return tuple(intervals)
-
-
-def _ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
-    try:
-        ms = decimal_fraction(text.strip())
-    except ValueError:
-        raise UsageError(f"bad millisecond value {text!r}") from None
-    ticks = ms / 1000 / tick_seconds
-    if ticks.denominator != 1:
-        raise UsageError(f"{text} ms is not a whole number of ticks at {tick_seconds}s/tick")
-    return int(ticks)
 
 
 def _config_entries(config: NetworkConfig) -> list[tuple[str, object]]:
@@ -165,11 +151,11 @@ def cmd_mine(args) -> int:
         raise UsageError(f"{args.kind} mining requires --intervals")
     if args.kind in ("parallel", "synfire") and args.expiry is None:
         raise UsageError(f"{args.kind} mining requires --expiry")
-    intervals = _parse_intervals_ms(args.intervals, tick) if args.intervals else ()
-    expiry = _ms_to_ticks(args.expiry, tick) if args.expiry is not None else 0
-    if args.kind in ("parallel", "synfire") and expiry <= 0:
-        raise UsageError("--expiry must be at least one tick")
     try:
+        intervals = _parse_intervals_ms(args.intervals, tick) if args.intervals else ()
+        expiry = ms_to_ticks(args.expiry, tick) if args.expiry is not None else 0
+        if args.kind in ("parallel", "synfire") and expiry <= 0:
+            raise ValueError("--expiry must be at least one tick")
         cfg = MiningConfig(
             freq_threshold=args.threshold,
             max_size=args.max_size,

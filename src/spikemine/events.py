@@ -2,10 +2,19 @@
 
 Time is kept as integer ticks so that every gap and span comparison in the
 miners is exact integer arithmetic. The duration of one tick (in seconds)
-travels with the sequence as an exact rational, which is what makes the
-CSV round trip lossless: seconds written out are ``tick * tick_seconds``
-rendered at full precision, and parsing quantizes back with half-up
-rounding.
+travels with the sequence as an exact rational.
+
+This module owns the one rule between decimal text and ticks, in integer
+arithmetic:
+
+* a spike-CSV stamp is quantized to the nearest tick, ties up (half_up,
+  which also places a synfire composite at the mean of its members);
+* a duration given in milliseconds (``mine --intervals``/``--expiry``, a
+  config ``DELAY_MS``, a pattern delay) must be a whole number of ticks,
+  else it is refused (ms_to_ticks; the CLI exits 1, or 3 for a config);
+* ticks are written back as decimal text (format_seconds) exactly when the
+  tick is a decimal fraction, else to the fewest places that stay within
+  half a tick, so write-then-parse reproduces every tick.
 
 File format (spike CSV): UTF-8 text, ``#``-prefixed comment lines allowed,
 data lines ``label,seconds`` with a non-negative decimal time.
@@ -13,10 +22,10 @@ data lines ``label,seconds`` with a non-negative decimal time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -35,8 +44,8 @@ class SpikeFileError(ValueError):
         self.reason = reason
 
 
-# Decimal exponents beyond this are refused before conversion: Fraction of
-# 1e999999999 builds a billion-digit integer. The bound admits every float
+# Decimal exponents beyond this are refused before conversion: the ratio of
+# 1e999999999 is a billion-digit integer. The bound admits every float
 # repr (5e-324 .. 1.8e308), which is the widest a written stamp can be.
 MAX_DECIMAL_EXPONENT = 400
 # Significant digits beyond this are refused too. With the exponent bound,
@@ -46,8 +55,12 @@ MAX_DECIMAL_EXPONENT = 400
 MAX_DECIMAL_DIGITS = 1000
 
 
-def decimal_fraction(text: str) -> Fraction:
-    """Exact value of a finite decimal string; ValueError for anything else."""
+def decimal_ratio(text: str) -> tuple[int, int]:
+    """Exact value of a finite decimal string as (numerator, denominator > 0).
+
+    ValueError for anything else, and for exponents or digit counts beyond
+    the bounds above.
+    """
     try:
         value = Decimal(text)
     except (ArithmeticError, ValueError):
@@ -59,7 +72,7 @@ def decimal_fraction(text: str) -> Fraction:
     # a digit count never exceeds the text length, so short texts skip the count
     if len(text) > MAX_DECIMAL_DIGITS and len(value.as_tuple().digits) > MAX_DECIMAL_DIGITS:
         raise ValueError(f"{text[:20]!r}... has more than {MAX_DECIMAL_DIGITS} significant digits")
-    return Fraction(value)
+    return value.as_integer_ratio()
 
 
 def as_tick_seconds(value: TickSeconds) -> Fraction:
@@ -68,14 +81,12 @@ def as_tick_seconds(value: TickSeconds) -> Fraction:
     Floats go through their shortest decimal repr, so 0.001 becomes
     exactly 1/1000 rather than the nearest binary fraction.
     """
-    if isinstance(value, Fraction):
-        tick = value
-    elif isinstance(value, int):
+    if isinstance(value, (Fraction, int)):
         tick = Fraction(value)
     elif isinstance(value, float):
         tick = Fraction(Decimal(repr(value)))
     elif isinstance(value, str):
-        tick = decimal_fraction(value)
+        tick = Fraction(*decimal_ratio(value))
     else:
         raise TypeError(f"unsupported tick_seconds type: {type(value)!r}")
     if tick <= 0:
@@ -83,9 +94,45 @@ def as_tick_seconds(value: TickSeconds) -> Fraction:
     return tick
 
 
-def round_half_up(value: Fraction) -> int:
-    """Round to the nearest integer, ties away from zero toward +inf."""
-    return math.floor(value + Fraction(1, 2))
+def half_up(num: int, den: int) -> int:
+    """``num / den`` (den > 0) rounded to the nearest integer, ties toward +inf."""
+    return (2 * num + den) // (2 * den)
+
+
+def ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
+    """Ticks in a decimal number of milliseconds; ValueError unless exactly whole."""
+    try:
+        num, den = decimal_ratio(text.strip())
+    except ValueError:
+        raise ValueError(f"bad millisecond value {text!r}") from None
+    ticks, rest = divmod(num * tick_seconds.denominator, den * 1000 * tick_seconds.numerator)
+    if rest:
+        raise ValueError(f"{text} ms is not a whole number of ticks at {tick_seconds}s/tick")
+    return ticks
+
+
+def format_seconds(ticks: int, tick: Fraction) -> str:
+    """Decimal text of ``ticks * tick`` that half-up quantization reads back as ``ticks``.
+
+    Exact when the reduced denominator of ``tick`` divides a power of ten;
+    otherwise rounded to the fewest places that stay within half a tick.
+    Trailing zeros are dropped. A tick in milliseconds gives milliseconds.
+    """
+    num, den = tick.numerator, tick.denominator
+    places = _decimal_places(num, den)
+    text = str((ticks * num * 10**places + den // 2) // den).rjust(places + 1, "0")
+    point = len(text) - places
+    whole, frac = text[:point], text[point:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+@lru_cache(maxsize=64)
+def _decimal_places(num: int, den: int) -> int:
+    exact = 10 ** den.bit_length() % den == 0  # den has no prime factor but 2 and 5
+    places = 0
+    while (10**places % den if exact else 10**places * num <= den):
+        places += 1
+    return places
 
 
 @dataclass(frozen=True)
@@ -145,13 +192,13 @@ class EventSequence:
 def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
     """Read a spike CSV, quantizing second-stamps to ticks.
 
-    Each data line is ``label,seconds``. Times are quantized with
-    ``round(seconds / tick_seconds)`` (half up) and the result is
-    re-sorted stably by tick. An empty file yields an empty sequence.
+    Each data line is ``label,seconds``. Times are quantized to the
+    nearest tick, ties up (half_up), and the result is re-sorted stably
+    by tick. An empty file yields an empty sequence.
 
     Raises SpikeFileError with a line number on malformed lines, times
     that are negative, not finite or out of decimal range (see
-    decimal_fraction), and bytes that are not UTF-8.
+    decimal_ratio), and bytes that are not UTF-8.
     """
     tick = as_tick_seconds(tick_seconds)
     events = []
@@ -167,12 +214,12 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
                 if not sep or not label or not stamp:
                     raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
                 try:
-                    seconds = decimal_fraction(stamp)
+                    num, den = decimal_ratio(stamp)
                 except ValueError as exc:
                     raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
-                if seconds < 0:
+                if num < 0:
                     raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
-                events.append(Event(label, round_half_up(seconds / tick)))
+                events.append(Event(label, half_up(num * tick.denominator, den * tick.numerator)))
     except UnicodeDecodeError:
         raise SpikeFileError(path, _first_non_utf8_line(path), "not UTF-8 text") from None
     return EventSequence(events, tick)
@@ -193,36 +240,8 @@ def _first_non_utf8_line(path) -> int:
 def write_spike_file(seq: EventSequence, path) -> None:
     """Write a spike CSV such that re-parsing reproduces ``seq`` exactly."""
     path = Path(path)
+    tick = seq.tick_seconds
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# spike stream: label,seconds\n")
-        tick = seq.tick_seconds
         for ev in seq.events:
-            fh.write(f"{ev.etype},{format_seconds(ev.time * tick)}\n")
-
-
-def format_seconds(value: Fraction) -> str:
-    """Render a rational number of seconds as a decimal string.
-
-    Exact when the reduced denominator divides a power of ten; otherwise
-    falls back to the float repr, which still round-trips through the
-    half-up tick quantization for any realistic stream length.
-    """
-    num, den = value.numerator, value.denominator
-    twos = fives = 0
-    rest = den
-    while rest % 2 == 0:
-        rest //= 2
-        twos += 1
-    while rest % 5 == 0:
-        rest //= 5
-        fives += 1
-    if rest != 1:
-        return repr(float(value))
-    digits = max(twos, fives)
-    scaled = num * 10**digits // den
-    if digits == 0:
-        return str(scaled)
-    text = str(scaled).rjust(digits + 1, "0")
-    whole, frac = text[:-digits], text[-digits:]
-    frac = frac.rstrip("0")
-    return f"{whole}.{frac}" if frac else whole
+            fh.write(f"{ev.etype},{format_seconds(ev.time, tick)}\n")

@@ -45,16 +45,15 @@ Decision order. Every input of step k is a spike at least one step back
 exactly the resting probability. So ``simulate`` decides every step at
 rest with one comparison of all draws (uniform mode, which has no input,
 at each step's own probability), flags the steps those spikes reach, and
-recomputes only flagged steps, in step order and with the per-step
-arithmetic, so every row they read is final; a spike a recomputation
-adds flags its own targets. With ``refractory_steps > 1`` each step that
-holds a spike is visited too, in the same order, for the refractory mask.
-The events are bit-identical to deciding one step at a time.
+recomputes only flagged steps, in one sweep in step order and with the
+per-step arithmetic, so every row they read is final; a spike a
+recomputation adds flags its own targets, which lie later in the sweep.
+With ``refractory_steps > 1`` the same sweep applies the refractory mask
+at every step. The events are bit-identical to deciding one step at a time.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import re
 from dataclasses import dataclass, fields, replace
@@ -62,7 +61,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .events import Event, EventSequence, as_tick_seconds
+from .events import Event, EventSequence, as_tick_seconds, ms_to_ticks, format_seconds
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -193,7 +192,7 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     for edge in config.strong_edges:
         weights[edge.src, edge.dst] = 0.0  # strong edges applied with their own delay
 
-    h = config.synaptic_delay_steps
+    h = min(config.synaptic_delay_steps, steps)  # any delay >= steps reaches past the run
     dt = config.delta_t
     network = config.rate_mode == "network"
     edges = config.strong_edges if network else ()
@@ -211,22 +210,19 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     # a spike of neuron j at step k is input to step k + delay for each delay in delays[j]
     delays = [[h] for _ in range(n)]
     for edge in edges:
-        delays[edge.src].append(edge.delay_steps)
-    flagged = np.zeros(steps + max(map(max, delays)), dtype=bool)
+        delays[edge.src].append(min(edge.delay_steps, steps))
+    spiking = fired.any(axis=1)  # per step at rest; only a flagged step can change
+    flagged = np.zeros(2 * steps, dtype=bool)
     if network:
-        flagged[h:h + steps] = fired.any(axis=1)
+        flagged[h:h + steps] = spiking
         for edge in edges:
-            flagged[edge.delay_steps:edge.delay_steps + steps] |= fired[:, edge.src]
-    todo = flagged[:steps] | fired.any(axis=1) if config.refractory_steps > 1 else flagged[:steps]
-    visit = np.flatnonzero(todo).tolist()  # ascending, so already a heap
+            delay = min(edge.delay_steps, steps)
+            flagged[delay:delay + steps] |= fired[:, edge.src]
+    flagged, spiking = bytearray(flagged), bytearray(spiking)  # fast to index one by one
     last_spike = np.full(n, -(10**9), dtype=np.int64)
-    done = -1
 
-    while visit:
-        k = heapq.heappop(visit)
-        if k == done:
-            continue  # listed for the refractory mask and flagged later
-        done = k
+    # one sweep in step order: a flag always lands on a later step than the one setting it
+    for k in range(steps):
         if flagged[k]:
             total_in = fired[k - h] @ weights if k >= h else np.zeros(n)
             for edge in edges:
@@ -236,11 +232,9 @@ def simulate(config: NetworkConfig) -> SpikeRun:
             row = draws[k] < -np.expm1(-update_rates(total_in, config) * dt)
             for j in np.flatnonzero(row & ~fired[k]).tolist():
                 for delay in delays[j]:
-                    if k + delay < steps and not flagged[k + delay]:
-                        flagged[k + delay] = True
-                        heapq.heappush(visit, k + delay)
+                    flagged[k + delay] = True
             fired[k] = row
-        if config.refractory_steps > 1:
+        if config.refractory_steps > 1 and (flagged[k] or spiking[k]):
             fired[k] &= (k - last_spike) >= config.refractory_steps
             last_spike[fired[k]] = k
 
@@ -262,13 +256,11 @@ def _idx(label: str, n: int) -> int:
         raise ConfigError(f"pattern neuron {label!r} is not among the {n} network labels") from None
 
 
-def _ms_to_steps(ms: float, delta_t: float) -> int:
-    if not math.isfinite(ms):
-        raise ConfigError(f"delay {ms} ms is not finite")
-    steps = Fraction(str(ms)) / 1000 / Fraction(str(delta_t))
-    if steps.denominator != 1 or steps < 1:
-        raise ConfigError(f"delay {ms} ms is not a whole number of {delta_t}s steps")
-    return int(steps)
+def _delay_steps(delay_ms: str, tick: Fraction) -> int:
+    try:
+        return ms_to_ticks(delay_ms, tick)
+    except ValueError as exc:
+        raise ConfigError(f"edge delay: {exc}") from None
 
 
 def _fan_chain(stages: list[str], delay_ms: float):
@@ -327,6 +319,7 @@ def embed_pattern(config: NetworkConfig, pattern: str) -> NetworkConfig:
         "relay": config.relay_weight,
         "group": config.group_weight,
     }
+    tick = as_tick_seconds(config.delta_t)
     edges = []
     for src, dst, delay_ms, kind in _pattern_edges(pattern, config):
         edges.append(
@@ -334,7 +327,7 @@ def embed_pattern(config: NetworkConfig, pattern: str) -> NetworkConfig:
                 _idx(src, config.num_neurons),
                 _idx(dst, config.num_neurons),
                 weight_of[kind],
-                _ms_to_steps(delay_ms, config.delta_t),
+                _delay_steps(str(delay_ms), tick),
             )
         )
     return replace(config, strong_edges=tuple(sorted(edges)))
@@ -381,6 +374,7 @@ def parse_network_config(path) -> NetworkConfig:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
     if too_large:
         raise too_large
+    tick = as_tick_seconds(config.delta_t)
     edges = []
     for lineno, spec in edge_specs:
         parts = [p.strip() for p in spec.split(",")]
@@ -388,8 +382,8 @@ def parse_network_config(path) -> NetworkConfig:
             raise ConfigError(f"{path}:{lineno}: edge needs FROM,TO,WEIGHT,DELAY_MS, got {spec!r}")
         try:
             src, dst = (_idx(p, config.num_neurons) if p.isalpha() else int(p) for p in parts[:2])
-            weight, delay_ms = float(parts[2]), float(parts[3])
-            edges.append(StrongEdge(src, dst, weight, _ms_to_steps(delay_ms, config.delta_t)))
+            weight = float(parts[2])
+            edges.append(StrongEdge(src, dst, weight, _delay_steps(parts[3], tick)))
         except ConfigError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
         except ValueError:
@@ -406,8 +400,7 @@ def write_network_config(config: NetworkConfig, path) -> None:
             if getattr(config, key) is not None:
                 fh.write(f"{key} = {getattr(config, key)}\n")
         labels = config.labels
+        step_ms = as_tick_seconds(config.delta_t) * 1000
         for edge in config.strong_edges:
-            delay_ms = edge.delay_steps * config.delta_t * 1000
-            fh.write(
-                f"edge = {labels[edge.src]},{labels[edge.dst]},{edge.weight},{delay_ms:g}\n"
-            )
+            delay_ms = format_seconds(edge.delay_steps, step_ms)
+            fh.write(f"edge = {labels[edge.src]},{labels[edge.dst]},{edge.weight},{delay_ms}\n")

@@ -13,10 +13,9 @@ pass through composite nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 
 from .episodes import EpisodeCount, MiningConfig, MiningLevel, is_subepisode, rank_key
-from .events import Event, EventSequence, round_half_up
+from .events import Event, EventSequence, half_up
 from .parallel import mine_parallel
 from .serial import mine_serial
 
@@ -68,8 +67,8 @@ def rewrite_stream(
                     )
                 continue
             claimed.update(occ)
-            mean = Fraction(sum(seq.events[i].time for i in occ), len(occ))
-            composites.append(CompositeEvent(label, round_half_up(mean), tuple(occ)))
+            mean = half_up(sum(seq.events[i].time for i in occ), len(occ))
+            composites.append(CompositeEvent(label, mean, tuple(occ)))
     kept = [ev for i, ev in enumerate(seq.events) if i not in claimed]
     return EventSequence(
         kept + composites, seq.tick_seconds, seq.alphabet | labels

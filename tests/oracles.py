@@ -10,13 +10,19 @@ windows, membership decisions are spelled out directly.
 
 ``simulate_oracle`` is the network simulator's reference: it decides one
 step at a time, computing every step's input, rate and refractory mask.
+
+``quantize_oracle`` is the spike-CSV stamp rule in exact rational
+arithmetic: the nearest tick, ties up.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -241,3 +247,13 @@ def simulate_oracle(config) -> tuple[Event, ...]:
     labels = config.labels
     ks, js = np.nonzero(fired)
     return tuple(Event(labels[j], int(k)) for k, j in zip(ks, js))
+
+
+def round_half_up(value: Fraction) -> int:
+    """Round to the nearest integer, ties toward +inf."""
+    return math.floor(value + Fraction(1, 2))
+
+
+def quantize_oracle(stamp: str, tick: Fraction) -> int:
+    """The tick a decimal second-stamp denotes at ``tick`` seconds per tick."""
+    return round_half_up(Fraction(Decimal(stamp)) / tick)

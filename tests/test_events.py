@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemine import Event, EventSequence, SpikeFileError, parse_spike_file, write_spike_file
-from spikemine.events import format_seconds
+from spikemine.events import format_seconds, half_up
+
+from oracles import quantize_oracle, round_half_up
+
+# decimal ticks, and ticks with no finite decimal expansion
+TICKS = [Fraction(1, 1000), Fraction(1, 10), Fraction(3, 1000), Fraction(1, 1024),
+         Fraction(1, 3), Fraction(2, 7), Fraction(5)]
 
 
 def test_basic_quantization(tmp_path):
@@ -128,8 +135,8 @@ def test_roundtrip_random_1000(tmp_path):
 
 @settings(max_examples=60)
 @given(
-    times=st.lists(st.integers(0, 10_000), max_size=50),
-    tick=st.sampled_from([Fraction(1, 1000), Fraction(1, 10), Fraction(3, 1000), Fraction(1, 3)]),
+    times=st.lists(st.integers(0, 10_000) | st.integers(0, 10**15), max_size=50),
+    tick=st.sampled_from(TICKS),
 )
 def test_roundtrip_property(tmp_path_factory, times, tick):
     events = [Event("AB"[i % 2], t) for i, t in enumerate(sorted(times))]
@@ -137,6 +144,50 @@ def test_roundtrip_property(tmp_path_factory, times, tick):
     path = tmp_path_factory.mktemp("rt") / "s.csv"
     write_spike_file(seq, path)
     assert parse_spike_file(path, tick).events == seq.events
+
+
+def decimal_text(value: Fraction) -> str | None:
+    """Exact decimal text of ``value``, or None if it has no finite expansion."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        text = str(Decimal(value.numerator) / Decimal(value.denominator))
+    return text if Fraction(Decimal(text)) == value else None
+
+
+@st.composite
+def stamps_and_tick(draw):
+    """A tick and second-stamps for it: arbitrary decimals, exact half-tick
+    ties where the tick has them, and decimals just either side of a tie."""
+    tick = draw(st.sampled_from(TICKS))
+    anywhere = st.decimals(min_value=0, max_value=10**6, allow_nan=False,
+                           allow_infinity=False).map(str)
+    kinds = [anywhere, st.from_regex(r"[0-9]{1,6}(\.[0-9]{0,9})?(e-?[0-9])?", fullmatch=True)]
+    if decimal_text(tick / 2) is not None:
+        tie = st.integers(0, 10**9).map(lambda k: (2 * k + 1) * tick / 2)
+        nudge = st.sampled_from([0, Fraction(1, 10**30), -Fraction(1, 10**30)])
+        kinds.append(st.builds(lambda t, d: decimal_text(t + d), tie, nudge))
+    return tick, draw(st.lists(st.one_of(kinds), min_size=1, max_size=20))
+
+
+@settings(max_examples=200)
+@given(case=stamps_and_tick())
+def test_quantizer_matches_fraction_reference(tmp_path_factory, case):
+    tick, stamps = case
+    path = tmp_path_factory.mktemp("q") / "s.csv"
+    path.write_text("".join(f"A,{s}\n" for s in stamps))
+    got = [ev.time for ev in parse_spike_file(path, tick)]
+    assert got == sorted(quantize_oracle(s, tick) for s in stamps)
+
+
+@given(num=st.integers(-10**30, 10**30), den=st.integers(1, 10**12))
+def test_half_up_matches_fraction_reference(num, den):
+    assert half_up(num, den) == round_half_up(Fraction(num, den))
+
+
+def test_half_tick_ties_round_up(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("A,0.0005\nB,0.0015\nC,0.00149999999999999999999\n")
+    assert [ev.time for ev in parse_spike_file(path, 0.001)] == [1, 1, 2]
 
 
 def test_equal_ticks_keep_input_order():
@@ -168,4 +219,4 @@ def test_negative_time_rejected():
     ],
 )
 def test_format_seconds_exact(value, expected):
-    assert format_seconds(value) == expected
+    assert format_seconds(value.numerator, Fraction(1, value.denominator)) == expected

@@ -17,7 +17,6 @@ from spikemine import (
 )
 from spikemine.simulator import (
     MAX_GRID_CELLS,
-    _ms_to_steps,
     neuron_labels,
     write_network_config,
 )
@@ -182,6 +181,13 @@ class TestDecisionOrder:
             )
             assert events and max(ev.time for ev in events) < steps
 
+    def test_delays_past_the_run_reach_nothing(self):
+        # delays this long must not size any array by the delay
+        edges = (StrongEdge(0, 1, 11.0, 10**300), StrongEdge(1, 2, 11.0, 1))
+        for delay in (999, 1000, 10**24):
+            assert_matches_oracle(NetworkConfig(num_neurons=3, duration=1.0, seed=1,
+                                                synaptic_delay_steps=delay, strong_edges=edges))
+
     def test_refractory_binds_within_one_delay(self):
         # near-saturating drive fires neurons on consecutive steps, so masks of
         # 2..4 steps remove spikes from steps less than one synaptic delay apart
@@ -301,6 +307,20 @@ class TestConfigFile:
         again = parse_network_config(path)
         assert again == cfg
 
+    @pytest.mark.parametrize("delta_t,delay_steps", [(0.0001, 1234567), (0.0003, 7)])
+    def test_roundtrip_keeps_every_delay_step(self, tmp_path, delta_t, delay_steps):
+        cfg = NetworkConfig(num_neurons=3, delta_t=delta_t,
+                            strong_edges=(StrongEdge(0, 1, 11.0, delay_steps),))
+        path = tmp_path / "net.cfg"
+        write_network_config(cfg, path)
+        assert parse_network_config(path) == cfg
+
+    def test_delay_must_be_whole_steps(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("num_neurons = 3\nedge = A,B,11,5.5\n")
+        with pytest.raises(ConfigError, match=":2: edge delay: 5.5 ms is not a whole number"):
+            parse_network_config(path)
+
     def test_error_carries_line_number(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("num_neurons = 26\nwhat = 3\n")
@@ -333,8 +353,6 @@ class TestConfigFile:
     def test_non_finite_edge_rejected_with_line(self, tmp_path, value):
         with pytest.raises(ConfigError):
             StrongEdge(0, 1, float(value), 5)
-        with pytest.raises(ConfigError):
-            _ms_to_steps(float(value), 0.001)
         for edge in (f"A,B,{value},5", f"A,B,1,{value}"):
             path = tmp_path / "bad.cfg"
             path.write_text(f"num_neurons = 3\nedge = {edge}\n")
