@@ -142,7 +142,13 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise UsageError("--jobs must be at least 1")
+
+
 def cmd_mine(args) -> int:
+    _check_jobs(args.jobs)
     try:
         tick = as_tick_seconds(args.tick)
     except ValueError as exc:
@@ -213,6 +219,7 @@ def cmd_mine(args) -> int:
 def cmd_significance(args) -> int:
     if args.max_size < 1:
         raise UsageError("--max-size must be at least 1")
+    _check_jobs(args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scale == "paper":
@@ -254,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="generate a synthetic spike stream")
     sim.add_argument("out", help="output spike CSV path")
     sim.add_argument("--config", help="network config file (key = value lines)")
-    sim.add_argument("--pattern", default="none",
+    sim.add_argument("--pattern", default=None,
                      help="embedded topology: example1|example2|example3|chain-<k>|none")
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--duration", type=float, default=None, help="seconds")

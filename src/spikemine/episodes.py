@@ -20,18 +20,22 @@ sub-multisets.
 
 One driver, ``mine_levels``, mines both kinds: ``mine_serial`` and
 ``mine_parallel`` only pass it their size-1 candidates, their counter and
-their join. The counters spread a level over processes with ``fan_out``.
+their join. The counters count plain-tuple keys of the candidates in a
+``counting_pool``: with ``jobs > 1`` one pool per mining call, whose workers
+hold the stream, count chunks that keep all keys of one first event type
+(one root of the serial prefix trie) together, and return bare counts.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time as _time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 from typing import Iterable, Sequence, Union
 
 
@@ -182,15 +186,74 @@ def rank_key(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
-def fan_out(count, candidates: list, seq, cfg, jobs: int) -> list[EpisodeCount]:
-    """Run ``count(chunk, seq, cfg)`` in ``jobs`` processes, one chunk of ``ceil(n / jobs)``
-    consecutive candidates each; the merge keeps input order."""
-    jobs = min(jobs, len(candidates))
-    step = -(-len(candidates) // jobs)
-    chunks = [candidates[i : i + step] for i in range(0, len(candidates), step)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-        parts = pool.map(count, chunks, repeat(seq), repeat(cfg))
-        return [c for part in parts for c in part]
+_stream = None  # a pool worker's EventSequence, set once by the pool initializer
+
+
+def _hold_stream(seq) -> None:
+    global _stream
+    _stream = seq
+
+
+def _count_chunk(core, keys: list, args: tuple) -> list:
+    return core(keys, _stream, *args)
+
+
+def pool_size(jobs: int, tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks, at most ``jobs`` and the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
+def root_chunks(roots: Sequence, n: int) -> list[list[int]]:
+    """Indices of ``roots`` in at most ``n`` chunks, all indices of one root in one chunk;
+    the root groups are dealt largest first, each to the chunk with the fewest indices."""
+    groups: dict = {}
+    for i, root in enumerate(roots):
+        groups.setdefault(root, []).append(i)
+    chunks: list[list[int]] = [[] for _ in range(min(n, len(groups)))]
+    for group in sorted(groups.values(), key=len, reverse=True):
+        min(chunks, key=len).extend(group)
+    return chunks
+
+
+@contextmanager
+def counting_pool(seq, jobs: int, roots: Iterable[str]):
+    """Yields ``count(candidates, keys, core, track, *args)``: the ``EpisodeCount``s of
+    ``candidates`` from ``core(keys, seq, track, *args)``, which gives one count per key,
+    or ``(count, occurrences)`` when ``track``.
+
+    ``roots`` holds every first event type a pass may count. With
+    ``pool_size(jobs, len(roots)) > 1`` workers, a pass of two root chunks
+    or more is counted there, one chunk a worker, and only the bare results
+    come back. The workers start at the first such pass and serve every
+    later one; each gets the stream once, from the initializer: inherited
+    under fork, pickled under spawn.
+    """
+    workers = pool_size(jobs, len(set(roots)))
+    pool = (ProcessPoolExecutor(workers, initializer=_hold_stream, initargs=(seq,))
+            if workers > 1 else nullcontext())
+    with pool as executor:
+
+        def count(candidates: list, keys: list, core, track: bool, *args) -> list[EpisodeCount]:
+            if not keys:
+                return []
+            chunks = root_chunks([ep.etypes[0] for ep in candidates], workers)
+            if len(chunks) < 2:
+                results = core(keys, seq, track, *args)
+            else:
+                futures = [
+                    executor.submit(_count_chunk, core, [keys[i] for i in chunk], (track, *args))
+                    for chunk in chunks
+                ]
+                results = [None] * len(keys)
+                for chunk, future in zip(chunks, futures):
+                    for i, result in zip(chunk, future.result()):
+                        results[i] = result
+            if track:
+                return [EpisodeCount(ep, f, occs) for ep, (f, occs) in zip(candidates, results)]
+            return [EpisodeCount(ep, f) for ep, f in zip(candidates, results)]
+
+        yield count
 
 
 def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
@@ -265,13 +328,8 @@ def generate_serial_candidates(
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
 
-    This is the ``join`` that ``mine_serial`` hands to ``mine_levels``.
-    The size-1 join is not pruned here. ``mine_serial``'s counter counts
-    all of it when there is one window or no count floor; otherwise it
-    first counts each type pair once under the hull of the windows and
-    counts exactly only the candidates of pairs that reach the floor.
-    Either way ``MiningLevel.n_candidates`` (the CLI's ``candidates=N``)
-    is the full join.
+    This is the ``join`` that ``mine_serial`` hands to ``mine_levels``;
+    its counter may prune the size-1 join by hull count (see ``serial``).
     """
     pool = list(frequent)
     if not pool:

@@ -18,14 +18,14 @@ exhaustive oracle in the test suite, occurrences included).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from .episodes import (
     EpisodeCount,
     MiningConfig,
     MiningLevel,
     ParallelEpisode,
-    fan_out,
+    counting_pool,
     generate_parallel_candidates,
     mine_levels,
 )
@@ -43,24 +43,33 @@ def count_parallel_expiry(
 
     Candidates that need a type share its list and equal candidates share
     a slot; each count is still exact, since the events a candidate may use
-    form a suffix of each list (see the module docstring).
+    form a suffix of each list (see the module docstring). With ``jobs > 1``
+    the call counts in a pool of its own (``episodes.counting_pool``).
     """
+    candidates = list(candidates)
+    with counting_pool(seq, jobs, (ep.etypes[0] for ep in candidates)) as counter:
+        return _count(counter, candidates, cfg)
+
+
+def _count(counter, candidates: list, cfg: MiningConfig) -> list[EpisodeCount]:
     if cfg.expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
-    candidates = list(candidates)
-    if not candidates:
-        return []
-    if jobs > 1 and len(candidates) > 1:
-        return fan_out(count_parallel_expiry, candidates, seq, cfg, jobs)
-    expiry = cfg.expiry
-    track = cfg.track_occurrences
+    keys = [ep.etypes for ep in candidates]
+    return counter(candidates, keys, _count_keys, cfg.track_occurrences, cfg.expiry)
 
+
+def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> list:
+    """The counting pass over candidate keys, each a sorted tuple of event types.
+
+    One result per key, in order: its count, or ``(count, occurrences)``
+    when ``track``.
+    """
     tlists: dict[str, deque] = {}
     watchers: dict[str, list] = {}  # event type -> (slot, needs) of each candidate needing it
-    slot_of: dict[ParallelEpisode, list] = {}
-    for ep in dict.fromkeys(candidates):
-        slot = slot_of[ep] = [0, -1, []]  # freq, watermark, occurrences
-        mult = ep.multiplicities()
+    slot_of: dict[tuple, list] = {}
+    for key in dict.fromkeys(keys):
+        slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
+        mult = Counter(key)
         needs = [(tlists.setdefault(y, deque()), m) for y, m in mult.items()]
         for y in mult:
             watchers.setdefault(y, []).append((slot, needs))
@@ -91,16 +100,19 @@ def count_parallel_expiry(
                         chosen.extend(q[i][1] for i in range(k, k + m))
                     slot[2].append(tuple(sorted(chosen)))
 
-    return [
-        EpisodeCount(ep, slot_of[ep][0], tuple(slot_of[ep][2]) if track else None)
-        for ep in candidates
-    ]
+    if track:
+        return [(slot_of[key][0], tuple(slot_of[key][2])) for key in keys]
+    return [slot_of[key][0] for key in keys]
 
 
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
-    """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size."""
-    return mine_levels(
-        [ParallelEpisode((t,)) for t in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
-        lambda candidates: count_parallel_expiry(candidates, seq, cfg, jobs=jobs),
-        generate_parallel_candidates,
-    )
+    """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
+
+    Every level shares one ``counting_pool``.
+    """
+    with counting_pool(seq, jobs, seq.alphabet) as counter:
+        return mine_levels(
+            [ParallelEpisode((t,)) for t in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
+            lambda candidates: _count(counter, candidates, cfg),
+            generate_parallel_candidates,
+        )

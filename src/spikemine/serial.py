@@ -60,7 +60,7 @@ from .episodes import (
     MiningLevel,
     SerialEpisode,
     bootstrap_serial,
-    fan_out,
+    counting_pool,
     generate_serial_candidates,
     mine_levels,
 )
@@ -94,27 +94,37 @@ def count_serial_constrained(
     ``start`` never decreases along a list, so the latest entry in a
     window carries the largest ``start`` there, and the candidate
     completes exactly when some chain in the window starts after its last
-    completion (see the module docstring).
+    completion (see the module docstring). With ``jobs > 1`` the call
+    counts in a pool of its own (``episodes.counting_pool``).
     """
     candidates = list(candidates)
-    if not candidates:
-        return []
-    if jobs > 1 and len(candidates) > 1:
-        return fan_out(count_serial_constrained, candidates, seq, cfg, jobs)
-    track = bool(cfg and cfg.track_occurrences)
+    with counting_pool(seq, jobs, (ep.etypes[0] for ep in candidates)) as counter:
+        return _count(counter, candidates, cfg)
 
+
+def _count(counter, candidates: list, cfg: MiningConfig | None) -> list[EpisodeCount]:
+    keys = [(ep.etypes, tuple((iv.low, iv.high) for iv in ep.intervals)) for ep in candidates]
+    return counter(candidates, keys, _count_keys, bool(cfg and cfg.track_occurrences))
+
+
+def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
+    """The counting pass over candidate keys ``(etypes, ((low, high), ...))``.
+
+    One result per key, in order: its count, or ``(count, occurrences)``
+    when ``track``.
+    """
     roots: dict[str, _Node] = {}
     slots = []
-    for ep in candidates:
-        node = roots.get(ep.etypes[0])
+    for etypes, windows in keys:
+        node = roots.get(etypes[0])
         if node is None:
-            node = roots[ep.etypes[0]] = _Node()
-        for x, iv in zip(ep.etypes[1:], ep.intervals):
+            node = roots[etypes[0]] = _Node()
+        for x, window in zip(etypes[1:], windows):
             by_window = node.kids.setdefault(x, {})
-            child = by_window.get((iv.low, iv.high))
+            child = by_window.get(window)
             if child is None:
-                child = by_window[iv.low, iv.high] = _Node()
-                node.reach = max(node.reach, iv.high)
+                child = by_window[window] = _Node()
+                node.reach = max(node.reach, window[1])
             node = child
         if node.slot is None:
             node.slot = [0, -1, []]
@@ -172,13 +182,12 @@ def count_serial_constrained(
                             add(child, (t, idx, prev[2], prev if track else None))
                         break
 
-    return [
-        EpisodeCount(ep, slot[0], tuple(slot[2]) if track else None)
-        for ep, slot in zip(candidates, slots)
-    ]
+    if track:
+        return [(slot[0], tuple(slot[2])) for slot in slots]
+    return [slot[0] for slot in slots]
 
 
-def _hull_survivors(candidates, seq, cfg, floor, jobs):
+def _hull_survivors(counter, candidates, cfg, floor):
     """Level-2 candidates whose type pair reaches ``floor`` under the window hull.
 
     The hull counts only bound, so they are taken without tracking (no cfg).
@@ -186,9 +195,7 @@ def _hull_survivors(candidates, seq, cfg, floor, jobs):
     ivs = cfg.candidate_intervals
     hull = (Interval(ivs[0].low, ivs[-1].high),)
     pairs = sorted({ep.etypes for ep in candidates})
-    bounds = count_serial_constrained(
-        [SerialEpisode(p, hull) for p in pairs], seq, None, jobs=jobs
-    )
+    bounds = _count(counter, [SerialEpisode(p, hull) for p in pairs], None)
     kept = {b.episode.etypes for b in bounds if b.freq >= floor}
     return [ep for ep in candidates if ep.etypes in kept]
 
@@ -197,19 +204,22 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
     Level 2 may first prune its candidates by hull count (see the module
-    docstring); ``seconds`` covers both passes.
+    docstring); ``seconds`` covers both passes. Every pass shares one
+    ``counting_pool``.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
     two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
 
-    def count(candidates):
-        if two_pass and candidates[0].size == 2:
-            candidates = _hull_survivors(candidates, seq, cfg, floor, jobs)
-        return count_serial_constrained(candidates, seq, cfg, jobs=jobs)
+    with counting_pool(seq, jobs, seq.alphabet) as counter:
 
-    return mine_levels(
-        bootstrap_serial(seq.alphabet), cfg, floor, count,
-        lambda seeds: generate_serial_candidates(seeds, cfg.candidate_intervals),
-    )
+        def count(candidates):
+            if two_pass and candidates[0].size == 2:
+                candidates = _hull_survivors(counter, candidates, cfg, floor)
+            return _count(counter, candidates, cfg)
+
+        return mine_levels(
+            bootstrap_serial(seq.alphabet), cfg, floor, count,
+            lambda seeds: generate_serial_candidates(seeds, cfg.candidate_intervals),
+        )

@@ -26,7 +26,7 @@ from __future__ import annotations
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .episodes import Interval, MiningConfig, SerialEpisode
+from .episodes import Interval, MiningConfig, SerialEpisode, pool_size
 from .serial import count_serial_constrained, mine_serial
 from .simulator import NetworkConfig, embed_pattern, neuron_labels, simulate
 
@@ -144,8 +144,9 @@ def run_significance(
         for r in range(patterned_runs)
     ]
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = pool_size(jobs, max(len(random_specs), len(patterned_specs)))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             max_profiles = list(pool.map(_max_profile, random_specs))
             min_profiles = list(pool.map(_min_profile, patterned_specs))
     else:

@@ -218,6 +218,47 @@ def test_significance_max_size_below_1_exits_1(tmp_path, monkeypatch):
     assert not out_dir.exists()
 
 
+def test_config_edges_reach_the_run(tmp_path, monkeypatch):
+    import spikemine.cli as cli_mod
+
+    runs = []
+    real = cli_mod.simulate
+    monkeypatch.setattr(cli_mod, "simulate", lambda config: runs.append(config) or real(config))
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("num_neurons = 4\nedge = A,B,11,5\nedge = C,D,6.41,3\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 0
+    assert [(e.src, e.dst, e.delay_steps) for e in runs[0].strong_edges] == [(0, 1, 5), (2, 3, 3)]
+    manifest = (tmp_path / "o.csv.manifest").read_text()
+    assert "config.edge.0 = A,B,11.0,5\n" in manifest
+    assert "config.edge.1 = C,D,6.41,3\n" in manifest
+    assert "pattern = none\n" in manifest
+    # an explicit --pattern replaces the config's edges
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1",
+                 "--pattern", "chain-2"]) == 0
+    assert [(e.src, e.dst) for e in runs[1].strong_edges] == [(0, 1)]
+    manifest = (tmp_path / "o.csv.manifest").read_text()
+    assert "config.edge.0 = A,B,11.0,5\n" in manifest and "config.edge.1" not in manifest
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1",
+                 "--pattern", "none"]) == 0
+    assert runs[2].strong_edges == ()
+
+
+@pytest.mark.parametrize("command", ["mine", "significance"])
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_1_exit_1(tmp_path, tiny_csv, capsys, monkeypatch, command, jobs):
+    import spikemine.cli as cli_mod
+
+    for name in ("mine_serial", "run_significance"):
+        monkeypatch.setattr(cli_mod, name, lambda *_, **__: pytest.fail("ran"))
+    out = tmp_path / "out"
+    argv = (["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--out", str(out)]
+            if command == "mine" else ["significance", str(out)])
+    assert main(argv + ["--jobs", jobs]) == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_3(tmp_path):
     cfg = tmp_path / "net.cfg"
     cfg.write_text("nonsense = 4\n")
