@@ -22,7 +22,7 @@ from .events import SpikeFileError, as_tick_seconds, ms_to_ticks
 from .events import parse_spike_file, write_spike_file
 from .parallel import mine_parallel
 from .serial import mine_serial
-from .significance import run_significance
+from .significance import CHAIN_LENGTH, run_significance
 from .simulator import (
     ConfigError,
     NetworkConfig,
@@ -217,8 +217,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_significance(args) -> int:
-    if args.max_size < 1:
-        raise UsageError("--max-size must be at least 1")
+    if not 1 <= args.max_size <= CHAIN_LENGTH:
+        raise UsageError(f"--max-size must be from 1 to {CHAIN_LENGTH}, the embedded chain length")
     _check_jobs(args.jobs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,12 +18,22 @@ sorted-prefix join plus full sub-multiset pruning, which is sound because
 expiry-constrained non-overlapped frequency is monotone under
 sub-multisets.
 
-One driver, ``mine_levels``, mines both kinds: ``mine_serial`` and
-``mine_parallel`` only pass it their size-1 candidates, their counter and
-their join. The counters count plain-tuple keys of the candidates in a
-``counting_pool``: with ``jobs > 1`` one pool per mining call, whose workers
-hold the stream, count chunks that keep all keys of one first event type
-(one root of the serial prefix trie) together, and return bare counts.
+Mining runs on coded keys. A type's code is its label's rank among the
+sorted labels (``code_table``): of the alphabet for a mining call, and
+also of the candidates' labels, which no event carries, for a direct
+``count_*`` call. A serial key is ``(codes, ((low, high), ...))``, a
+parallel key the sorted ``codes``; keys sort exactly like their episodes.
+
+One level loop, ``mine_levels``, mines both kinds from their size-1 keys,
+counter, coded join (``serial_join``, ``parallel_join``) and decoder.
+Keys stay keys through counting, ranking, the beam and the join; only the
+frequent results of a level become episodes and ``EpisodeCount``s. The
+public joins and counters encode, run the same code and decode. Counting
+goes through a ``counting_pool``, which codes the stream once per mining
+call into columns of codes and ticks; with ``jobs > 1`` its workers hold
+those columns, count chunks of keys that keep each first code (one root
+of the serial prefix trie) whole, and return bare counts: only ints
+cross the pool.
 """
 
 from __future__ import annotations
@@ -186,12 +196,37 @@ def rank_key(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
-_stream = None  # a pool worker's EventSequence, set once by the pool initializer
+def code_table(labels: Iterable[str]) -> dict[str, int]:
+    """Label -> code, its rank among the sorted labels; ``list(table)`` maps back."""
+    return {label: code for code, label in enumerate(sorted(set(labels)))}
 
 
-def _hold_stream(seq) -> None:
+def serial_key(ep: SerialEpisode, code: dict[str, int]) -> tuple:
+    """The coded key ``(codes, ((low, high), ...))`` of a serial episode."""
+    return tuple(code[t] for t in ep.etypes), tuple((iv.low, iv.high) for iv in ep.intervals)
+
+
+def serial_episode(key: tuple, labels: list[str], intervals: dict) -> SerialEpisode:
+    """The episode of a coded serial key; ``intervals`` maps ``(low, high)`` to its Interval."""
+    codes, windows = key
+    return SerialEpisode(
+        tuple(map(labels.__getitem__, codes)), tuple(map(intervals.__getitem__, windows))
+    )
+
+
+def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
+    """One ``EpisodeCount`` per episode, from its counting result."""
+    return [
+        EpisodeCount(ep, *r) if track else EpisodeCount(ep, r) for ep, r in zip(episodes, results)
+    ]
+
+
+_stream = None  # a pool worker's coded stream, set once by the pool initializer
+
+
+def _hold_stream(stream) -> None:
     global _stream
-    _stream = seq
+    _stream = stream
 
 
 def _count_chunk(core, keys: list, args: tuple) -> list:
@@ -217,66 +252,71 @@ def root_chunks(roots: Sequence, n: int) -> list[list[int]]:
 
 
 @contextmanager
-def counting_pool(seq, jobs: int, roots: Iterable[str]):
-    """Yields ``count(candidates, keys, core, track, *args)``: the ``EpisodeCount``s of
-    ``candidates`` from ``core(keys, seq, track, *args)``, which gives one count per key,
-    or ``(count, occurrences)`` when ``track``.
+def counting_pool(seq, code: dict[str, int], jobs: int, roots: int):
+    """Yields ``count(core, keys, firsts, track, *args)``: ``core(keys, stream, track,
+    *args)``, one result per key, its count or ``(count, occurrences)`` when ``track``;
+    ``firsts`` holds each key's first code.
 
-    ``roots`` holds every first event type a pass may count. With
-    ``pool_size(jobs, len(roots)) > 1`` workers, a pass of two root chunks
-    or more is counted there, one chunk a worker, and only the bare results
-    come back. The workers start at the first such pass and serve every
+    The stream is coded once, here, as ``(width, codes, ticks)``: ``len(code)``
+    and each event's type code and tick. With ``pool_size(jobs, roots) > 1``
+    workers (``roots``: how many first codes a pass may count), a pass whose
+    keys have two first codes or more is counted there, in ``root_chunks``,
+    one a worker. The workers start at the first such pass and serve every
     later one; each gets the stream once, from the initializer: inherited
-    under fork, pickled under spawn.
+    under fork, pickled under spawn. Only ints cross the pool.
     """
-    workers = pool_size(jobs, len(set(roots)))
-    pool = (ProcessPoolExecutor(workers, initializer=_hold_stream, initargs=(seq,))
+    stream = (len(code), [code[ev.etype] for ev in seq.events], [ev.time for ev in seq.events])
+    workers = pool_size(jobs, roots)
+    pool = (ProcessPoolExecutor(workers, initializer=_hold_stream, initargs=(stream,))
             if workers > 1 else nullcontext())
     with pool as executor:
 
-        def count(candidates: list, keys: list, core, track: bool, *args) -> list[EpisodeCount]:
+        def count(core, keys: list, firsts: list, track: bool, *args) -> list:
             if not keys:
                 return []
-            chunks = root_chunks([ep.etypes[0] for ep in candidates], workers)
+            chunks = root_chunks(firsts, workers) if workers > 1 else ()
             if len(chunks) < 2:
-                results = core(keys, seq, track, *args)
-            else:
-                futures = [
-                    executor.submit(_count_chunk, core, [keys[i] for i in chunk], (track, *args))
-                    for chunk in chunks
-                ]
-                results = [None] * len(keys)
-                for chunk, future in zip(chunks, futures):
-                    for i, result in zip(chunk, future.result()):
-                        results[i] = result
-            if track:
-                return [EpisodeCount(ep, f, occs) for ep, (f, occs) in zip(candidates, results)]
-            return [EpisodeCount(ep, f) for ep, f in zip(candidates, results)]
+                return core(keys, stream, track, *args)
+            futures = [
+                executor.submit(_count_chunk, core, [keys[i] for i in chunk], (track, *args))
+                for chunk in chunks
+            ]
+            results = [None] * len(keys)
+            for chunk, future in zip(chunks, futures):
+                for i, result in zip(chunk, future.result()):
+                    results[i] = result
+            return results
 
         yield count
 
 
-def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
-    """Level-wise search from the size-1 ``candidates``: count, filter, rank, join.
+def mine_levels(
+    candidates: list, cfg: MiningConfig, floor: int, count, join, decode
+) -> list[MiningLevel]:
+    """Level-wise search from the size-1 keys ``candidates``: count, filter, rank, join.
 
-    ``count(candidates)`` gives one ``EpisodeCount`` per candidate (its time
-    is the level's ``seconds``); ``join(episodes)`` makes the next level's
-    candidates from the best ``beam_width`` episodes counted ``floor`` times
-    or more. Stops at a level with none of those or at ``max_size``.
+    ``count(keys)`` gives the keys it counted and a result each, the count
+    or ``(count, occurrences)`` if tracked; its time is the level's
+    ``seconds``. Keys counted ``floor`` times or more rank by ``(-count,
+    key)``, which is ``rank_key``'s order, and only they are decoded
+    (``decode(key)`` is the episode). ``join(keys)`` makes the next level's
+    keys from the best ``beam_width``. Stops at a level with no frequent
+    key or at ``max_size``.
     """
     levels: list[MiningLevel] = []
     size = 1
     while candidates and size <= cfg.max_size:
         t0 = _time.perf_counter()
-        counts = count(candidates)
-        frequent = sorted((c for c in counts if c.freq >= floor), key=rank_key)
-        levels.append(
-            MiningLevel(size, len(candidates), tuple(frequent), _time.perf_counter() - t0)
-        )
-        if not frequent or size == cfg.max_size:
+        keys, results = count(candidates)
+        if cfg.track_occurrences:
+            ranked = sorted((-f, key, occs) for key, (f, occs) in zip(keys, results) if f >= floor)
+        else:
+            ranked = sorted((-f, key) for key, f in zip(keys, results) if f >= floor)
+        counts = tuple(EpisodeCount(decode(r[1]), -r[0], *r[2:]) for r in ranked)
+        levels.append(MiningLevel(size, len(candidates), counts, _time.perf_counter() - t0))
+        if not ranked or size == cfg.max_size:
             break
-        seeds = frequent[: cfg.beam_width] if cfg.beam_width else frequent
-        candidates = join([c.episode for c in seeds])
+        candidates = join([r[1] for r in ranked[: cfg.beam_width]])
         size += 1
     return levels
 
@@ -315,6 +355,32 @@ def bootstrap_serial(alphabet: Iterable[str]) -> list[SerialEpisode]:
     return [SerialEpisode((t,)) for t in sorted(alphabet)]
 
 
+def _one_size(episodes: Iterable[Episode]) -> list[Episode]:
+    """``episodes`` as a list; ValueError if their sizes differ."""
+    pool = list(episodes)
+    sizes = {ep.size for ep in pool}
+    if len(sizes) > 1:
+        raise ValueError(f"mixed episode sizes in join input: {sorted(sizes)}")
+    return pool
+
+
+def serial_join(keys: Iterable[tuple], windows: Iterable[tuple[int, int]]) -> list[tuple]:
+    """``generate_serial_candidates`` on serial keys of one size; sorted, duplicate-free."""
+    pool = list(dict.fromkeys(keys))
+    if pool and len(pool[0][0]) == 1:
+        firsts = [codes for codes, _ in pool]
+        return sorted({(a + b, (w,)) for a in firsts for b in firsts for w in windows})
+    by_prefix: dict[tuple, list] = {}
+    for codes, wins in pool:
+        by_prefix.setdefault((codes[:-1], wins[:-1]), []).append((codes[-1], wins[-1]))
+    # a pair (left, right) determines its candidate, so a duplicate-free pool gives no duplicates
+    return sorted(
+        (codes + (last,), wins + (win,))
+        for codes, wins in pool
+        for last, win in by_prefix.get((codes[1:], wins[1:]), ())
+    )
+
+
 def generate_serial_candidates(
     frequent: Iterable[SerialEpisode], intervals: Sequence[Interval] = ()
 ) -> list[SerialEpisode]:
@@ -328,55 +394,42 @@ def generate_serial_candidates(
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
 
-    This is the ``join`` that ``mine_serial`` hands to ``mine_levels``;
-    its counter may prune the size-1 join by hull count (see ``serial``).
+    The join runs on coded keys (``serial_join``), as in ``mine_serial``,
+    whose counter may prune the size-1 join by hull count (see ``serial``).
     """
-    pool = list(frequent)
-    if not pool:
-        return []
-    sizes = {ep.size for ep in pool}
-    if len(sizes) != 1:
-        raise ValueError(f"mixed episode sizes in join input: {sorted(sizes)}")
-    k = sizes.pop()
-    out: set[SerialEpisode] = set()
-    if k == 1:
-        for left in pool:
-            for right in pool:
-                for iv in intervals:
-                    out.add(SerialEpisode((left.etypes[0], right.etypes[0]), (iv,)))
-        return sorted(out)
-    by_prefix: dict[tuple, list[SerialEpisode]] = {}
-    for ep in pool:
-        by_prefix.setdefault((ep.etypes[:-1], ep.intervals[:-1]), []).append(ep)
-    for left in pool:
-        key = (left.etypes[1:], left.intervals[1:])
-        for right in by_prefix.get(key, ()):
-            out.add(
-                SerialEpisode(
-                    left.etypes + (right.etypes[-1],),
-                    left.intervals + (right.intervals[-1],),
-                )
-            )
-    return sorted(out)
+    pool = _one_size(frequent)
+    code = code_table(t for ep in pool for t in ep.etypes)
+    by_window = {(iv.low, iv.high): iv for ep in pool for iv in ep.intervals}
+    by_window.update({(iv.low, iv.high): iv for iv in intervals})
+    windows = [(iv.low, iv.high) for iv in intervals]
+    keys = serial_join([serial_key(ep, code) for ep in pool], windows)
+    labels = list(code)
+    return [serial_episode(key, labels, by_window) for key in keys]
 
 
-def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:
-    """Sorted-prefix join plus full sub-multiset pruning, one size up."""
-    pool = sorted(set(frequent))
-    if not pool:
-        return []
-    sizes = {ep.size for ep in pool}
-    if len(sizes) != 1:
-        raise ValueError(f"mixed episode sizes in join input: {sorted(sizes)}")
-    have = {ep.etypes for ep in pool}
-    out: set[ParallelEpisode] = set()
-    by_prefix: dict[tuple, list[tuple[str, ...]]] = {}
-    for ep in pool:
-        by_prefix.setdefault(ep.etypes[:-1], []).append(ep.etypes)
+def parallel_join(keys: Iterable[tuple]) -> list[tuple]:
+    """``generate_parallel_candidates`` on parallel keys of one size; sorted, duplicate-free."""
+    pool = sorted(set(keys))
+    have = set(pool)
+    by_prefix: dict[tuple, list[tuple]] = {}
+    for key in pool:
+        by_prefix.setdefault(key[:-1], []).append(key)
+    # prefixes, lefts and rights all ascend, so the output comes out sorted
+    out = []
     for group in by_prefix.values():
         for i, left in enumerate(group):
             for right in group[i:]:  # right[-1] >= left[-1]; self-join allowed
-                cand = left + (right[-1],)
+                cand = left + right[-1:]
                 if all(cand[:j] + cand[j + 1 :] in have for j in range(len(cand))):
-                    out.add(ParallelEpisode(cand))
-    return sorted(out)
+                    out.append(cand)
+    return out
+
+
+def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:
+    """Sorted-prefix join plus full sub-multiset pruning, one size up, on coded keys
+    (``parallel_join``)."""
+    pool = _one_size(frequent)
+    code = code_table(t for ep in pool for t in ep.etypes)
+    labels = list(code)
+    keys = parallel_join(tuple(code[t] for t in ep.etypes) for ep in pool)
+    return [ParallelEpisode(tuple(map(labels.__getitem__, key))) for key in keys]

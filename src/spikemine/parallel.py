@@ -1,5 +1,9 @@
 """Non-overlapped counting of parallel episodes under an expiry span.
 
+Candidates are coded keys, sorted tuples of type codes (see ``episodes``),
+counted over the stream's columns of type codes and ticks, so the time
+lists and the candidates watching each type are lists indexed by code.
+
 A counting pass keeps one time list of ``(time, index)`` per event type
 that some candidate needs. An event of type ``x`` at ``t`` prunes ``x``'s
 list by the cut ``t - expiry`` and then appends itself, so a list never
@@ -25,9 +29,11 @@ from .episodes import (
     MiningConfig,
     MiningLevel,
     ParallelEpisode,
+    code_table,
+    counted,
     counting_pool,
-    generate_parallel_candidates,
     mine_levels,
+    parallel_join,
 )
 from .events import EventSequence
 
@@ -47,43 +53,47 @@ def count_parallel_expiry(
     the call counts in a pool of its own (``episodes.counting_pool``).
     """
     candidates = list(candidates)
-    with counting_pool(seq, jobs, (ep.etypes[0] for ep in candidates)) as counter:
-        return _count(counter, candidates, cfg)
+    code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
+    keys = [tuple(code[t] for t in ep.etypes) for ep in candidates]
+    with counting_pool(seq, code, jobs, len({key[0] for key in keys})) as count:
+        return counted(candidates, _count(count, keys, cfg), cfg.track_occurrences)
 
 
-def _count(counter, candidates: list, cfg: MiningConfig) -> list[EpisodeCount]:
+def _count(count, keys: list, cfg: MiningConfig) -> list:
     if cfg.expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
-    keys = [ep.etypes for ep in candidates]
-    return counter(candidates, keys, _count_keys, cfg.track_occurrences, cfg.expiry)
+    return count(_count_keys, keys, [key[0] for key in keys], cfg.track_occurrences, cfg.expiry)
 
 
-def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> list:
-    """The counting pass over candidate keys, each a sorted tuple of event types.
+def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
+    """The counting pass over parallel keys, each a sorted tuple of type codes, on a
+    coded stream ``(width, codes, ticks)``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``.
     """
-    tlists: dict[str, deque] = {}
-    watchers: dict[str, list] = {}  # event type -> (slot, needs) of each candidate needing it
+    width, codes, ticks = stream
+    tlists: list = [None] * width
+    watchers: list[list] = [[] for _ in range(width)]  # code -> (slot, needs) of its keys
     slot_of: dict[tuple, list] = {}
     for key in dict.fromkeys(keys):
         slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
-        mult = Counter(key)
-        needs = [(tlists.setdefault(y, deque()), m) for y, m in mult.items()]
-        for y in mult:
-            watchers.setdefault(y, []).append((slot, needs))
+        needs = []
+        for y, m in Counter(key).items():
+            if tlists[y] is None:
+                tlists[y] = deque()
+            needs.append((tlists[y], m))
+            watchers[y].append((slot, needs))
 
-    for idx, ev in enumerate(seq.events):
-        tl = tlists.get(ev.etype)
+    for idx, (x, t) in enumerate(zip(codes, ticks)):
+        tl = tlists[x]
         if tl is None:
             continue
-        t = ev.time
         cut = t - expiry
         while tl and tl[0][0] < cut:
             tl.popleft()
         tl.append((t, idx))
-        for slot, needs in watchers[ev.etype]:
+        for slot, needs in watchers[x]:
             mark = slot[1]
             for q, m in needs:
                 if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
@@ -110,9 +120,12 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
 
     Every level shares one ``counting_pool``.
     """
-    with counting_pool(seq, jobs, seq.alphabet) as counter:
+    code = code_table(seq.alphabet)
+    labels = list(code)
+    with counting_pool(seq, code, jobs, len(code)) as count:
         return mine_levels(
-            [ParallelEpisode((t,)) for t in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
-            lambda candidates: _count(counter, candidates, cfg),
-            generate_parallel_candidates,
+            [(c,) for c in range(len(code))], cfg, cfg.count_floor(len(seq)),
+            lambda keys: (keys, _count(count, keys, cfg)),
+            parallel_join,
+            lambda key: ParallelEpisode(tuple(map(labels.__getitem__, key))),
         )

@@ -1,5 +1,9 @@
 """Non-overlapped counting of gap-constrained serial episodes.
 
+Candidates are coded keys ``(codes, ((low, high), ...))`` (see
+``episodes``), counted over the stream's columns of type codes and ticks,
+so trie roots and the active-parent index are lists indexed by code.
+
 One counting pass holds all candidates in a prefix trie. A node stands
 for one prefix, its event types and its gap windows; candidates that
 share a prefix share its node. A node with children keeps one time list
@@ -55,14 +59,15 @@ from collections import deque
 
 from .episodes import (
     EpisodeCount,
-    Interval,
     MiningConfig,
     MiningLevel,
-    SerialEpisode,
-    bootstrap_serial,
+    code_table,
+    counted,
     counting_pool,
-    generate_serial_candidates,
     mine_levels,
+    serial_episode,
+    serial_join,
+    serial_key,
 )
 from .events import EventSequence
 
@@ -75,7 +80,7 @@ class _Node:
     def __init__(self):
         self.tlist = deque()
         self.reach = 0      # largest high among the children's windows
-        self.kids = {}      # event type -> {(low, high): child}
+        self.kids = {}      # event type code -> {(low, high): child}
         self.slot = None    # [freq, watermark, occurrences] of the candidate ending here
         self.live = False   # registered as a parent in the active index
 
@@ -98,28 +103,32 @@ def count_serial_constrained(
     counts in a pool of its own (``episodes.counting_pool``).
     """
     candidates = list(candidates)
-    with counting_pool(seq, jobs, (ep.etypes[0] for ep in candidates)) as counter:
-        return _count(counter, candidates, cfg)
+    code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
+    keys = [serial_key(ep, code) for ep in candidates]
+    track = bool(cfg and cfg.track_occurrences)
+    with counting_pool(seq, code, jobs, len({key[0][0] for key in keys})) as count:
+        return counted(candidates, _count(count, keys, track), track)
 
 
-def _count(counter, candidates: list, cfg: MiningConfig | None) -> list[EpisodeCount]:
-    keys = [(ep.etypes, tuple((iv.low, iv.high) for iv in ep.intervals)) for ep in candidates]
-    return counter(candidates, keys, _count_keys, bool(cfg and cfg.track_occurrences))
+def _count(count, keys: list, track: bool) -> list:
+    return count(_count_keys, keys, [key[0][0] for key in keys], track)
 
 
-def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
-    """The counting pass over candidate keys ``(etypes, ((low, high), ...))``.
+def _count_keys(keys: list, stream: tuple, track: bool) -> list:
+    """The counting pass over serial keys ``(codes, ((low, high), ...))`` on a coded
+    stream ``(width, codes, ticks)``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``.
     """
-    roots: dict[str, _Node] = {}
+    width, codes, ticks = stream
+    roots: list = [None] * width
     slots = []
-    for etypes, windows in keys:
-        node = roots.get(etypes[0])
+    for types, windows in keys:
+        node = roots[types[0]]
         if node is None:
-            node = roots[etypes[0]] = _Node()
-        for x, window in zip(etypes[1:], windows):
+            node = roots[types[0]] = _Node()
+        for x, window in zip(types[1:], windows):
             by_window = node.kids.setdefault(x, {})
             child = by_window.get(window)
             if child is None:
@@ -129,8 +138,8 @@ def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
         if node.slot is None:
             node.slot = [0, -1, []]
         slots.append(node.slot)
-    # event type -> live parents with a child of that type
-    active: dict[str, dict[_Node, None]] = {}
+    # type code -> live parents with a child of that type
+    active: list[dict[_Node, None]] = [{} for _ in range(width)]
 
     def add(node, entry):
         slot = node.slot
@@ -153,15 +162,13 @@ def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
             if not node.live:
                 node.live = True
                 for x in node.kids:
-                    active.setdefault(x, {})[node] = None
+                    active[x][node] = None
 
-    for idx, ev in enumerate(seq.events):
-        x = ev.etype
-        t = ev.time
-        root = roots.get(x)
+    for idx, (x, t) in enumerate(zip(codes, ticks)):
+        root = roots[x]
         if root is not None:
             add(root, (t, idx, idx, None))
-        parents = active.get(x)
+        parents = active[x]
         if not parents:
             continue
         for node in tuple(parents):  # the scan may add and drop parents of this type
@@ -187,17 +194,16 @@ def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
     return [slot[0] for slot in slots]
 
 
-def _hull_survivors(counter, candidates, cfg, floor):
-    """Level-2 candidates whose type pair reaches ``floor`` under the window hull.
+def _hull_survivors(count, keys: list, windows: list, floor: int) -> list:
+    """Level-2 keys whose type pair reaches ``floor`` under the window hull.
 
-    The hull counts only bound, so they are taken without tracking (no cfg).
+    The hull counts only bound, so they are taken without tracking.
     """
-    ivs = cfg.candidate_intervals
-    hull = (Interval(ivs[0].low, ivs[-1].high),)
-    pairs = sorted({ep.etypes for ep in candidates})
-    bounds = _count(counter, [SerialEpisode(p, hull) for p in pairs], None)
-    kept = {b.episode.etypes for b in bounds if b.freq >= floor}
-    return [ep for ep in candidates if ep.etypes in kept]
+    hull = ((windows[0][0], windows[-1][1]),)
+    pairs = sorted({types for types, _ in keys})
+    bounds = _count(count, [(pair, hull) for pair in pairs], False)
+    kept = {pair for pair, bound in zip(pairs, bounds) if bound >= floor}
+    return [key for key in keys if key[0] in kept]
 
 
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
@@ -211,15 +217,20 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
     two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
+    code = code_table(seq.alphabet)
+    labels = list(code)
+    intervals = {(iv.low, iv.high): iv for iv in cfg.candidate_intervals}
+    windows = list(intervals)
 
-    with counting_pool(seq, jobs, seq.alphabet) as counter:
+    with counting_pool(seq, code, jobs, len(code)) as count:
 
-        def count(candidates):
-            if two_pass and candidates[0].size == 2:
-                candidates = _hull_survivors(counter, candidates, cfg, floor)
-            return _count(counter, candidates, cfg)
+        def count_level(keys):
+            if two_pass and len(keys[0][0]) == 2:
+                keys = _hull_survivors(count, keys, windows, floor)
+            return keys, _count(count, keys, cfg.track_occurrences)
 
         return mine_levels(
-            bootstrap_serial(seq.alphabet), cfg, floor, count,
-            lambda seeds: generate_serial_candidates(seeds, cfg.candidate_intervals),
+            [((c,), ()) for c in range(len(code))], cfg, floor, count_level,
+            lambda seeds: serial_join(seeds, windows),
+            lambda key: serial_episode(key, labels, intervals),
         )

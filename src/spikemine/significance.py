@@ -31,6 +31,7 @@ from .serial import count_serial_constrained, mine_serial
 from .simulator import NetworkConfig, embed_pattern, neuron_labels, simulate
 
 RATE_MODEL_LAMBDA_MAX = 14.0  # iid-rate datasets then average ~7 Hz, the network's resting scale
+CHAIN_LENGTH = 10  # neurons in the embedded chain; no segment is longer
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,17 @@ def run_significance(
     max_size: int = 6,
     interval: Interval = Interval(0, 5),
     beam_width: int = 500,
-    chain_length: int = 10,
+    chain_length: int = CHAIN_LENGTH,
     jobs: int = 1,
     seed0: int = 1,
 ) -> SignificanceReport:
-    """Generate both dataset families, mine them, and aggregate profiles."""
+    """Generate both dataset families, mine them, and aggregate profiles.
+
+    ValueError, before anything is simulated, when ``max_size`` exceeds
+    ``chain_length``: the chain has no segment of that size.
+    """
+    if max_size > chain_length:
+        raise ValueError(f"max_size {max_size} exceeds the embedded chain length {chain_length}")
     base = base if base is not None else NetworkConfig()
     base = replace(base, strong_edges=())
 

@@ -1,8 +1,12 @@
+import os
 import sys
 from collections import deque
+from concurrent.futures import Future
 
 import pytest
 
+import spikemine.episodes as episodes
+import spikemine.significance as significance
 from spikemine import Event, EventSequence, Interval, SerialEpisode
 
 
@@ -52,3 +56,63 @@ def peak_live_entries(monkeypatch):
         return top
 
     return peak
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)``: make ``n`` CPUs usable for the rest of the test."""
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return set_cpus
+
+
+class InlinePools:
+    """What the package hands its pools: ``workers`` holds each pool's
+    ``max_workers``, ``initargs`` each pool's initializer arguments and
+    ``submitted`` the arguments of every ``submit``."""
+
+    def __init__(self):
+        self.workers = []
+        self.initargs = []
+        self.submitted = []
+
+
+class InlineExecutor:
+    """Stands in for ProcessPoolExecutor: records what it is given and runs
+    every call here, so no process starts however large the request."""
+
+    def __init__(self, pools, max_workers, initializer=None, initargs=()):
+        self.pools = pools
+        pools.workers.append(max_workers)
+        pools.initargs.append(initargs)
+        if initializer is not None:
+            initializer(*initargs)
+
+    def submit(self, fn, *args):
+        self.pools.submitted.append(args)
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+@pytest.fixture
+def inline_pools(monkeypatch):
+    """An ``InlinePools`` record of every pool the package makes, run in this process."""
+    pools = InlinePools()
+    monkeypatch.setattr(episodes, "_stream", None)  # the in-process initializer sets it
+    for module in (episodes, significance):
+        monkeypatch.setattr(
+            module, "ProcessPoolExecutor", lambda *a, **kw: InlineExecutor(pools, *a, **kw)
+        )
+    return pools

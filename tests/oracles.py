@@ -13,6 +13,11 @@ step at a time, computing every step's input, rate and refractory mask.
 
 ``quantize_oracle`` is the spike-CSV stamp rule in exact rational
 arithmetic: the nearest tick, ties up.
+
+``reference_levels`` and ``reference_synfire`` are the level-wise miners
+on episode objects: joins of episodes (``serial_join_oracle``,
+``parallel_join_oracle``), ranking by ``(-freq, episode)`` and the beam,
+with every count (and tracked occurrence) from the brute-force oracles.
 """
 
 from __future__ import annotations
@@ -21,13 +26,23 @@ import math
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter, defaultdict
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from spikemine import Event, EventSequence, Interval, ParallelEpisode, SerialEpisode
+from spikemine import (
+    EpisodeCount,
+    Event,
+    EventSequence,
+    Interval,
+    ParallelEpisode,
+    SerialEpisode,
+    is_subepisode,
+    rewrite_stream,
+)
 from spikemine.simulator import update_rates
 
 
@@ -155,6 +170,95 @@ def parallel_oracle_occurrences(episode, seq, expiry):
     """
     occurrences = enumerate_parallel_occurrences(episode, seq, expiry)
     return tuple(max_nonoverlapped(occurrences, key=lambda o: (o[-1], o)))
+
+
+# ---------------------------------------------------------------------------
+# level-wise mining on episode objects
+
+
+def serial_join_oracle(frequent, intervals=()):
+    """Suffix-prefix join of equal-size serial episodes; size 1 pairs every
+    two types once per window. Sorted, duplicate-free."""
+    pool = set(frequent)
+    out = set()
+    for left in pool:
+        if left.size == 1:
+            out.update(
+                SerialEpisode(left.etypes + right.etypes, (iv,)) for right in pool for iv in intervals
+            )
+            continue
+        for right in pool:
+            if (left.etypes[1:], left.intervals[1:]) == (right.etypes[:-1], right.intervals[:-1]):
+                out.add(SerialEpisode(
+                    left.etypes + right.etypes[-1:], left.intervals + right.intervals[-1:]
+                ))
+    return sorted(out)
+
+
+def parallel_join_oracle(frequent):
+    """Every multiset one larger whose sub-multisets one smaller are all in
+    ``frequent``. Sorted, duplicate-free."""
+    pool = set(frequent)
+    types = sorted({t for ep in pool for t in ep.etypes})
+    out = set()
+    for ep in pool:
+        for t in types:
+            cand = ParallelEpisode(ep.etypes + (t,))
+            subs = (cand.etypes[:j] + cand.etypes[j + 1 :] for j in range(cand.size))
+            if all(ParallelEpisode(sub) in pool for sub in subs):
+                out.add(cand)
+    return sorted(out)
+
+
+def reference_levels(seq, cfg, kind):
+    """``(size, candidates, counts)`` per level of mining ``kind`` ("serial"
+    or "parallel"), every candidate counted by the oracles."""
+    floor = cfg.count_floor(len(seq))
+    if kind == "serial":
+        candidates = [SerialEpisode((t,)) for t in sorted(seq.alphabet)]
+
+        def occurrences(ep):
+            return serial_oracle_occurrences(ep, seq)
+
+        def join(seeds):
+            return serial_join_oracle(seeds, cfg.candidate_intervals)
+    else:
+        candidates = [ParallelEpisode((t,)) for t in sorted(seq.alphabet)]
+
+        def occurrences(ep):
+            return parallel_oracle_occurrences(ep, seq, cfg.expiry)
+
+        join = parallel_join_oracle
+    levels = []
+    size = 1
+    while candidates and size <= cfg.max_size:
+        counts = []
+        for ep in candidates:
+            occs = occurrences(ep)
+            counts.append(EpisodeCount(ep, len(occs), occs if cfg.track_occurrences else None))
+        frequent = sorted((c for c in counts if c.freq >= floor), key=lambda c: (-c.freq, c.episode))
+        levels.append((size, len(candidates), tuple(frequent)))
+        if not frequent or size == cfg.max_size:
+            break
+        beam = frequent[: cfg.beam_width] if cfg.beam_width else frequent
+        candidates = join([c.episode for c in beam])
+        size += 1
+    return levels
+
+
+def reference_synfire(seq, cfg):
+    """``(parallel levels, rewritten groups, rewritten stream, serial levels)``
+    of synfire mining, both phases from ``reference_levels``."""
+    parallel = reference_levels(seq, replace(cfg, track_occurrences=True), "parallel")
+    frequent = [c for _, _, counts in parallel for c in counts if c.episode.size >= 2]
+    maximal = sorted(
+        (c for c in frequent if not any(
+            o.episode != c.episode and is_subepisode(c.episode, o.episode) for o in frequent
+        )),
+        key=lambda c: (-c.freq, c.episode),
+    )
+    rewritten = rewrite_stream(seq, maximal, on_conflict="skip")
+    return parallel, tuple(maximal), rewritten, reference_levels(rewritten, cfg, "serial")
 
 
 # ---------------------------------------------------------------------------

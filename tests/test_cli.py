@@ -218,6 +218,18 @@ def test_significance_max_size_below_1_exits_1(tmp_path, monkeypatch):
     assert not out_dir.exists()
 
 
+def test_significance_max_size_beyond_chain_exits_1(tmp_path, monkeypatch, capsys):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_significance", lambda **_: pytest.fail("simulated"))
+    out_dir = tmp_path / "sig"
+    assert main(["significance", str(out_dir), "--max-size", "11"]) == 1
+    assert "--max-size must be from 1 to 10, the embedded chain length" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert main(["significance", str(out_dir), "--scale", "paper", "--max-size", "11"]) == 1
+    assert not out_dir.exists()
+
+
 def test_config_edges_reach_the_run(tmp_path, monkeypatch):
     import spikemine.cli as cli_mod
 

@@ -1,14 +1,11 @@
 """The ``--jobs`` fan-out: root-aligned chunks, one pool per mined stream,
 bounded worker counts, and results identical to counting in one process."""
 
-import os
 import random
-from concurrent.futures import Future
 
 import pytest
 
 import spikemine.episodes as episodes
-import spikemine.significance as significance
 from oracles import random_sequence
 from spikemine import (
     EventSequence,
@@ -31,52 +28,6 @@ from spikemine.episodes import root_chunks
 
 def levels_of(levels):
     return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)``: make ``n`` CPUs usable for the rest of the test."""
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
-
-    return set_cpus
-
-
-class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records ``max_workers`` and runs
-    every call here, so no process starts however large the request."""
-
-    def __init__(self, made, max_workers, initializer=None, initargs=()):
-        made.append(max_workers)
-        if initializer is not None:
-            initializer(*initargs)
-
-    def submit(self, fn, *args):
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-    def map(self, fn, *iterables):
-        return map(fn, *iterables)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-
-@pytest.fixture
-def inline_pools(monkeypatch):
-    """The ``max_workers`` of every pool the package makes, run in this process."""
-    made = []
-    monkeypatch.setattr(episodes, "_stream", None)  # the in-process initializer sets it
-    for module in (episodes, significance):
-        monkeypatch.setattr(
-            module, "ProcessPoolExecutor", lambda *a, **kw: InlineExecutor(made, *a, **kw)
-        )
-    return made
 
 
 @pytest.fixture(scope="module")
@@ -116,11 +67,42 @@ def test_chunked_counts_restore_order_with_duplicates(cpus, inline_pools):
     cfg = MiningConfig(track_occurrences=True)
     solo = count_serial_constrained(eps, seq, cfg)
     assert count_serial_constrained(eps, seq, cfg, jobs=3) == solo
-    assert inline_pools == [3]
+    assert inline_pools.workers == [3]
 
     peps = [ParallelEpisode(ep.etypes) for ep in eps]
     pcfg = MiningConfig(expiry=4, track_occurrences=True)
     assert count_parallel_expiry(peps, seq, pcfg, jobs=3) == count_parallel_expiry(peps, seq, pcfg)
+
+
+def ints_only(value) -> bool:
+    """True iff ``value`` is an int or a (nested) tuple or list of ints."""
+    if isinstance(value, (tuple, list)):
+        return all(ints_only(v) for v in value)
+    return type(value) in (int, bool)
+
+
+def test_only_ints_cross_the_pool(cpus, inline_pools, recording):
+    cpus(2)
+    windows = (Interval(0, 3), Interval(3, 6))
+    cfg = MiningConfig(freq_threshold=0.002, max_size=3, track_occurrences=True,
+                       candidate_intervals=windows, expiry=2)
+    mine_serial(recording, cfg, jobs=2)  # two windows and a floor: the hull pass too
+    mine_parallel(recording, cfg, jobs=2)
+    mine_synfire(recording, cfg, jobs=2)
+    count_serial_constrained(
+        [SerialEpisode(("A", "B"), windows[:1]), SerialEpisode(("Z", "A"), windows[1:])],
+        recording, cfg, jobs=2,
+    )
+    count_parallel_expiry(
+        [ParallelEpisode(("A", "B")), ParallelEpisode(("Z",))], recording, cfg, jobs=2
+    )
+    assert inline_pools.workers == [2] * 6
+    assert all(ints_only(args) for args in inline_pools.initargs)
+    assert len(inline_pools.submitted) > 12
+    for core, keys, args in inline_pools.submitted:
+        assert callable(core)
+        assert keys and all(type(key) is tuple and ints_only(key) for key in keys)
+        assert ints_only(args)
 
 
 def test_workers_bounded_by_jobs_cpus_and_chunks(cpus, inline_pools, recording):
@@ -135,11 +117,11 @@ def test_workers_bounded_by_jobs_cpus_and_chunks(cpus, inline_pools, recording):
         + [SerialEpisode(("B", "C"), (Interval(4, 6),))],
         recording, jobs=10**6,
     )
-    assert inline_pools == [4, 3, 3, 2]
+    assert inline_pools.workers == [4, 3, 3, 2]
     mine_serial(recording, cfg, jobs=1)
     cpus(1)
     mine_serial(recording, cfg, jobs=10**6)
-    assert inline_pools == [4, 3, 3, 2]  # one process is not a pool
+    assert inline_pools.workers == [4, 3, 3, 2]  # one process is not a pool
 
 
 def test_significance_workers_bounded(cpus, inline_pools):
@@ -149,9 +131,9 @@ def test_significance_workers_bounded(cpus, inline_pools):
         patterned_runs=1, max_size=2, beam_width=40, chain_length=4,
     )
     multi = run_significance(NetworkConfig(duration=2.0), jobs=10**6, **kwargs)
-    assert inline_pools == [3]  # three random datasets, one patterned
+    assert inline_pools.workers == [3]  # three random datasets, one patterned
     solo = run_significance(NetworkConfig(duration=2.0), **kwargs)
-    assert inline_pools == [3]
+    assert inline_pools.workers == [3]
     assert (multi.random_avg_max, multi.patterned_avg_min) == (
         solo.random_avg_max, solo.patterned_avg_min
     )

@@ -1,0 +1,104 @@
+"""Level-wise mining on coded keys against the reference level loop on
+episode objects, over alphabets whose sorted order differs from any other
+plausible one (numeric suffixes, lower case, composite labels)."""
+
+import random
+
+import pytest
+
+from oracles import (
+    parallel_join_oracle,
+    reference_levels,
+    reference_synfire,
+    serial_join_oracle,
+)
+from spikemine import (
+    Event,
+    EventSequence,
+    Interval,
+    MiningConfig,
+    ParallelEpisode,
+    SerialEpisode,
+    generate_parallel_candidates,
+    generate_serial_candidates,
+    mine_parallel,
+    mine_serial,
+    mine_synfire,
+)
+
+# sorted: "N1" < "N10" < "N2" < "Z" < "[A B]" < "a" < "b"
+LABELS = ("N2", "N10", "N1", "a", "Z", "b", "[A B]")
+
+
+def coded_order_stream(rng: random.Random) -> EventSequence:
+    types = rng.sample(LABELS, rng.randint(2, 4))
+    silent = rng.sample(LABELS, rng.randint(0, 1))  # alphabet may name silent channels
+    events = []
+    t = 0
+    for _ in range(rng.randint(0, 45)):
+        t += rng.choice((0, 1, 1, 2, 3))
+        events.append(Event(rng.choice(types), t))
+    return EventSequence(events, alphabet=set(types) | set(silent))
+
+
+def random_config(rng: random.Random) -> MiningConfig:
+    windows = []
+    low = rng.randint(0, 1)
+    for _ in range(rng.randint(1, 3)):
+        high = low + rng.randint(1, 3)
+        windows.append(Interval(low, high))
+        low = high + rng.randint(0, 1)
+    return MiningConfig(
+        max_size=3,
+        candidate_intervals=tuple(windows),
+        expiry=rng.randint(1, 4),
+        min_count=rng.choice((0, 0, 1, 2, 3)),
+        beam_width=rng.choice((None, 1, 3)),
+        track_occurrences=rng.random() < 0.5,
+    )
+
+
+def plain(levels):
+    return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_mining_equals_reference_levels(cpus, inline_pools, jobs):
+    cpus(2)
+    rng = random.Random(91)  # the same cases at both job counts
+    for _ in range(25):
+        seq = coded_order_stream(rng)
+        cfg = random_config(rng)
+        for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
+            assert plain(mine(seq, cfg, jobs=jobs)) == reference_levels(seq, cfg, kind), (kind, cfg)
+        result = mine_synfire(seq, cfg, jobs=jobs)
+        parallel, groups, rewritten, serial = reference_synfire(seq, cfg)
+        assert plain(result.parallel_levels) == parallel
+        assert result.rewritten_group_counts == groups
+        assert result.rewritten == rewritten
+        assert plain(result.serial_levels) == serial
+    assert (len(inline_pools.submitted) > 0) == (jobs == 2)
+
+
+def test_joins_equal_the_object_joins():
+    rng = random.Random(7)
+    windows = (Interval(0, 2), Interval(2, 3), Interval(5, 9))
+    for _ in range(200):
+        size = rng.randint(1, 3)
+        serial = [
+            SerialEpisode(
+                tuple(rng.choice(LABELS) for _ in range(size)),
+                tuple(rng.choice(windows) for _ in range(size - 1)),
+            )
+            for _ in range(rng.randint(0, 12))
+        ]
+        chosen = windows[: rng.randint(0, 3)]
+        # duplicates in either input change nothing
+        joined = generate_serial_candidates(serial + serial[:2], chosen + chosen)
+        assert joined == serial_join_oracle(serial, chosen)
+        parallel = [
+            ParallelEpisode(tuple(rng.choice(LABELS[:4]) for _ in range(size)))
+            for _ in range(rng.randint(0, 15))
+        ]
+        joined = generate_parallel_candidates(parallel + parallel[:2])
+        assert joined == parallel_join_oracle(parallel)

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     dense_stream,
+    parallel_oracle_occurrences,
     random_sequence,
     random_serial_episode,
     serial_oracle_count,
@@ -15,8 +16,10 @@ from spikemine import (
     EventSequence,
     Interval,
     MiningConfig,
+    ParallelEpisode,
     SerialEpisode,
     bootstrap_serial,
+    count_parallel_expiry,
     count_serial_constrained,
     generate_serial_candidates,
     mine_serial,
@@ -50,11 +53,32 @@ def test_untracked_result_refuses_occurrences(worked_sequence, worked_episode):
         tracked_occurrences(res)
 
 
-def test_zero_count_episode_tracks_empty(worked_sequence):
-    absent = SerialEpisode(("D", "A"), (Interval(0, 2),))
-    (res,) = count_serial_constrained([absent], worked_sequence, TRACK)
-    assert res.freq == 0
-    assert tracked_occurrences(res) == ()
+def test_zero_count_episode_tracks_empty(worked_sequence, cpus, inline_pools):
+    # "D" then "A" never occurs; "Z" and "0" are outside the alphabet, "0" sorting first
+    cpus(2)
+    w = (Interval(0, 2),)
+    serial_absent = [SerialEpisode(("D", "A"), w), SerialEpisode(("Z",)),
+                     SerialEpisode(("Z", "A"), w), SerialEpisode(("A", "Z"), w),
+                     SerialEpisode(("0", "0"), w)]
+    serial_present = SerialEpisode(("A", "B"), (Interval(0, 3),))
+    parallel_absent = [ParallelEpisode(p) for p in (("Z",), ("A", "Z"), ("Z", "Z"), ("0", "B"))]
+    parallel_present = ParallelEpisode(("A", "B"))
+    pcfg = MiningConfig(expiry=3, track_occurrences=True)
+    for jobs in (1, 2):  # in this process, then in two chunks of an (inline) pool
+        *zeros, res = count_serial_constrained(
+            serial_absent + [serial_present], worked_sequence, TRACK, jobs=jobs
+        )
+        assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+        assert res.occurrences == serial_oracle_occurrences(serial_present, worked_sequence)
+
+        *zeros, res = count_parallel_expiry(
+            parallel_absent + [parallel_present], worked_sequence, pcfg, jobs=jobs
+        )
+        assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+        assert res.occurrences == parallel_oracle_occurrences(parallel_present, worked_sequence, 3)
+        assert res.freq > 0
+    assert inline_pools.workers == [2, 2]
+    assert len(inline_pools.submitted) == 4
 
 
 def test_single_node_counts_every_event(worked_sequence):

@@ -1,5 +1,6 @@
 import pytest
 
+import spikemine.significance as significance
 from spikemine import Interval, NetworkConfig, run_significance
 from spikemine.significance import SignificanceReport
 
@@ -80,3 +81,11 @@ def test_jobs_do_not_change_results():
     multi = run_significance(base, jobs=2, **kwargs)
     assert solo.random_avg_max == multi.random_avg_max
     assert solo.patterned_avg_min == multi.patterned_avg_min
+
+
+def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
+    monkeypatch.setattr(significance, "simulate", lambda config: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="exceeds the embedded chain length 5"):
+        run_significance(NetworkConfig(duration=1.0), max_size=6, chain_length=5)
+    with pytest.raises(ValueError, match="chain length 10"):
+        run_significance(max_size=11)
