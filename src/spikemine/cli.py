@@ -217,6 +217,8 @@ def cmd_mine(args) -> int:
 
 
 def cmd_significance(args) -> int:
+    if args.max_size is None:
+        args.max_size = CHAIN_LENGTH if args.scale == "paper" else 6
     if not 1 <= args.max_size <= CHAIN_LENGTH:
         raise UsageError(f"--max-size must be from 1 to {CHAIN_LENGTH}, the embedded chain length")
     _check_jobs(args.jobs)
@@ -225,7 +227,7 @@ def cmd_significance(args) -> int:
     if args.scale == "paper":
         # full-scale run: hours of compute; kept out of any automated suite
         params = dict(weight_seeds=10, noise_runs_per_seed=10, random_rate_runs=50,
-                      patterned_runs=20, max_size=10)
+                      patterned_runs=20, max_size=args.max_size)
     else:
         params = dict(weight_seeds=10, noise_runs_per_seed=2, random_rate_runs=5,
                       patterned_runs=5, max_size=args.max_size)
@@ -241,6 +243,7 @@ def cmd_significance(args) -> int:
         ("scale", args.scale),
         ("seed", args.seed),
         ("jobs", args.jobs),
+        ("max_size", args.max_size),
         ("report_txt", text_path),
         ("report_txt_sha256", _sha256(text_path)),
         ("report_csv", csv_path),
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     sig = sub.add_parser("significance", help="random vs patterned frequency profiles")
     sig.add_argument("out", help="output directory")
     sig.add_argument("--scale", choices=("desk", "paper"), default="desk")
-    sig.add_argument("--max-size", type=int, default=6)
+    sig.add_argument("--max-size", type=int, default=None, help="default 6, or 10 at paper scale")
     sig.add_argument("--seed", type=int, default=1)
     sig.add_argument("--jobs", type=int, default=1)
     sig.set_defaults(func=cmd_significance)

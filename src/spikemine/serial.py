@@ -2,7 +2,7 @@
 
 Candidates are coded keys ``(codes, ((low, high), ...))`` (see
 ``episodes``), counted over the stream's columns of type codes and ticks,
-so trie roots and the active-parent index are lists indexed by code.
+so trie roots are a list indexed by code.
 
 One counting pass holds all candidates in a prefix trie. A node stands
 for one prefix, its event types and its gap windows; candidates that
@@ -35,11 +35,15 @@ randomized oracle suite checks this exactly). Following ``back`` from a
 completion recovers its occurrence: the latest event at each node, walking
 back from the end.
 
-An event touches only the depth-1 node of its type and the parents that
-have a live (non-empty) list and a child of its type. Lists grow in time
-order and are pruned from the front at each append and each scan, by the
-cut ``t - (largest high among the node's children)``: an older entry can
-lie in no future window.
+The pass keeps one insertion-ordered set of live nodes, those with
+children and a non-empty list: a node enters when its list gets an entry
+and leaves when a scan prunes it empty. An event adds its entry to the
+depth-1 node of its type, then scans a snapshot of the set. Each node is
+pruned from the front by the cut ``t - (largest high among its
+children)``, since an older entry lies in no window of this or a later
+event, and its children of the event's type are extended. Visit order
+cannot change a count: an entry made at tick ``t`` is never in a window
+``[t - high, t - low)`` of an event at ``t``, as ``low >= 0``.
 
 ``mine_serial`` runs ``episodes.mine_levels`` with a counter that counts
 level 2 in two passes when the count floor is above zero and there are
@@ -75,14 +79,13 @@ from .events import EventSequence
 class _Node:
     """One candidate prefix: its time list, its children and its candidate's slot."""
 
-    __slots__ = ("tlist", "reach", "kids", "slot", "live")
+    __slots__ = ("tlist", "reach", "kids", "slot")
 
     def __init__(self):
-        self.tlist = deque()
-        self.reach = 0      # largest high among the children's windows
+        self.tlist = deque()  # oldest first; a node with children is live iff this is non-empty
+        self.reach = 0      # largest high among the children's windows; prune cut t - reach
         self.kids = {}      # event type code -> {(low, high): child}
         self.slot = None    # [freq, watermark, occurrences] of the candidate ending here
-        self.live = False   # registered as a parent in the active index
 
 
 def count_serial_constrained(
@@ -138,8 +141,7 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
         if node.slot is None:
             node.slot = [0, -1, []]
         slots.append(node.slot)
-    # type code -> live parents with a child of that type
-    active: list[dict[_Node, None]] = [{} for _ in range(width)]
+    live: dict[_Node, None] = {}  # nodes with children and a non-empty time list
 
     def add(node, entry):
         slot = node.slot
@@ -154,34 +156,26 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
                     link = link[3]
                 slot[2].append(tuple(reversed(chain)))
         if node.kids:
-            tl = node.tlist
-            cut = entry[0] - node.reach
-            while tl and tl[0][0] < cut:
-                tl.popleft()
-            tl.append(entry)
-            if not node.live:
-                node.live = True
-                for x in node.kids:
-                    active[x][node] = None
+            if not node.tlist:
+                live[node] = None
+            node.tlist.append(entry)
 
     for idx, (x, t) in enumerate(zip(codes, ticks)):
         root = roots[x]
         if root is not None:
             add(root, (t, idx, idx, None))
-        parents = active[x]
-        if not parents:
-            continue
-        for node in tuple(parents):  # the scan may add and drop parents of this type
+        for node in tuple(live):  # the scan may add and drop live nodes
             tl = node.tlist
             cut = t - node.reach
             while tl and tl[0][0] < cut:
                 tl.popleft()
             if not tl:
-                node.live = False
-                for y in node.kids:
-                    del active[y][node]
+                del live[node]
                 continue
-            for (low, high), child in node.kids[x].items():
+            by_window = node.kids.get(x)
+            if by_window is None:
+                continue
+            for (low, high), child in by_window.items():
                 limit = t - low
                 for prev in reversed(tl):
                     if prev[0] < limit:

@@ -230,6 +230,30 @@ def test_significance_max_size_beyond_chain_exits_1(tmp_path, monkeypatch, capsy
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "scale_argv, max_size",
+    [([], 6), (["--max-size", "4"], 4),
+     (["--scale", "paper"], 10), (["--scale", "paper", "--max-size", "4"], 4)],
+    ids=["desk", "desk-4", "paper", "paper-4"],
+)
+def test_significance_max_size_applies_at_both_scales(tmp_path, monkeypatch, scale_argv, max_size):
+    import spikemine.cli as cli_mod
+    from spikemine import Interval
+    from spikemine.significance import SignificanceReport
+
+    received = []
+
+    def record(**params):  # simulates nothing
+        received.append(params["max_size"])
+        return SignificanceReport(Interval(0, 5), (1,), (1.0,), (1.0,), 1, 1, 10)
+
+    monkeypatch.setattr(cli_mod, "run_significance", record)
+    out_dir = tmp_path / "sig"
+    assert main(["significance", str(out_dir), *scale_argv]) == 0
+    assert received == [max_size]
+    assert f"max_size = {max_size}\n" in (out_dir / "significance.manifest").read_text()
+
+
 def test_config_edges_reach_the_run(tmp_path, monkeypatch):
     import spikemine.cli as cli_mod
 

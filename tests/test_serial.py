@@ -1,5 +1,6 @@
 import random
 import string
+from collections import deque
 
 import pytest
 
@@ -207,7 +208,7 @@ def test_memory_stays_near_window_population(peak_live_entries):
     # dense streams, so stale entries get pruned promptly: the retained
     # entries stay within the population of the episode's maximum span
     # window (one entry per node an event can sit in). Without C events
-    # no scan prunes the A->B list, and only the prune at append bounds it.
+    # the A->B list extends nothing, and only the scans' pruning bounds it.
     ep = SerialEpisode(("A", "B", "C"), (Interval(0, 4), Interval(0, 4)))
     span = sum(iv.high for iv in ep.intervals)
     for types in ("ABC", "AB"):
@@ -361,3 +362,71 @@ def test_hull_prepass_jobs_match_single_process():
         track_occurrences=True,
     )
     assert level_tuples(mine_serial(seq, cfg, jobs=2)) == level_tuples(mine_serial(seq, cfg))
+
+
+def churn_windows(rng):
+    """1-3 disjoint sorted windows with low >= 0, often touching."""
+    windows = []
+    low = rng.randint(0, 2)
+    for _ in range(rng.randint(1, 3)):
+        high = low + rng.randint(1, 3)
+        windows.append(Interval(low, high))
+        low = high + rng.choice((0, 0, 1))
+    return tuple(windows)
+
+
+def churn_stream(rng, types):
+    """A sparse stream over ``types``: same-tick events, short gaps, and gaps
+    beyond every window, so each list empties and refills many times. A
+    last event of type ``z``, which no candidate has, comes later than any
+    window reaches."""
+    events = []
+    t = 0
+    for _ in range(rng.randint(60, 120)):
+        t += rng.choice((0, 0, 1, 2, 4, 7, 12, 20))
+        events.append(Event(rng.choice(types), t))
+    events.append(Event("z", t + 100))
+    return EventSequence(events)
+
+
+def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch, cpus, inline_pools):
+    # wide alphabets, so every root has many child types and goes live and
+    # empty many times. After the late last event no window can reach any
+    # entry, so every time list the pass made must be empty again.
+    import spikemine.serial as serial
+
+    lists = []
+
+    class RecordedDeque(deque):
+        def __init__(self):
+            super().__init__()
+            lists.append(self)
+
+    monkeypatch.setattr(serial, "deque", RecordedDeque)
+
+    def one_pass(eps, seq, jobs=1):
+        results = count_serial_constrained(eps, seq, TRACK, jobs=jobs)
+        assert lists and not any(lists), "entries outlived every window"
+        lists.clear()
+        return results
+
+    cpus(2)
+    rng = random.Random(1010)
+    for _ in range(10):
+        types = string.ascii_uppercase[: rng.randint(10, 20)]
+        seq = churn_stream(rng, types)
+        windows = churn_windows(rng)
+        level1 = bootstrap_serial(types)
+        level2 = generate_serial_candidates(level1, windows)
+        seeds = [c.episode for c in one_pass(level2, seq) if c.freq]
+        level3 = generate_serial_candidates(seeds, windows)
+        eps = level1 + level2 + rng.sample(level3, min(len(level3), 150))
+        eps += rng.choices(eps, k=30)
+        rng.shuffle(eps)
+        solo = [one_pass([ep], seq)[0] for ep in eps]
+        for ep, res in zip(eps, solo):
+            assert res.freq == serial_oracle_count(ep, seq), ep
+            assert res.occurrences == serial_oracle_occurrences(ep, seq), ep
+        for jobs in (1, 2):  # in this process, then in two chunks of an (inline) pool
+            assert one_pass(eps, seq, jobs) == solo
+    assert inline_pools.workers == [2] * 10
