@@ -28,22 +28,17 @@ One level loop, ``mine_levels``, mines both kinds from their size-1 keys,
 counter, coded join (``serial_join``, ``parallel_join``) and decoder.
 Keys stay keys through counting, ranking, the beam and the join; only the
 frequent results of a level become episodes and ``EpisodeCount``s. The
-public joins and counters encode, run the same code and decode. Counting
-goes through a ``counting_pool``, which codes the stream once per mining
-call into columns of codes and ticks; with ``jobs > 1`` its workers hold
-those columns, count chunks of keys that keep each first code (one root
-of the serial prefix trie) whole, and return bare counts: only ints
-cross the pool.
+public joins and counters encode, run the same code and decode. A mining
+or counting call codes its stream once (``coded_stream``) into columns of
+type codes and ticks; every counting pass reads those columns once, in
+order, in the calling process.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time as _time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -221,73 +216,10 @@ def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     ]
 
 
-_stream = None  # a pool worker's coded stream, set once by the pool initializer
-
-
-def _hold_stream(stream) -> None:
-    global _stream
-    _stream = stream
-
-
-def _count_chunk(core, keys: list, args: tuple) -> list:
-    return core(keys, _stream, *args)
-
-
-def pool_size(jobs: int, tasks: int) -> int:
-    """Processes for ``tasks`` independent tasks, at most ``jobs`` and the usable CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(jobs, cpus or 1, tasks))
-
-
-def root_chunks(roots: Sequence, n: int) -> list[list[int]]:
-    """Indices of ``roots`` in at most ``n`` chunks, all indices of one root in one chunk;
-    the root groups are dealt largest first, each to the chunk with the fewest indices."""
-    groups: dict = {}
-    for i, root in enumerate(roots):
-        groups.setdefault(root, []).append(i)
-    chunks: list[list[int]] = [[] for _ in range(min(n, len(groups)))]
-    for group in sorted(groups.values(), key=len, reverse=True):
-        min(chunks, key=len).extend(group)
-    return chunks
-
-
-@contextmanager
-def counting_pool(seq, code: dict[str, int], jobs: int, roots: int):
-    """Yields ``count(core, keys, firsts, track, *args)``: ``core(keys, stream, track,
-    *args)``, one result per key, its count or ``(count, occurrences)`` when ``track``;
-    ``firsts`` holds each key's first code.
-
-    The stream is coded once, here, as ``(width, codes, ticks)``: ``len(code)``
-    and each event's type code and tick. With ``pool_size(jobs, roots) > 1``
-    workers (``roots``: how many first codes a pass may count), a pass whose
-    keys have two first codes or more is counted there, in ``root_chunks``,
-    one a worker. The workers start at the first such pass and serve every
-    later one; each gets the stream once, from the initializer: inherited
-    under fork, pickled under spawn. Only ints cross the pool.
-    """
-    stream = (len(code), [code[ev.etype] for ev in seq.events], [ev.time for ev in seq.events])
-    workers = pool_size(jobs, roots)
-    pool = (ProcessPoolExecutor(workers, initializer=_hold_stream, initargs=(stream,))
-            if workers > 1 else nullcontext())
-    with pool as executor:
-
-        def count(core, keys: list, firsts: list, track: bool, *args) -> list:
-            if not keys:
-                return []
-            chunks = root_chunks(firsts, workers) if workers > 1 else ()
-            if len(chunks) < 2:
-                return core(keys, stream, track, *args)
-            futures = [
-                executor.submit(_count_chunk, core, [keys[i] for i in chunk], (track, *args))
-                for chunk in chunks
-            ]
-            results = [None] * len(keys)
-            for chunk, future in zip(chunks, futures):
-                for i, result in zip(chunk, future.result()):
-                    results[i] = result
-            return results
-
-        yield count
+def coded_stream(seq, code: dict[str, int]) -> tuple:
+    """The stream as ``(width, codes, ticks)``: ``len(code)`` and each event's type
+    code and tick, the columns every counting pass reads."""
+    return len(code), [code[ev.etype] for ev in seq.events], [ev.time for ev in seq.events]
 
 
 def mine_levels(

@@ -30,8 +30,8 @@ from .episodes import (
     MiningLevel,
     ParallelEpisode,
     code_table,
+    coded_stream,
     counted,
-    counting_pool,
     mine_levels,
     parallel_join,
 )
@@ -49,20 +49,15 @@ def count_parallel_expiry(
 
     Candidates that need a type share its list and equal candidates share
     a slot; each count is still exact, since the events a candidate may use
-    form a suffix of each list (see the module docstring). With ``jobs > 1``
-    the call counts in a pool of its own (``episodes.counting_pool``).
+    form a suffix of each list (see the module docstring). ``jobs`` starts
+    no process: the pass reads the stream once, in order; the keyword stays
+    so that callers passing it keep working.
     """
     candidates = list(candidates)
     code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
     keys = [tuple(code[t] for t in ep.etypes) for ep in candidates]
-    with counting_pool(seq, code, jobs, len({key[0] for key in keys})) as count:
-        return counted(candidates, _count(count, keys, cfg), cfg.track_occurrences)
-
-
-def _count(count, keys: list, cfg: MiningConfig) -> list:
-    if cfg.expiry <= 0:
-        raise ValueError("parallel counting needs expiry > 0")
-    return count(_count_keys, keys, [key[0] for key in keys], cfg.track_occurrences, cfg.expiry)
+    results = _count_keys(keys, coded_stream(seq, code), cfg.track_occurrences, cfg.expiry)
+    return counted(candidates, results, cfg.track_occurrences)
 
 
 def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
@@ -70,8 +65,10 @@ def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
     coded stream ``(width, codes, ticks)``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
-    when ``track``.
+    when ``track``. ValueError unless ``expiry > 0``.
     """
+    if expiry <= 0:
+        raise ValueError("parallel counting needs expiry > 0")
     width, codes, ticks = stream
     tlists: list = [None] * width
     watchers: list[list] = [[] for _ in range(width)]  # code -> (slot, needs) of its keys
@@ -118,14 +115,16 @@ def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
-    Every level shares one ``counting_pool``.
+    Every level reads one ``coded_stream``. ``jobs`` starts no process, as
+    each pass is one sequential scan; the keyword stays so that callers
+    passing it keep working.
     """
     code = code_table(seq.alphabet)
     labels = list(code)
-    with counting_pool(seq, code, jobs, len(code)) as count:
-        return mine_levels(
-            [(c,) for c in range(len(code))], cfg, cfg.count_floor(len(seq)),
-            lambda keys: (keys, _count(count, keys, cfg)),
-            parallel_join,
-            lambda key: ParallelEpisode(tuple(map(labels.__getitem__, key))),
-        )
+    stream = coded_stream(seq, code)
+    return mine_levels(
+        [(c,) for c in range(len(code))], cfg, cfg.count_floor(len(seq)),
+        lambda keys: (keys, _count_keys(keys, stream, cfg.track_occurrences, cfg.expiry)),
+        parallel_join,
+        lambda key: ParallelEpisode(tuple(map(labels.__getitem__, key))),
+    )

@@ -66,8 +66,8 @@ from .episodes import (
     MiningConfig,
     MiningLevel,
     code_table,
+    coded_stream,
     counted,
-    counting_pool,
     mine_levels,
     serial_episode,
     serial_join,
@@ -102,19 +102,15 @@ def count_serial_constrained(
     ``start`` never decreases along a list, so the latest entry in a
     window carries the largest ``start`` there, and the candidate
     completes exactly when some chain in the window starts after its last
-    completion (see the module docstring). With ``jobs > 1`` the call
-    counts in a pool of its own (``episodes.counting_pool``).
+    completion (see the module docstring). ``jobs`` starts no process: the
+    pass reads the stream once, in order; the keyword stays so that
+    callers passing it keep working.
     """
     candidates = list(candidates)
     code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
     keys = [serial_key(ep, code) for ep in candidates]
     track = bool(cfg and cfg.track_occurrences)
-    with counting_pool(seq, code, jobs, len({key[0][0] for key in keys})) as count:
-        return counted(candidates, _count(count, keys, track), track)
-
-
-def _count(count, keys: list, track: bool) -> list:
-    return count(_count_keys, keys, [key[0][0] for key in keys], track)
+    return counted(candidates, _count_keys(keys, coded_stream(seq, code), track), track)
 
 
 def _count_keys(keys: list, stream: tuple, track: bool) -> list:
@@ -188,14 +184,14 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
     return [slot[0] for slot in slots]
 
 
-def _hull_survivors(count, keys: list, windows: list, floor: int) -> list:
+def _hull_survivors(keys: list, stream: tuple, windows: list, floor: int) -> list:
     """Level-2 keys whose type pair reaches ``floor`` under the window hull.
 
     The hull counts only bound, so they are taken without tracking.
     """
     hull = ((windows[0][0], windows[-1][1]),)
     pairs = sorted({types for types, _ in keys})
-    bounds = _count(count, [(pair, hull) for pair in pairs], False)
+    bounds = _count_keys([(pair, hull) for pair in pairs], stream, False)
     kept = {pair for pair, bound in zip(pairs, bounds) if bound >= floor}
     return [key for key in keys if key[0] in kept]
 
@@ -204,8 +200,10 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
     Level 2 may first prune its candidates by hull count (see the module
-    docstring); ``seconds`` covers both passes. Every pass shares one
-    ``counting_pool``.
+    docstring); ``seconds`` covers both passes. Every pass reads one
+    ``coded_stream``. ``jobs`` starts no process, as each pass is one
+    sequential scan; the keyword stays so that callers passing it keep
+    working.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
@@ -215,16 +213,15 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     labels = list(code)
     intervals = {(iv.low, iv.high): iv for iv in cfg.candidate_intervals}
     windows = list(intervals)
+    stream = coded_stream(seq, code)
 
-    with counting_pool(seq, code, jobs, len(code)) as count:
+    def count_level(keys):
+        if two_pass and len(keys[0][0]) == 2:
+            keys = _hull_survivors(keys, stream, windows, floor)
+        return keys, _count_keys(keys, stream, cfg.track_occurrences)
 
-        def count_level(keys):
-            if two_pass and len(keys[0][0]) == 2:
-                keys = _hull_survivors(count, keys, windows, floor)
-            return keys, _count(count, keys, cfg.track_occurrences)
-
-        return mine_levels(
-            [((c,), ()) for c in range(len(code))], cfg, floor, count_level,
-            lambda seeds: serial_join(seeds, windows),
-            lambda key: serial_episode(key, labels, intervals),
-        )
+    return mine_levels(
+        [((c,), ()) for c in range(len(code))], cfg, floor, count_level,
+        lambda seeds: serial_join(seeds, windows),
+        lambda key: serial_episode(key, labels, intervals),
+    )

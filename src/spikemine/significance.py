@@ -23,10 +23,11 @@ maxima from size 3 on; the report states both profiles side by side.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
-from .episodes import Interval, MiningConfig, SerialEpisode, pool_size
+from .episodes import Interval, MiningConfig, SerialEpisode
 from .serial import count_serial_constrained, mine_serial
 from .simulator import NetworkConfig, embed_pattern, neuron_labels, simulate
 
@@ -73,6 +74,12 @@ class SignificanceReport:
         return "\n".join(lines) + "\n"
 
 
+def pool_size(jobs: int, tasks: int) -> int:
+    """Processes for ``tasks`` independent tasks, at most ``jobs`` and the usable CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(jobs, cpus or 1, tasks))
+
+
 def _max_profile(args) -> list[int]:
     """Simulate one random dataset and return max frequency per size."""
     config, max_size, interval, beam = args
@@ -92,19 +99,23 @@ def _max_profile(args) -> list[int]:
 
 
 def _min_profile(args) -> list[int]:
-    """Simulate one chain dataset and return min segment frequency per size."""
+    """Simulate one chain dataset and return min segment frequency per size.
+
+    One pass counts the segments of every size; they share prefixes in
+    its trie.
+    """
     config, max_size, interval, chain_length = args
     seq = simulate(config).sequence
     labels = neuron_labels(config.num_neurons)[:chain_length]
-    minima = []
-    for size in range(1, max_size + 1):
-        segments = [
-            SerialEpisode(labels[i : i + size], (interval,) * (size - 1))
-            for i in range(chain_length - size + 1)
-        ]
-        counts = count_serial_constrained(segments, seq)
-        minima.append(min(c.freq for c in counts))
-    return minima
+    segments = [
+        SerialEpisode(labels[i : i + size], (interval,) * (size - 1))
+        for size in range(1, max_size + 1)
+        for i in range(chain_length - size + 1)
+    ]
+    freqs: list[list[int]] = [[] for _ in range(max_size)]
+    for count in count_serial_constrained(segments, seq):
+        freqs[count.episode.size - 1].append(count.freq)
+    return [min(f) for f in freqs]
 
 
 def run_significance(

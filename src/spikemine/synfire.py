@@ -91,13 +91,15 @@ def mine_synfire(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> Syn
     Maximal frequent parallel episodes are rewritten in descending
     frequency order; an event consumed by one composite is unavailable to
     later ones. An empty phase-1 result leaves the stream unchanged.
+    ``jobs`` starts no process, as both phases count in this one; the
+    keyword stays so that callers passing it keep working.
     """
     if cfg.expiry <= 0:
         raise ValueError("synfire mining needs expiry > 0 for the parallel phase")
     if not cfg.candidate_intervals:
         raise ValueError("synfire mining needs candidate intervals for the serial phase")
     pcfg = replace(cfg, track_occurrences=True)
-    parallel_levels = mine_parallel(seq, pcfg, jobs=jobs)
+    parallel_levels = mine_parallel(seq, pcfg)
     frequent = [
         c for level in parallel_levels for c in level.counts if c.episode.size >= 2
     ]
@@ -111,7 +113,7 @@ def mine_synfire(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> Syn
     ]
     maximal.sort(key=rank_key)
     rewritten = rewrite_stream(seq, maximal, on_conflict="skip")
-    serial_levels = mine_serial(rewritten, cfg, jobs=jobs)
+    serial_levels = mine_serial(rewritten, cfg)
     return SynfireResult(
         tuple(parallel_levels), tuple(maximal), rewritten, tuple(serial_levels)
     )

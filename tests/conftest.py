@@ -1,11 +1,9 @@
 import os
 import sys
 from collections import deque
-from concurrent.futures import Future
 
 import pytest
 
-import spikemine.episodes as episodes
 import spikemine.significance as significance
 from spikemine import Event, EventSequence, Interval, SerialEpisode
 
@@ -68,33 +66,13 @@ def cpus(monkeypatch):
     return set_cpus
 
 
-class InlinePools:
-    """What the package hands its pools: ``workers`` holds each pool's
-    ``max_workers``, ``initargs`` each pool's initializer arguments and
-    ``submitted`` the arguments of every ``submit``."""
-
-    def __init__(self):
-        self.workers = []
-        self.initargs = []
-        self.submitted = []
-
-
 class InlineExecutor:
-    """Stands in for ProcessPoolExecutor: records what it is given and runs
-    every call here, so no process starts however large the request."""
+    """Stands in for ProcessPoolExecutor: appends its ``max_workers`` to
+    ``workers`` and maps every call here, so no process starts however
+    large the request."""
 
-    def __init__(self, pools, max_workers, initializer=None, initargs=()):
-        self.pools = pools
-        pools.workers.append(max_workers)
-        pools.initargs.append(initargs)
-        if initializer is not None:
-            initializer(*initargs)
-
-    def submit(self, fn, *args):
-        self.pools.submitted.append(args)
-        future = Future()
-        future.set_result(fn(*args))
-        return future
+    def __init__(self, workers, max_workers):
+        workers.append(max_workers)
 
     def map(self, fn, *iterables):
         return map(fn, *iterables)
@@ -108,11 +86,8 @@ class InlineExecutor:
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """An ``InlinePools`` record of every pool the package makes, run in this process."""
-    pools = InlinePools()
-    monkeypatch.setattr(episodes, "_stream", None)  # the in-process initializer sets it
-    for module in (episodes, significance):
-        monkeypatch.setattr(
-            module, "ProcessPoolExecutor", lambda *a, **kw: InlineExecutor(pools, *a, **kw)
-        )
-    return pools
+    """The ``max_workers`` of every pool ``significance`` makes, each run in this process."""
+    workers = []
+    monkeypatch.setattr(significance, "ProcessPoolExecutor",
+                        lambda max_workers: InlineExecutor(workers, max_workers))
+    return workers

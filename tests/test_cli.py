@@ -73,6 +73,16 @@ def test_mine_output_is_reproducible(tmp_path, tiny_csv):
     assert sha(a) == sha(b)
 
 
+def test_mine_jobs_do_not_change_results(tmp_path, tiny_csv):
+    flags = ["--threshold", "0.2", "--intervals", "0-3,4-6", "--max-size", "3"]
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert main(["mine", "serial", str(tiny_csv), "--out", str(a), "--jobs", "1", *flags]) == 0
+    assert main(["mine", "serial", str(tiny_csv), "--out", str(b), "--jobs", "2", *flags]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert "A -(4,6]-> B -(4,6]-> C" in a.read_text()
+    assert "jobs = 2\n" in (tmp_path / "b.txt.manifest").read_text()
+
+
 def test_mine_synfire_flow(tmp_path):
     path = tmp_path / "in.csv"
     rows = []

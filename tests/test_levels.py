@@ -63,8 +63,7 @@ def plain(levels):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_mining_equals_reference_levels(cpus, inline_pools, jobs):
-    cpus(2)
+def test_mining_equals_reference_levels(jobs):
     rng = random.Random(91)  # the same cases at both job counts
     for _ in range(25):
         seq = coded_order_stream(rng)
@@ -77,7 +76,6 @@ def test_mining_equals_reference_levels(cpus, inline_pools, jobs):
         assert result.rewritten_group_counts == groups
         assert result.rewritten == rewritten
         assert plain(result.serial_levels) == serial
-    assert (len(inline_pools.submitted) > 0) == (jobs == 2)
 
 
 def test_joins_equal_the_object_joins():

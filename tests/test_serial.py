@@ -54,9 +54,8 @@ def test_untracked_result_refuses_occurrences(worked_sequence, worked_episode):
         tracked_occurrences(res)
 
 
-def test_zero_count_episode_tracks_empty(worked_sequence, cpus, inline_pools):
+def test_zero_count_episode_tracks_empty(worked_sequence):
     # "D" then "A" never occurs; "Z" and "0" are outside the alphabet, "0" sorting first
-    cpus(2)
     w = (Interval(0, 2),)
     serial_absent = [SerialEpisode(("D", "A"), w), SerialEpisode(("Z",)),
                      SerialEpisode(("Z", "A"), w), SerialEpisode(("A", "Z"), w),
@@ -65,21 +64,14 @@ def test_zero_count_episode_tracks_empty(worked_sequence, cpus, inline_pools):
     parallel_absent = [ParallelEpisode(p) for p in (("Z",), ("A", "Z"), ("Z", "Z"), ("0", "B"))]
     parallel_present = ParallelEpisode(("A", "B"))
     pcfg = MiningConfig(expiry=3, track_occurrences=True)
-    for jobs in (1, 2):  # in this process, then in two chunks of an (inline) pool
-        *zeros, res = count_serial_constrained(
-            serial_absent + [serial_present], worked_sequence, TRACK, jobs=jobs
-        )
-        assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
-        assert res.occurrences == serial_oracle_occurrences(serial_present, worked_sequence)
+    *zeros, res = count_serial_constrained(serial_absent + [serial_present], worked_sequence, TRACK)
+    assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+    assert res.occurrences == serial_oracle_occurrences(serial_present, worked_sequence)
 
-        *zeros, res = count_parallel_expiry(
-            parallel_absent + [parallel_present], worked_sequence, pcfg, jobs=jobs
-        )
-        assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
-        assert res.occurrences == parallel_oracle_occurrences(parallel_present, worked_sequence, 3)
-        assert res.freq > 0
-    assert inline_pools.workers == [2, 2]
-    assert len(inline_pools.submitted) == 4
+    *zeros, res = count_parallel_expiry(parallel_absent + [parallel_present], worked_sequence, pcfg)
+    assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+    assert res.occurrences == parallel_oracle_occurrences(parallel_present, worked_sequence, 3)
+    assert res.freq > 0
 
 
 def test_single_node_counts_every_event(worked_sequence):
@@ -389,7 +381,7 @@ def churn_stream(rng, types):
     return EventSequence(events)
 
 
-def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch, cpus, inline_pools):
+def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch):
     # wide alphabets, so every root has many child types and goes live and
     # empty many times. After the late last event no window can reach any
     # entry, so every time list the pass made must be empty again.
@@ -404,13 +396,12 @@ def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch, cpus, inline_
 
     monkeypatch.setattr(serial, "deque", RecordedDeque)
 
-    def one_pass(eps, seq, jobs=1):
-        results = count_serial_constrained(eps, seq, TRACK, jobs=jobs)
+    def one_pass(eps, seq):
+        results = count_serial_constrained(eps, seq, TRACK)
         assert lists and not any(lists), "entries outlived every window"
         lists.clear()
         return results
 
-    cpus(2)
     rng = random.Random(1010)
     for _ in range(10):
         types = string.ascii_uppercase[: rng.randint(10, 20)]
@@ -427,6 +418,4 @@ def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch, cpus, inline_
         for ep, res in zip(eps, solo):
             assert res.freq == serial_oracle_count(ep, seq), ep
             assert res.occurrences == serial_oracle_occurrences(ep, seq), ep
-        for jobs in (1, 2):  # in this process, then in two chunks of an (inline) pool
-            assert one_pass(eps, seq, jobs) == solo
-    assert inline_pools.workers == [2] * 10
+        assert one_pass(eps, seq) == solo

@@ -1,7 +1,16 @@
 import pytest
 
 import spikemine.significance as significance
-from spikemine import Interval, NetworkConfig, run_significance
+from spikemine import (
+    Interval,
+    NetworkConfig,
+    SerialEpisode,
+    count_serial_constrained,
+    embed_pattern,
+    run_significance,
+    simulate,
+)
+from spikemine.simulator import neuron_labels
 from spikemine.significance import SignificanceReport
 
 
@@ -81,6 +90,36 @@ def test_jobs_do_not_change_results():
     multi = run_significance(base, jobs=2, **kwargs)
     assert solo.random_avg_max == multi.random_avg_max
     assert solo.patterned_avg_min == multi.patterned_avg_min
+
+
+def test_significance_workers_bounded(cpus, inline_pools):
+    cpus(8)
+    kwargs = dict(
+        weight_seeds=1, noise_runs_per_seed=2, random_rate_runs=1,
+        patterned_runs=1, max_size=2, beam_width=40, chain_length=4,
+    )
+    multi = run_significance(NetworkConfig(duration=2.0), jobs=10**6, **kwargs)
+    assert inline_pools == [3]  # three random datasets, one patterned
+    solo = run_significance(NetworkConfig(duration=2.0), **kwargs)
+    assert inline_pools == [3]
+    assert (multi.random_avg_max, multi.patterned_avg_min) == (
+        solo.random_avg_max, solo.patterned_avg_min
+    )
+
+
+def test_min_profile_one_pass_equals_one_pass_per_size():
+    chain = embed_pattern(NetworkConfig(duration=4.0, seed=11), "chain-6")
+    interval = Interval(0, 5)
+    seq = simulate(chain).sequence
+    labels = neuron_labels(chain.num_neurons)[:6]
+    per_size = [
+        min(c.freq for c in count_serial_constrained(
+            [SerialEpisode(labels[i : i + size], (interval,) * (size - 1))
+             for i in range(6 - size + 1)], seq))
+        for size in range(1, 6)
+    ]
+    assert significance._min_profile((chain, 5, interval, 6)) == per_size
+    assert per_size[-1] > 0  # the chain fires, so no minimum is trivially 0
 
 
 def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
