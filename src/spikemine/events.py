@@ -118,12 +118,22 @@ def format_seconds(ticks: int, tick: Fraction) -> str:
     otherwise rounded to the fewest places that stay within half a tick.
     Trailing zeros are dropped. A tick in milliseconds gives milliseconds.
     """
+    return seconds_formatter(tick)(ticks)
+
+
+def seconds_formatter(tick: Fraction):
+    """``format_seconds`` at one ``tick``, with its per-tick constants computed once."""
     num, den = tick.numerator, tick.denominator
     places = _decimal_places(num, den)
-    text = str((ticks * num * 10**places + den // 2) // den).rjust(places + 1, "0")
-    point = len(text) - places
-    whole, frac = text[:point], text[point:].rstrip("0")
-    return f"{whole}.{frac}" if frac else whole
+    scale, half, width = num * 10**places, den // 2, places + 1
+
+    def format_ticks(ticks: int) -> str:
+        text = str((ticks * scale + half) // den).rjust(width, "0")
+        point = len(text) - places
+        whole, frac = text[:point], text[point:].rstrip("0")
+        return f"{whole}.{frac}" if frac else whole
+
+    return format_ticks
 
 
 @lru_cache(maxsize=64)
@@ -240,8 +250,7 @@ def _first_non_utf8_line(path) -> int:
 def write_spike_file(seq: EventSequence, path) -> None:
     """Write a spike CSV such that re-parsing reproduces ``seq`` exactly."""
     path = Path(path)
-    tick = seq.tick_seconds
+    seconds = seconds_formatter(seq.tick_seconds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# spike stream: label,seconds\n")
-        for ev in seq.events:
-            fh.write(f"{ev.etype},{format_seconds(ev.time, tick)}\n")
+        fh.writelines(f"{ev.etype},{seconds(ev.time)}\n" for ev in seq.events)

@@ -44,12 +44,22 @@ Decision order. Every input of step k is a spike at least one step back
 (one synaptic delay or one strong-edge delay), and zero input gives
 exactly the resting probability. So ``simulate`` decides every step at
 rest with one comparison of all draws (uniform mode, which has no input,
-at each step's own probability), flags the steps those spikes reach, and
-recomputes only flagged steps, in one sweep in step order and with the
-per-step arithmetic, so every row they read is final; a spike a
-recomputation adds flags its own targets, which lie later in the sweep.
-With ``refractory_steps > 1`` the same sweep applies the refractory mask
-at every step. The events are bit-identical to deciding one step at a time.
+at each step's own probability) and flags the steps those spikes reach.
+Waves then recompute every flagged step of the whole run at once, in
+slices of array calls, from the rows as they stand; a step that any
+changed bit reaches is flagged for the next wave. Each row depends only
+on earlier rows, so the waves converge to the one result. A step takes
+part in at most ``_WAVE_VISITS`` waves, and waves stop once they no longer
+shrink by ``_WAVE_SHRINK`` (a chain that never dies out, such as a ring);
+the steps still flagged are deferred to the ordered sweep, which starts
+at the earliest of them and recomputes flagged steps in step order with
+the per-step arithmetic, so every row they read is final, and flags the
+targets of every bit it changes. With ``refractory_steps > 1`` every
+flagged step goes to the sweep, which also applies the refractory mask.
+Input sums are exact: a row with at most two spikes sums two weight rows,
+which rounds the same in any order, a row with more uses ``@`` as the
+per-step arithmetic does, and strong-edge weights add to each target in
+config order. The events are bit-identical to deciding one step at a time.
 """
 
 from __future__ import annotations
@@ -71,6 +81,16 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # grid. Its draws alone take 8 bytes a cell, about 1 GiB at the bound; a
 # larger grid would fail in numpy's allocator rather than as a config error.
 MAX_GRID_CELLS = 100 * 50_000 * 26
+
+# Steps a wave recomputes per set of array calls: at 128 rows of 26 neurons its
+# float temporaries take 26 KiB each, too little to raise the grid's peak RSS.
+_WAVE_SLICE = 128
+# Waves a step may take part in: a step still changing after two sits on a
+# chain that waves advance one hop at a time, which the ordered sweep finishes.
+_WAVE_VISITS = 2
+# Largest size a wave may have as a share of the one before: waves that shrink
+# slower follow chains that do not die out (a ring), and the sweep takes those.
+_WAVE_SHRINK = 0.9
 
 
 class ConfigError(ValueError):
@@ -200,7 +220,11 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     # draw all randomness up front; every step starts at its zero-input decision
     if network:
         draws = noise_rng.random((steps, n))
-        fired = draws < -np.expm1(-update_rates(np.zeros(n), config) * dt)
+        # silent rows before step 0, so the waves read k - delay without a bounds test
+        lead = max([h] + [min(edge.delay_steps, steps) for edge in edges])
+        cells = np.zeros((lead + steps, n), dtype=bool)
+        fired = cells[lead:]
+        np.less(draws, -np.expm1(-update_rates(np.zeros(n), config) * dt), out=fired)
     else:
         # -expm1(-rates * dt) in place, so the grid holds two float arrays, not four
         p_fire = noise_rng.uniform(0.0, config.lambda_max, (steps, n))
@@ -218,11 +242,16 @@ def simulate(config: NetworkConfig) -> SpikeRun:
         for edge in edges:
             delay = min(edge.delay_steps, steps)
             flagged[delay:delay + steps] |= fired[:, edge.src]
+    refractory = config.refractory_steps > 1
+    if network and not refractory:
+        _waves(config, weights, draws, cells, flagged, h)
+    deferred = np.flatnonzero(flagged[:steps])
+    start = 0 if refractory else int(deferred[0]) if deferred.size else steps
     flagged, spiking = bytearray(flagged), bytearray(spiking)  # fast to index one by one
     last_spike = np.full(n, -(10**9), dtype=np.int64)
 
-    # one sweep in step order: a flag always lands on a later step than the one setting it
-    for k in range(steps):
+    # the ordered sweep: a flag always lands on a later step than the one setting it
+    for k in range(start, steps):
         if flagged[k]:
             total_in = fired[k - h] @ weights if k >= h else np.zeros(n)
             for edge in edges:
@@ -230,11 +259,11 @@ def simulate(config: NetworkConfig) -> SpikeRun:
                 if back >= 0 and fired[back, edge.src]:
                     total_in[edge.dst] += edge.weight
             row = draws[k] < -np.expm1(-update_rates(total_in, config) * dt)
-            for j in np.flatnonzero(row & ~fired[k]).tolist():
+            for j in np.flatnonzero(row ^ fired[k]).tolist():
                 for delay in delays[j]:
                     flagged[k + delay] = True
             fired[k] = row
-        if config.refractory_steps > 1 and (flagged[k] or spiking[k]):
+        if refractory and (flagged[k] or spiking[k]):
             fired[k] &= (k - last_spike) >= config.refractory_steps
             last_spike[fired[k]] = k
 
@@ -243,6 +272,75 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     events = [Event(labels[j], k) for k, j in zip(ks.tolist(), js.tolist())]
     seq = EventSequence(events, as_tick_seconds(config.delta_t), labels)
     return SpikeRun(seq, config, len(events))
+
+
+def _waves(config: NetworkConfig, weights, draws, cells, flagged, h: int) -> None:
+    """Recompute flagged steps in whole-run waves until only deferred ones stay flagged.
+
+    ``cells`` is the fired grid after its silent lead rows; it is updated in
+    place. A wave recomputes every flagged step from the current rows, in
+    slices, and flags the steps any changed bit reaches. A step that has been
+    in ``_WAVE_VISITS`` waves stays flagged for the ordered sweep, and so does
+    every flagged step once a wave fails to shrink by ``_WAVE_SHRINK``.
+
+    Two rules keep the peak RSS where the grid sets it. Every slice has the
+    same shape, because numpy keeps freed arrays under 1 KiB for reuse, a few
+    of each byte size, so arrays of ever new small sizes pile up. And the
+    array calls keep to kernels the rest of a run loads anyway (float counts,
+    no integer comparisons), since each new kernel adds its code pages.
+    """
+    steps, n = draws.shape
+    lead = len(cells) - steps
+    fired = cells[lead:]
+    # strong edges in layers with one edge per target, each layer holding every
+    # target's next edge in config order, so weights add in the per-step order
+    layers, ranks = [], {}
+    for edge in config.strong_edges:
+        rank = ranks[edge.dst] = ranks.get(edge.dst, -1) + 1
+        if rank == len(layers):
+            layers.append([])
+        layers[rank].append(edge)
+    layers = [(np.array([e.src for e in layer], dtype=np.intp),
+               np.array([e.dst for e in layer], dtype=np.intp),
+               np.array([e.weight for e in layer]),
+               np.array([lead - min(e.delay_steps, steps) for e in layer], dtype=np.intp))
+              for layer in layers]
+    reach = {}  # delay -> the neurons whose spikes reach that far along a strong edge
+    for edge in config.strong_edges:
+        reach.setdefault(min(edge.delay_steps, steps), set()).add(edge.src)
+    reach = [(delay, np.array(sorted(srcs), dtype=np.intp)) for delay, srcs in reach.items()]
+    padded = np.vstack([weights, np.zeros(n)])  # row n stands for "no spike"
+    columns = np.arange(n, dtype=float)
+    taken = np.zeros((_WAVE_VISITS, steps), dtype=bool)  # taken[i, k]: k was in more than i waves
+    last_size = math.inf
+    while True:
+        wave = np.flatnonzero(flagged[:steps] & ~taken[-1])
+        if wave.size > _WAVE_SHRINK * last_size or not wave.size:
+            return
+        last_size = wave.size
+        taken[1:, wave] = taken[:-1, wave]
+        taken[0, wave] = True
+        for lo in range(0, wave.size, _WAVE_SLICE):
+            # a short slice repeats its steps (each copy computes the same row)
+            ks = np.resize(wave[lo:lo + _WAVE_SLICE], _WAVE_SLICE)
+            flagged[ks] = False  # earlier slices' changes are read below
+            rows = cells[ks + (lead - h)]
+            count = rows.sum(axis=1, dtype=float)
+            # a row's first and last spike (n for none) pick rows of ``padded``: a sum
+            # of at most two terms rounds the same in any order, so it equals ``@``
+            first = np.where(rows, columns, n).min(axis=1)
+            last = np.where(count > 1, np.where(rows, columns, 0).max(axis=1), n)
+            total_in = padded[first.astype(np.intp)] + padded[last.astype(np.intp)]
+            for i in np.flatnonzero(count > 2).tolist():  # rare; their order matters
+                total_in[i] = rows[i] @ weights
+            for src, dst, gain, back in layers:
+                total_in[:, dst] += cells[ks[:, None] + back, src] * gain  # a miss adds 0.0
+            row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
+            changed = row ^ fired[ks]
+            fired[ks] = row
+            flagged[ks + h] |= changed.any(axis=1)
+            for delay, srcs in reach:
+                flagged[ks + delay] |= changed[:, srcs].any(axis=1)
 
 
 # ---------------------------------------------------------------------------

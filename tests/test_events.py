@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemine import Event, EventSequence, SpikeFileError, parse_spike_file, write_spike_file
-from spikemine.events import format_seconds, half_up
+from spikemine.events import format_seconds, half_up, seconds_formatter
 
 from oracles import quantize_oracle, round_half_up
 
@@ -220,3 +220,32 @@ def test_negative_time_rejected():
 )
 def test_format_seconds_exact(value, expected):
     assert format_seconds(value.numerator, Fraction(1, value.denominator)) == expected
+
+
+def format_seconds_reference(ticks: int, tick: Fraction) -> str:
+    """The per-event formula ``write_spike_file`` used before its constants were hoisted."""
+    num, den = tick.numerator, tick.denominator
+    places = 0
+    exact = 10 ** den.bit_length() % den == 0
+    while (10**places % den if exact else 10**places * num <= den):
+        places += 1
+    text = str((ticks * num * 10**places + den // 2) // den).rjust(places + 1, "0")
+    point = len(text) - places
+    whole, frac = text[:point], text[point:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+ANY_TICK = st.one_of(
+    st.sampled_from([Fraction(1, 1000), Fraction(1, 3000), Fraction(1, 7), Fraction(3, 2)]),
+    st.builds(Fraction, st.integers(1, 10**4), st.integers(1, 10**7)),
+)
+
+
+@settings(max_examples=300)
+@given(tick=ANY_TICK, ticks=st.lists(st.integers(0, 10**12), min_size=1, max_size=10))
+def test_hoisted_formatter_matches_format_seconds(tick, ticks):
+    seconds = seconds_formatter(tick)
+    for k in ticks:
+        text = seconds(k)
+        assert text == format_seconds(k, tick) == format_seconds_reference(k, tick)
+        assert quantize_oracle(text, tick) == k  # the text reads back as its tick

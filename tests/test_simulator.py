@@ -146,7 +146,7 @@ class TestDecisionOrder:
     @pytest.mark.parametrize("pattern", ["none", "example1", "example2", "example3", "chain-5"])
     def test_sweep_equals_step_oracle(self, pattern):
         for seed, refractory, mode, delay in itertools.product(
-            range(3), (1, 2, 4), ("network", "uniform"), (1, 5)
+            range(3), (1, 2, 3, 4), ("network", "uniform"), (1, 5)
         ):
             assert_matches_oracle(embed_pattern(
                 NetworkConfig(duration=1.0, seed=seed, refractory_steps=refractory,
@@ -202,6 +202,28 @@ class TestDecisionOrder:
             for ev in events:
                 assert ev.time - last.get(ev.etype, -refractory) >= refractory
                 last[ev.etype] = ev.time
+
+    def test_strong_ring_takes_the_deferred_sweep(self):
+        # every spike circles the ring for good, so waves stop shrinking and the
+        # ordered sweep finishes steps whose rows waves already changed
+        ring = tuple(StrongEdge(i, (i + 1) % 26, 11.0, 5) for i in range(26))
+        for seed in range(2):
+            events = assert_matches_oracle(NetworkConfig(duration=1.5, seed=seed, strong_edges=ring))
+            assert len(events) > 3 * 1500
+
+    def test_busy_network_sums_crowded_rows(self):
+        # rows with three or more spikes add their inputs in ``@``'s own order
+        for seed in range(2):
+            events = assert_matches_oracle(NetworkConfig(rate_offset=2.0, duration=1.0, seed=seed))
+            per_step = np.bincount([ev.time for ev in events])
+            assert (per_step >= 3).sum() > 50
+
+    @pytest.mark.parametrize("num_neurons", [1, 2])
+    def test_tiny_networks_with_a_strong_edge(self, num_neurons):
+        edges = (StrongEdge(0, num_neurons - 1, 11.0, 3),)
+        for seed in range(3):
+            assert_matches_oracle(NetworkConfig(num_neurons=num_neurons, rate_offset=3.0,
+                                                duration=2.0, seed=seed, strong_edges=edges))
 
     def test_uniform_mode_with_refractory(self):
         for seed in range(3):
