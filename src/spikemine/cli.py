@@ -222,6 +222,8 @@ def cmd_significance(args) -> int:
     if not 1 <= args.max_size <= CHAIN_LENGTH:
         raise UsageError(f"--max-size must be from 1 to {CHAIN_LENGTH}, the embedded chain length")
     _check_jobs(args.jobs)
+    if args.seed < 0:
+        raise UsageError("--seed must be at least 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scale == "paper":

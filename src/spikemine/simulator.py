@@ -40,26 +40,25 @@ Runs are reproducible: the weight draw and the firing draws use separate
 generators derived from (weight_seed, seed), so the significance study
 can vary noise under fixed wiring.
 
-Decision order. Every input of step k is a spike at least one step back
-(one synaptic delay or one strong-edge delay), and zero input gives
-exactly the resting probability. So ``simulate`` decides every step at
-rest with one comparison of all draws (uniform mode, which has no input,
-at each step's own probability) and flags the steps those spikes reach.
-Waves then recompute every flagged step of the whole run at once, in
-slices of array calls, from the rows as they stand; a step that any
-changed bit reaches is flagged for the next wave. Each row depends only
-on earlier rows, so the waves converge to the one result. A step takes
-part in at most ``_WAVE_VISITS`` waves, and waves stop once they no longer
-shrink by ``_WAVE_SHRINK`` (a chain that never dies out, such as a ring);
-the steps still flagged are deferred to the ordered sweep, which starts
-at the earliest of them and recomputes flagged steps in step order with
-the per-step arithmetic, so every row they read is final, and flags the
-targets of every bit it changes. With ``refractory_steps > 1`` every
-flagged step goes to the sweep, which also applies the refractory mask.
-Input sums are exact: a row with at most two spikes sums two weight rows,
-which rounds the same in any order, a row with more uses ``@`` as the
-per-step arithmetic does, and strong-edge weights add to each target in
-config order. The events are bit-identical to deciding one step at a time.
+Decision order. Every input of step k is a spike at least one step back:
+one synaptic delay, one strong-edge delay, or, for the refractory mask,
+one of the last ``refractory_steps - 1`` steps. With none of them a step
+fires at exactly the resting probability. So in network mode ``simulate``
+decides every step at rest with one comparison of all draws, then
+recomputes the steps a changed row reaches. One function computes the rows
+of a set of steps from the rows as they stand, mask included, and one
+function flags the steps each changed bit reaches. Waves recompute every
+flagged step of the run, in slices; each row depends only on earlier rows,
+so they converge to the one result. They stop when a wave is empty or
+fails to shrink by ``_WAVE_SHRINK`` (a chain that never dies out, such as
+a ring). An ordered sweep then recomputes the steps still flagged, one
+block at a time from the earliest; a block is no longer than the shortest
+delay, so it reads only final rows and flags only later blocks. Input sums
+are exact: a row with at most two spikes sums two weight rows, which
+rounds the same in any order, a row with more uses ``@``, and strong-edge
+weights add to each target in config order. The events are bit-identical
+to deciding one step at a time. Uniform mode has no input: it decides each
+step at its own probability, then masks refractory spikes in step order.
 """
 
 from __future__ import annotations
@@ -82,12 +81,10 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # larger grid would fail in numpy's allocator rather than as a config error.
 MAX_GRID_CELLS = 100 * 50_000 * 26
 
-# Steps a wave recomputes per set of array calls: at 128 rows of 26 neurons its
-# float temporaries take 26 KiB each, too little to raise the grid's peak RSS.
+# Steps a wave recomputes per set of array calls (a sweep block is no longer): at
+# 128 rows of 26 neurons its float temporaries take 26 KiB each, too little to
+# raise the grid's peak RSS.
 _WAVE_SLICE = 128
-# Waves a step may take part in: a step still changing after two sits on a
-# chain that waves advance one hop at a time, which the ordered sweep finishes.
-_WAVE_VISITS = 2
 # Largest size a wave may have as a share of the one before: waves that shrink
 # slower follow chains that do not die out (a ring), and the sweep takes those.
 _WAVE_SHRINK = 0.9
@@ -161,6 +158,8 @@ class NetworkConfig:
             raise ConfigError("synaptic_delay_steps must be >= 1")
         if self.refractory_steps < 1:
             raise ConfigError("refractory_steps must be >= 1")
+        if self.seed < 0 or (self.weight_seed or 0) < 0:
+            raise ConfigError("seed and weight_seed must be >= 0")
         if self.rate_mode not in ("network", "uniform"):
             raise ConfigError(f"rate_mode must be 'network' or 'uniform', got {self.rate_mode!r}")
         for edge in self.strong_edges:
@@ -198,73 +197,22 @@ def update_rates(inputs, config: NetworkConfig):
 def simulate(config: NetworkConfig) -> SpikeRun:
     """Run the network; deterministic for a fixed (seed, weight_seed).
 
-    Decides each step at zero input, then recomputes the steps a spike
-    reaches, in step order (see "Decision order" in the module docstring).
+    See "Decision order" in the module docstring.
     """
     n = config.num_neurons
     steps = config.steps
-    weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
-    weight_rng = np.random.default_rng([weight_seed, 0])
     noise_rng = np.random.default_rng([config.seed, 1])
-
-    weights = weight_rng.uniform(-config.weight_bound, config.weight_bound, (n, n))
-    np.fill_diagonal(weights, 0.0)
-    for edge in config.strong_edges:
-        weights[edge.src, edge.dst] = 0.0  # strong edges applied with their own delay
-
-    h = min(config.synaptic_delay_steps, steps)  # any delay >= steps reaches past the run
-    dt = config.delta_t
-    network = config.rate_mode == "network"
-    edges = config.strong_edges if network else ()
-
-    # draw all randomness up front; every step starts at its zero-input decision
-    if network:
-        draws = noise_rng.random((steps, n))
-        # silent rows before step 0, so the waves read k - delay without a bounds test
-        lead = max([h] + [min(edge.delay_steps, steps) for edge in edges])
-        cells = np.zeros((lead + steps, n), dtype=bool)
-        fired = cells[lead:]
-        np.less(draws, -np.expm1(-update_rates(np.zeros(n), config) * dt), out=fired)
+    period = min(config.refractory_steps, steps)  # a longer one masks the same spikes
+    if config.rate_mode == "network":
+        fired = _network(config, noise_rng.random((steps, n)), period - 1)
     else:
         # -expm1(-rates * dt) in place, so the grid holds two float arrays, not four
         p_fire = noise_rng.uniform(0.0, config.lambda_max, (steps, n))
-        np.negative(np.expm1(np.multiply(p_fire, -dt, out=p_fire), out=p_fire), out=p_fire)
+        np.negative(np.expm1(np.multiply(p_fire, -config.delta_t, out=p_fire), out=p_fire), out=p_fire)
         fired = noise_rng.random((steps, n)) < p_fire
-
-    # a spike of neuron j at step k is input to step k + delay for each delay in delays[j]
-    delays = [[h] for _ in range(n)]
-    for edge in edges:
-        delays[edge.src].append(min(edge.delay_steps, steps))
-    spiking = fired.any(axis=1)  # per step at rest; only a flagged step can change
-    flagged = np.zeros(2 * steps, dtype=bool)
-    if network:
-        flagged[h:h + steps] = spiking
-        for edge in edges:
-            delay = min(edge.delay_steps, steps)
-            flagged[delay:delay + steps] |= fired[:, edge.src]
-    refractory = config.refractory_steps > 1
-    if network and not refractory:
-        _waves(config, weights, draws, cells, flagged, h)
-    deferred = np.flatnonzero(flagged[:steps])
-    start = 0 if refractory else int(deferred[0]) if deferred.size else steps
-    flagged, spiking = bytearray(flagged), bytearray(spiking)  # fast to index one by one
-    last_spike = np.full(n, -(10**9), dtype=np.int64)
-
-    # the ordered sweep: a flag always lands on a later step than the one setting it
-    for k in range(start, steps):
-        if flagged[k]:
-            total_in = fired[k - h] @ weights if k >= h else np.zeros(n)
-            for edge in edges:
-                back = k - edge.delay_steps
-                if back >= 0 and fired[back, edge.src]:
-                    total_in[edge.dst] += edge.weight
-            row = draws[k] < -np.expm1(-update_rates(total_in, config) * dt)
-            for j in np.flatnonzero(row ^ fired[k]).tolist():
-                for delay in delays[j]:
-                    flagged[k + delay] = True
-            fired[k] = row
-        if refractory and (flagged[k] or spiking[k]):
-            fired[k] &= (k - last_spike) >= config.refractory_steps
+        last_spike = np.full(n, -period)  # never fired, so never refractory
+        for k in np.flatnonzero(fired.any(axis=1)).tolist() if period > 1 else ():
+            fired[k] &= k - last_spike >= period
             last_spike[fired[k]] = k
 
     labels = config.labels
@@ -274,24 +222,28 @@ def simulate(config: NetworkConfig) -> SpikeRun:
     return SpikeRun(seq, config, len(events))
 
 
-def _waves(config: NetworkConfig, weights, draws, cells, flagged, h: int) -> None:
-    """Recompute flagged steps in whole-run waves until only deferred ones stay flagged.
+def _network(config: NetworkConfig, draws, rest: int):
+    """The fired grid of a network-mode run; ``rest`` rows feed the refractory mask.
 
-    ``cells`` is the fired grid after its silent lead rows; it is updated in
-    place. A wave recomputes every flagged step from the current rows, in
-    slices, and flags the steps any changed bit reaches. A step that has been
-    in ``_WAVE_VISITS`` waves stays flagged for the ordered sweep, and so does
-    every flagged step once a wave fails to shrink by ``_WAVE_SHRINK``.
+    ``step`` recomputes the rows of the steps it is given and ``flag`` marks
+    the steps their changed bits reach. Waves hand ``step`` fixed-shape
+    slices of every flagged step; the ordered sweep hands it one block.
 
-    Two rules keep the peak RSS where the grid sets it. Every slice has the
-    same shape, because numpy keeps freed arrays under 1 KiB for reuse, a few
-    of each byte size, so arrays of ever new small sizes pile up. And the
+    Two rules keep the peak RSS where the grid sets it. Every wave slice has
+    the same shape, because numpy keeps freed arrays under 1 KiB for reuse, a
+    few of each byte size, so arrays of ever new small sizes pile up. And the
     array calls keep to kernels the rest of a run loads anyway (float counts,
     no integer comparisons), since each new kernel adds its code pages.
     """
     steps, n = draws.shape
-    lead = len(cells) - steps
-    fired = cells[lead:]
+    weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
+    weights = np.random.default_rng([weight_seed, 0]).uniform(
+        -config.weight_bound, config.weight_bound, (n, n))
+    np.fill_diagonal(weights, 0.0)
+    for edge in config.strong_edges:
+        weights[edge.src, edge.dst] = 0.0  # strong edges applied with their own delay
+
+    h = min(config.synaptic_delay_steps, steps)  # any delay >= steps reaches past the run
     # strong edges in layers with one edge per target, each layer holding every
     # target's next edge in config order, so weights add in the per-step order
     layers, ranks = [], {}
@@ -303,44 +255,70 @@ def _waves(config: NetworkConfig, weights, draws, cells, flagged, h: int) -> Non
     layers = [(np.array([e.src for e in layer], dtype=np.intp),
                np.array([e.dst for e in layer], dtype=np.intp),
                np.array([e.weight for e in layer]),
-               np.array([lead - min(e.delay_steps, steps) for e in layer], dtype=np.intp))
+               np.array([min(e.delay_steps, steps) for e in layer], dtype=np.intp))
               for layer in layers]
-    reach = {}  # delay -> the neurons whose spikes reach that far along a strong edge
-    for edge in config.strong_edges:
-        reach.setdefault(min(edge.delay_steps, steps), set()).add(edge.src)
-    reach = [(delay, np.array(sorted(srcs), dtype=np.intp)) for delay, srcs in reach.items()]
+    delays = [h, *(min(edge.delay_steps, steps) for edge in config.strong_edges)]
+    # silent rows before step 0, so a step reads k - delay without a bounds test
+    lead = max(rest, *delays)
+    cells = np.zeros((lead + steps, n), dtype=bool)
+    fired = cells[lead:]
+    np.less(draws, -np.expm1(-update_rates(np.zeros(n), config) * config.delta_t), out=fired)
     padded = np.vstack([weights, np.zeros(n)])  # row n stands for "no spike"
     columns = np.arange(n, dtype=float)
-    taken = np.zeros((_WAVE_VISITS, steps), dtype=bool)  # taken[i, k]: k was in more than i waves
+    flagged = np.zeros(2 * steps, dtype=bool)
+
+    def flag(ks, changed):
+        hit = changed.any(axis=1)
+        flagged[ks + h] |= hit
+        for src, _, _, delay in layers:
+            i, e = np.nonzero(changed[:, src])
+            flagged[ks[i] + delay[e]] = True
+        for k in ks[hit].tolist() if rest else ():  # the steps whose mask reads row k
+            flagged[k + 1:k + 1 + rest] = True
+
+    def step(ks):
+        flagged[ks] = False  # earlier calls' changes are read below
+        rows = cells[ks + (lead - h)]
+        count = rows.sum(axis=1, dtype=float)
+        # a row's first and last spike (n for none) pick rows of ``padded``: a sum
+        # of at most two terms rounds the same in any order, so it equals ``@``
+        first = np.where(rows, columns, n).min(axis=1)
+        last = np.where(count > 1, np.where(rows, columns, 0).max(axis=1), n)
+        total_in = padded[first.astype(np.intp)] + padded[last.astype(np.intp)]
+        for i in np.flatnonzero(count > 2).tolist():  # rare; their order matters
+            total_in[i] = rows[i] @ weights
+        for src, dst, gain, delay in layers:
+            total_in[:, dst] += cells[ks[:, None] + (lead - delay), src] * gain  # a miss adds 0.0
+        row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
+        if rest:  # refractory: a spike of the same neuron in the last rest rows
+            ends = (ks + lead).tolist()
+            for i, j in np.argwhere(row).tolist():
+                row[i, j] = not np.count_nonzero(cells[ends[i] - rest:ends[i], j])
+        changed = row ^ fired[ks]
+        fired[ks] = row
+        flag(ks, changed)
+
+    flag(np.arange(steps), fired)  # each spike of the rest decision is a changed bit
     last_size = math.inf
     while True:
-        wave = np.flatnonzero(flagged[:steps] & ~taken[-1])
-        if wave.size > _WAVE_SHRINK * last_size or not wave.size:
-            return
+        wave = np.flatnonzero(flagged[:steps])
+        if not wave.size or wave.size > _WAVE_SHRINK * last_size:
+            break
         last_size = wave.size
-        taken[1:, wave] = taken[:-1, wave]
-        taken[0, wave] = True
         for lo in range(0, wave.size, _WAVE_SLICE):
             # a short slice repeats its steps (each copy computes the same row)
-            ks = np.resize(wave[lo:lo + _WAVE_SLICE], _WAVE_SLICE)
-            flagged[ks] = False  # earlier slices' changes are read below
-            rows = cells[ks + (lead - h)]
-            count = rows.sum(axis=1, dtype=float)
-            # a row's first and last spike (n for none) pick rows of ``padded``: a sum
-            # of at most two terms rounds the same in any order, so it equals ``@``
-            first = np.where(rows, columns, n).min(axis=1)
-            last = np.where(count > 1, np.where(rows, columns, 0).max(axis=1), n)
-            total_in = padded[first.astype(np.intp)] + padded[last.astype(np.intp)]
-            for i in np.flatnonzero(count > 2).tolist():  # rare; their order matters
-                total_in[i] = rows[i] @ weights
-            for src, dst, gain, back in layers:
-                total_in[:, dst] += cells[ks[:, None] + back, src] * gain  # a miss adds 0.0
-            row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
-            changed = row ^ fired[ks]
-            fired[ks] = row
-            flagged[ks + h] |= changed.any(axis=1)
-            for delay, srcs in reach:
-                flagged[ks + delay] |= changed[:, srcs].any(axis=1)
+            step(np.resize(wave[lo:lo + _WAVE_SLICE], _WAVE_SLICE))
+    # the ordered sweep: a block no longer than the shortest delay reads only
+    # rows before it, and every flag it sets lands in a later block
+    block = 1 if rest else min(_WAVE_SLICE, *delays)
+    lo = 0
+    while lo < steps:
+        lo += int(flagged[lo:steps].argmax())  # the next flagged step, if any is left
+        if not flagged[lo]:
+            break
+        step(np.flatnonzero(flagged[lo:min(lo + block, steps)]) + lo)
+        lo += block
+    return fired
 
 
 # ---------------------------------------------------------------------------

@@ -320,7 +320,7 @@ def simulate_oracle(config) -> tuple[Event, ...]:
         weights[edge.src, edge.dst] = 0.0
 
     fired = np.zeros((steps, n), dtype=np.uint8)
-    last_spike = np.full(n, -(10**9), dtype=np.int64)
+    last_spike = np.full(n, -math.inf)  # never fired, so never refractory
     h = config.synaptic_delay_steps
     dt = config.delta_t
     uniform = config.rate_mode == "uniform"

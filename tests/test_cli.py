@@ -305,6 +305,33 @@ def test_jobs_below_1_exit_1(tmp_path, tiny_csv, capsys, monkeypatch, command, j
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["seed = -1", "weight_seed = -5"])
+def test_negative_config_seed_exits_3_with_line(tmp_path, capsys, line):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(f"num_neurons = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg)]) == 3
+    assert "net.cfg:2: seed and weight_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_simulate_seed_exits_3(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--seed", "-3", "--duration", "1"]) == 3
+    assert "seed and weight_seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_significance_seed_exits_1(tmp_path, capsys, monkeypatch):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_significance", lambda *_, **__: pytest.fail("ran"))
+    out = tmp_path / "sig"
+    assert main(["significance", str(out), "--seed", "-5000"]) == 1
+    assert "--seed must be at least 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_config_exits_3(tmp_path):
     cfg = tmp_path / "net.cfg"
     cfg.write_text("nonsense = 4\n")

@@ -57,10 +57,3 @@ def test_mining_starts_no_process(cpus, monkeypatch, recording):
         )
 
     assert run(2) == run(1)
-
-
-def test_tracked_mine_parallel_jobs_match(recording):
-    cfg = MiningConfig(freq_threshold=0.002, max_size=3, expiry=2, track_occurrences=True)
-    fanned = mine_parallel(recording, cfg, jobs=2)
-    assert len(fanned) == 3
-    assert levels_of(fanned) == levels_of(mine_parallel(recording, cfg))

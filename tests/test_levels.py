@@ -4,8 +4,6 @@ plausible one (numeric suffixes, lower case, composite labels)."""
 
 import random
 
-import pytest
-
 from oracles import (
     parallel_join_oracle,
     reference_levels,
@@ -62,15 +60,14 @@ def plain(levels):
     return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_mining_equals_reference_levels(jobs):
-    rng = random.Random(91)  # the same cases at both job counts
+def test_mining_equals_reference_levels():
+    rng = random.Random(91)
     for _ in range(25):
         seq = coded_order_stream(rng)
         cfg = random_config(rng)
         for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
-            assert plain(mine(seq, cfg, jobs=jobs)) == reference_levels(seq, cfg, kind), (kind, cfg)
-        result = mine_synfire(seq, cfg, jobs=jobs)
+            assert plain(mine(seq, cfg)) == reference_levels(seq, cfg, kind), (kind, cfg)
+        result = mine_synfire(seq, cfg)
         parallel, groups, rewritten, serial = reference_synfire(seq, cfg)
         assert plain(result.parallel_levels) == parallel
         assert result.rewritten_group_counts == groups

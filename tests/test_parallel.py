@@ -142,14 +142,6 @@ def test_mine_parallel_levels():
     assert {c.episode for c in levels[1].counts} == {ParallelEpisode(("A", "B"))}
 
 
-def test_jobs_partition_matches_single_process():
-    rng = random.Random(6)
-    seq = random_sequence(rng, max_events=90)
-    eps = [random_parallel_episode(rng, seq) for _ in range(6)]
-    solo = count_parallel_expiry(eps, seq, cfg_for(6, track=True))
-    assert count_parallel_expiry(eps, seq, cfg_for(6, track=True), jobs=3) == solo
-
-
 def check_shared_pass(eps, seq, expiry):
     """Counted in one tracked pass, each candidate counts and reports exactly
     what it does alone, which is what the oracle does."""

@@ -259,15 +259,6 @@ def test_mine_serial_requires_intervals(worked_sequence):
         mine_serial(worked_sequence, MiningConfig())
 
 
-def test_jobs_partition_matches_single_process(worked_sequence):
-    rng = random.Random(13)
-    seq = random_sequence(rng, max_events=80)
-    eps = [random_serial_episode(rng, seq) for _ in range(7)]
-    solo = count_serial_constrained(eps, seq)
-    multi = count_serial_constrained(eps, seq, jobs=3)
-    assert [(c.episode, c.freq) for c in solo] == [(c.episode, c.freq) for c in multi]
-
-
 def random_windows(rng, first_low=0):
     """2-4 disjoint sorted windows, some of them touching."""
     windows = []
@@ -340,20 +331,6 @@ def test_hull_count_bounds_each_window_count():
         )
         assert all(counts[0].freq >= c.freq for c in counts[1:])
         assert counts[0].freq == serial_oracle_count(counts[0].episode, seq)
-
-
-def test_hull_prepass_jobs_match_single_process():
-    rng = random.Random(31)
-    seq = random_sequence(rng, max_events=200)
-    while len(seq.alphabet) < 3:
-        seq = random_sequence(rng, max_events=200)
-    cfg = MiningConfig(
-        max_size=3,
-        candidate_intervals=(Interval(0, 1), Interval(1, 3), Interval(4, 6)),
-        min_count=4,
-        track_occurrences=True,
-    )
-    assert level_tuples(mine_serial(seq, cfg, jobs=2)) == level_tuples(mine_serial(seq, cfg))
 
 
 def churn_windows(rng):

@@ -155,12 +155,14 @@ class TestDecisionOrder:
             ))
 
     def test_one_step_edge_delay(self):
-        # A -> B -> C with 1-step delays: a recomputed step flags the very next one
+        # A -> B -> C with 1-step delays: a recomputed step flags the very next one,
+        # through an edge and, with a refractory period, through the mask
         edges = (StrongEdge(0, 1, 11.0, 1), StrongEdge(1, 2, 11.0, 1))
-        for seed in range(3):
-            events = assert_matches_oracle(
-                NetworkConfig(num_neurons=5, duration=3.0, seed=seed, strong_edges=edges)
-            )
+        for seed, refractory in itertools.product(range(3), (1, 2, 3)):
+            events = assert_matches_oracle(NetworkConfig(
+                num_neurons=5, duration=3.0, seed=seed, strong_edges=edges,
+                refractory_steps=refractory,
+            ))
             times = {(ev.etype, ev.time) for ev in events}
             a_times = [t for label, t in times if label == "A"]
             assert sum(("B", t + 1) in times and ("C", t + 2) in times for t in a_times) > 0
@@ -207,8 +209,10 @@ class TestDecisionOrder:
         # every spike circles the ring for good, so waves stop shrinking and the
         # ordered sweep finishes steps whose rows waves already changed
         ring = tuple(StrongEdge(i, (i + 1) % 26, 11.0, 5) for i in range(26))
-        for seed in range(2):
-            events = assert_matches_oracle(NetworkConfig(duration=1.5, seed=seed, strong_edges=ring))
+        for seed, refractory in itertools.product(range(2), (1, 2, 3)):
+            events = assert_matches_oracle(NetworkConfig(
+                duration=1.5, seed=seed, strong_edges=ring, refractory_steps=refractory,
+            ))
             assert len(events) > 3 * 1500
 
     def test_busy_network_sums_crowded_rows(self):
@@ -224,6 +228,21 @@ class TestDecisionOrder:
         for seed in range(3):
             assert_matches_oracle(NetworkConfig(num_neurons=num_neurons, rate_offset=3.0,
                                                 duration=2.0, seed=seed, strong_edges=edges))
+
+    def test_periods_past_the_run_keep_each_first_spike(self):
+        # the period caps at the run length, so no array is sized by it, and a
+        # neuron that has not fired yet is never refractory
+        uniform = NetworkConfig(rate_mode="uniform", lambda_max=40.0, duration=1.0, seed=2)
+        first = {}
+        for ev in simulate(uniform).sequence:
+            first.setdefault(ev.etype, ev)
+        masked = simulate(replace(uniform, refractory_steps=10**24)).sequence.events
+        assert masked == tuple(sorted(first.values(), key=lambda ev: ev.time))
+        for pattern in ("none", "example1"):
+            cfg = embed_pattern(NetworkConfig(duration=1.0, seed=1, refractory_steps=10**24), pattern)
+            events = assert_matches_oracle(cfg)
+            labels = [ev.etype for ev in events]
+            assert labels and len(labels) == len(set(labels))
 
     def test_uniform_mode_with_refractory(self):
         for seed in range(3):
