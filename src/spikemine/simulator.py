@@ -47,18 +47,15 @@ fires at exactly the resting probability. So in network mode ``simulate``
 decides every step at rest with one comparison of all draws, then
 recomputes the steps a changed row reaches. One function computes the rows
 of a set of steps from the rows as they stand, mask included, and one
-function flags the steps each changed bit reaches. Waves recompute every
-flagged step of the run, in slices; each row depends only on earlier rows,
-so they converge to the one result. They stop when a wave is empty or
-fails to shrink by ``_WAVE_SHRINK`` (a chain that never dies out, such as
-a ring). An ordered sweep then recomputes the steps still flagged, one
-block at a time from the earliest; a block is no longer than the shortest
-delay, so it reads only final rows and flags only later blocks. Input sums
-are exact: a row with at most two spikes sums two weight rows, which
-rounds the same in any order, a row with more uses ``@``, and strong-edge
-weights add to each target in config order. The events are bit-identical
-to deciding one step at a time. Uniform mode has no input: it decides each
-step at its own probability, then masks refractory spikes in step order.
+function flags the steps each changed bit reaches. An earliest-first sweep
+hands the first function the earliest flagged steps, one batch at a time,
+until none is flagged: every step before the earliest flagged one is final,
+so each batch finalises at least its first step, and its other steps are
+flagged again if a row they read changed. Input sums are exact: each row's
+sum is its own ``@``, and strong-edge weights add to each target in config
+order. The events are bit-identical to deciding one step at a time. Uniform
+mode has no input: it decides each step at its own probability, then masks
+refractory spikes in step order.
 """
 
 from __future__ import annotations
@@ -81,13 +78,9 @@ _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # larger grid would fail in numpy's allocator rather than as a config error.
 MAX_GRID_CELLS = 100 * 50_000 * 26
 
-# Steps a wave recomputes per set of array calls (a sweep block is no longer): at
-# 128 rows of 26 neurons its float temporaries take 26 KiB each, too little to
-# raise the grid's peak RSS.
-_WAVE_SLICE = 128
-# Largest size a wave may have as a share of the one before: waves that shrink
-# slower follow chains that do not die out (a ring), and the sweep takes those.
-_WAVE_SHRINK = 0.9
+# Steps the sweep recomputes per set of array calls: at 128 rows of 26 neurons
+# its float temporaries take 26 KiB each, too little to raise the grid's peak RSS.
+_BATCH_STEPS = 128
 
 
 class ConfigError(ValueError):
@@ -226,14 +219,15 @@ def _network(config: NetworkConfig, draws, rest: int):
     """The fired grid of a network-mode run; ``rest`` rows feed the refractory mask.
 
     ``step`` recomputes the rows of the steps it is given and ``flag`` marks
-    the steps their changed bits reach. Waves hand ``step`` fixed-shape
-    slices of every flagged step; the ordered sweep hands it one block.
+    the steps their changed bits reach. The sweep hands ``step`` the earliest
+    flagged steps, from a start that only rises, until none is flagged.
 
-    Two rules keep the peak RSS where the grid sets it. Every wave slice has
-    the same shape, because numpy keeps freed arrays under 1 KiB for reuse, a
-    few of each byte size, so arrays of ever new small sizes pile up. And the
-    array calls keep to kernels the rest of a run loads anyway (float counts,
-    no integer comparisons), since each new kernel adds its code pages.
+    Two rules keep the peak RSS where the grid sets it. Every batch has the
+    same shape, because numpy keeps freed arrays under 1 KiB for reuse, a few
+    of each byte size, so arrays of ever new small sizes pile up. And the
+    array calls keep to kernels the rest of a run loads anyway (float
+    arithmetic, no integer comparisons), since each new kernel adds its code
+    pages.
     """
     steps, n = draws.shape
     weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
@@ -257,14 +251,11 @@ def _network(config: NetworkConfig, draws, rest: int):
                np.array([e.weight for e in layer]),
                np.array([min(e.delay_steps, steps) for e in layer], dtype=np.intp))
               for layer in layers]
-    delays = [h, *(min(edge.delay_steps, steps) for edge in config.strong_edges)]
     # silent rows before step 0, so a step reads k - delay without a bounds test
-    lead = max(rest, *delays)
+    lead = max(rest, h, *(min(edge.delay_steps, steps) for edge in config.strong_edges))
     cells = np.zeros((lead + steps, n), dtype=bool)
     fired = cells[lead:]
     np.less(draws, -np.expm1(-update_rates(np.zeros(n), config) * config.delta_t), out=fired)
-    padded = np.vstack([weights, np.zeros(n)])  # row n stands for "no spike"
-    columns = np.arange(n, dtype=float)
     flagged = np.zeros(2 * steps, dtype=bool)
 
     def flag(ks, changed):
@@ -278,15 +269,8 @@ def _network(config: NetworkConfig, draws, rest: int):
 
     def step(ks):
         flagged[ks] = False  # earlier calls' changes are read below
-        rows = cells[ks + (lead - h)]
-        count = rows.sum(axis=1, dtype=float)
-        # a row's first and last spike (n for none) pick rows of ``padded``: a sum
-        # of at most two terms rounds the same in any order, so it equals ``@``
-        first = np.where(rows, columns, n).min(axis=1)
-        last = np.where(count > 1, np.where(rows, columns, 0).max(axis=1), n)
-        total_in = padded[first.astype(np.intp)] + padded[last.astype(np.intp)]
-        for i in np.flatnonzero(count > 2).tolist():  # rare; their order matters
-            total_in[i] = rows[i] @ weights
+        # one (1, n) @ (n, n) product per row rounds as ``fired[k - h] @ weights`` does
+        total_in = np.matmul(cells[ks + (lead - h), None], weights)[:, 0]
         for src, dst, gain, delay in layers:
             total_in[:, dst] += cells[ks[:, None] + (lead - delay), src] * gain  # a miss adds 0.0
         row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
@@ -299,25 +283,11 @@ def _network(config: NetworkConfig, draws, rest: int):
         flag(ks, changed)
 
     flag(np.arange(steps), fired)  # each spike of the rest decision is a changed bit
-    last_size = math.inf
-    while True:
-        wave = np.flatnonzero(flagged[:steps])
-        if not wave.size or wave.size > _WAVE_SHRINK * last_size:
-            break
-        last_size = wave.size
-        for lo in range(0, wave.size, _WAVE_SLICE):
-            # a short slice repeats its steps (each copy computes the same row)
-            step(np.resize(wave[lo:lo + _WAVE_SLICE], _WAVE_SLICE))
-    # the ordered sweep: a block no longer than the shortest delay reads only
-    # rows before it, and every flag it sets lands in a later block
-    block = 1 if rest else min(_WAVE_SLICE, *delays)
-    lo = 0
-    while lo < steps:
-        lo += int(flagged[lo:steps].argmax())  # the next flagged step, if any is left
-        if not flagged[lo]:
-            break
-        step(np.flatnonzero(flagged[lo:min(lo + block, steps)]) + lo)
-        lo += block
+    lo = 0  # every step before the earliest flagged one is final
+    while (batch := np.flatnonzero(flagged[lo:steps])[:_BATCH_STEPS] + lo).size:
+        lo = int(batch[0])
+        # a short batch repeats its steps (each copy computes the same row)
+        step(np.resize(batch, _BATCH_STEPS))
     return fired
 
 
@@ -326,10 +296,12 @@ def _network(config: NetworkConfig, draws, rest: int):
 
 def _idx(label: str, n: int) -> int:
     labels = neuron_labels(n)
-    try:
+    if label in labels:
         return labels.index(label)
+    try:
+        return int(label)  # a config edge may give the index itself
     except ValueError:
-        raise ConfigError(f"pattern neuron {label!r} is not among the {n} network labels") from None
+        raise ConfigError(f"neuron {label!r} is not among the {n} network labels") from None
 
 
 def _delay_steps(delay_ms: str, tick: Fraction) -> int:
@@ -457,7 +429,7 @@ def parse_network_config(path) -> NetworkConfig:
         if len(parts) != 4:
             raise ConfigError(f"{path}:{lineno}: edge needs FROM,TO,WEIGHT,DELAY_MS, got {spec!r}")
         try:
-            src, dst = (_idx(p, config.num_neurons) if p.isalpha() else int(p) for p in parts[:2])
+            src, dst = (_idx(p, config.num_neurons) for p in parts[:2])
             weight = float(parts[2])
             edges.append(StrongEdge(src, dst, weight, _delay_steps(parts[3], tick)))
         except ConfigError as exc:

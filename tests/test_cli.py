@@ -305,6 +305,19 @@ def test_jobs_below_1_exit_1(tmp_path, tiny_csv, capsys, monkeypatch, command, j
     assert not out.exists()
 
 
+def test_config_edge_labels_past_26_neurons(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("num_neurons = 30\nedge = N3,N5,11.0,5\nedge = 7,N8,6.41,3\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 0
+    manifest = (tmp_path / "o.csv.manifest").read_text()
+    assert "config.edge.0 = N3,N5,11.0,5\n" in manifest
+    assert "config.edge.1 = N7,N8,6.41,3\n" in manifest
+    cfg.write_text("num_neurons = 30\nedge = N3,N30,11.0,5\n")
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 3
+    assert "net.cfg:2: neuron 'N30' is not among the 30 network labels" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("line", ["seed = -1", "weight_seed = -5"])
 def test_negative_config_seed_exits_3_with_line(tmp_path, capsys, line):
     cfg = tmp_path / "net.cfg"

@@ -145,12 +145,11 @@ class TestDecisionOrder:
 
     @pytest.mark.parametrize("pattern", ["none", "example1", "example2", "example3", "chain-5"])
     def test_sweep_equals_step_oracle(self, pattern):
-        for seed, refractory, mode, delay in itertools.product(
-            range(3), (1, 2, 3, 4), ("network", "uniform"), (1, 5)
-        ):
+        # the earliest-first recompute sweep of network mode, over both delays and masks
+        for seed, refractory, delay in itertools.product(range(3), (1, 2, 3, 4), (1, 5)):
             assert_matches_oracle(embed_pattern(
                 NetworkConfig(duration=1.0, seed=seed, refractory_steps=refractory,
-                              rate_mode=mode, synaptic_delay_steps=delay),
+                              synaptic_delay_steps=delay),
                 pattern,
             ))
 
@@ -205,9 +204,9 @@ class TestDecisionOrder:
                 assert ev.time - last.get(ev.etype, -refractory) >= refractory
                 last[ev.etype] = ev.time
 
-    def test_strong_ring_takes_the_deferred_sweep(self):
-        # every spike circles the ring for good, so waves stop shrinking and the
-        # ordered sweep finishes steps whose rows waves already changed
+    def test_strong_ring_finalises_one_hop_per_batch(self):
+        # every spike circles the ring for good, so each batch of flagged steps
+        # finalises only its first 5-step hop and the rest are recomputed again
         ring = tuple(StrongEdge(i, (i + 1) % 26, 11.0, 5) for i in range(26))
         for seed, refractory in itertools.product(range(2), (1, 2, 3)):
             events = assert_matches_oracle(NetworkConfig(
@@ -216,7 +215,7 @@ class TestDecisionOrder:
             assert len(events) > 3 * 1500
 
     def test_busy_network_sums_crowded_rows(self):
-        # rows with three or more spikes add their inputs in ``@``'s own order
+        # rows with three or more spikes, whose input sums depend on the order of adding
         for seed in range(2):
             events = assert_matches_oracle(NetworkConfig(rate_offset=2.0, duration=1.0, seed=seed))
             per_step = np.bincount([ev.time for ev in events])
@@ -245,6 +244,10 @@ class TestDecisionOrder:
             assert labels and len(labels) == len(set(labels))
 
     def test_uniform_mode_with_refractory(self):
+        # uniform mode reads neither the pattern nor the synaptic delay
+        for seed, refractory in itertools.product(range(3), (1, 2, 3, 4)):
+            assert_matches_oracle(NetworkConfig(rate_mode="uniform", refractory_steps=refractory,
+                                                duration=1.0, seed=seed))
         for seed in range(3):
             assert_matches_oracle(
                 NetworkConfig(rate_mode="uniform", refractory_steps=3, duration=2.0, seed=seed)
@@ -347,6 +350,14 @@ class TestConfigFile:
         write_network_config(cfg, path)
         again = parse_network_config(path)
         assert again == cfg
+
+    def test_roundtrip_past_26_neurons(self, tmp_path):
+        # 30 neurons are labelled N0..N29, which the edge lines must read back
+        cfg = NetworkConfig(num_neurons=30, strong_edges=(StrongEdge(3, 5, 11.0, 5),))
+        path = tmp_path / "net.cfg"
+        write_network_config(cfg, path)
+        assert "edge = N3,N5,11.0,5\n" in path.read_text()
+        assert parse_network_config(path) == cfg
 
     @pytest.mark.parametrize("delta_t,delay_steps", [(0.0001, 1234567), (0.0003, 7)])
     def test_roundtrip_keeps_every_delay_step(self, tmp_path, delta_t, delay_steps):
