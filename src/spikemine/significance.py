@@ -24,7 +24,6 @@ maxima from size 3 on; the report states both profiles side by side.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 from .episodes import Interval, MiningConfig, SerialEpisode
@@ -164,6 +163,7 @@ def run_significance(
 
     workers = pool_size(jobs, max(len(random_specs), len(patterned_specs)))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             max_profiles = list(pool.map(_max_profile, random_specs))
             min_profiles = list(pool.map(_min_profile, patterned_specs))

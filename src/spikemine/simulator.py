@@ -56,6 +56,8 @@ sum is its own ``@``, and strong-edge weights add to each target in config
 order. The events are bit-identical to deciding one step at a time. Uniform
 mode has no input: it decides each step at its own probability, then masks
 refractory spikes in step order.
+
+numpy is imported inside the functions that use it, so mining never loads it.
 """
 
 from __future__ import annotations
@@ -64,8 +66,6 @@ import math
 import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
-
-import numpy as np
 
 from .events import Event, EventSequence, as_tick_seconds, ms_to_ticks, format_seconds
 
@@ -169,7 +169,7 @@ class NetworkConfig:
 
     @property
     def resting_rate(self) -> float:
-        return float(update_rates(np.zeros(1), self)[0])
+        return float(update_rates([0.0], self)[0])
 
 
 @dataclass(frozen=True)
@@ -181,6 +181,7 @@ class SpikeRun:
 
 def update_rates(inputs, config: NetworkConfig):
     """Per-neuron rate for given total inputs; bounded in (0, lambda_max)."""
+    import numpy as np
     z = np.asarray(inputs, dtype=float) - config.rate_offset
     # overflow-safe logistic: exp of a non-positive argument only
     ez = np.exp(-np.abs(z))
@@ -192,6 +193,7 @@ def simulate(config: NetworkConfig) -> SpikeRun:
 
     See "Decision order" in the module docstring.
     """
+    import numpy as np
     n = config.num_neurons
     steps = config.steps
     noise_rng = np.random.default_rng([config.seed, 1])
@@ -229,6 +231,7 @@ def _network(config: NetworkConfig, draws, rest: int):
     arithmetic, no integer comparisons), since each new kernel adds its code
     pages.
     """
+    import numpy as np
     steps, n = draws.shape
     weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
     weights = np.random.default_rng([weight_seed, 0]).uniform(
@@ -275,9 +278,12 @@ def _network(config: NetworkConfig, draws, rest: int):
             total_in[:, dst] += cells[ks[:, None] + (lead - delay), src] * gain  # a miss adds 0.0
         row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
         if rest:  # refractory: a spike of the same neuron in the last rest rows
-            ends = (ks + lead).tolist()
-            for i, j in np.argwhere(row).tolist():
-                row[i, j] = not np.count_nonzero(cells[ends[i] - rest:ends[i], j])
+            ends, back = ks + lead, 0
+            while 0 < rest - back < np.count_nonzero(row):  # rows left < spikes: mask a row
+                back += 1
+                row &= ~cells[ends - back]
+            for i, j in np.argwhere(row).tolist() if back < rest else ():  # then spike by spike
+                row[i, j] = not np.count_nonzero(cells[ends[i] - rest:ends[i] - back, j])
         changed = row ^ fired[ks]
         fired[ks] = row
         flag(ks, changed)

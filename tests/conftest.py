@@ -1,10 +1,10 @@
+import concurrent.futures
 import os
 import sys
 from collections import deque
 
 import pytest
 
-import spikemine.significance as significance
 from spikemine import Event, EventSequence, Interval, SerialEpisode
 
 
@@ -86,8 +86,9 @@ class InlineExecutor:
 
 @pytest.fixture
 def inline_pools(monkeypatch):
-    """The ``max_workers`` of every pool ``significance`` makes, each run in this process."""
+    """The ``max_workers`` of every pool ``significance`` makes, each run in this
+    process. ``run_significance`` looks the pool up where it starts workers."""
     workers = []
-    monkeypatch.setattr(significance, "ProcessPoolExecutor",
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         lambda max_workers: InlineExecutor(workers, max_workers))
     return workers

@@ -1,5 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +12,18 @@ from hypothesis import strategies as st
 from spikemine.cli import main
 
 
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def fresh_python(*args):
+    """Run ``python *args`` in a new interpreter that imports spikemine from the tree."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          check=True).stdout
 
 
 @pytest.fixture
@@ -83,20 +97,54 @@ def test_mine_jobs_do_not_change_results(tmp_path, tiny_csv):
     assert "jobs = 2\n" in (tmp_path / "b.txt.manifest").read_text()
 
 
-def test_mine_synfire_flow(tmp_path):
-    path = tmp_path / "in.csv"
+@pytest.fixture
+def synfire_csv(tmp_path):
+    path = tmp_path / "group.csv"
     rows = []
     for k in range(30):
         base = 20 * k
         rows += [("A", base), ("B", base + 5), ("C", base + 5), ("D", base + 10)]
     path.write_text("".join(f"{t},{ms / 1000}\n" for t, ms in rows))
+    return path
+
+
+def test_mine_synfire_flow(tmp_path, synfire_csv):
     out = tmp_path / "res.txt"
     code = main([
-        "mine", "synfire", str(path), "--out", str(out),
+        "mine", "synfire", str(synfire_csv), "--out", str(out),
         "--threshold", "0.2", "--intervals", "4-6", "--expiry", "1",
     ])
     assert code == 0
     assert "[B C]" in out.read_text()
+
+
+def test_mining_loads_neither_numpy_nor_the_process_pool(tmp_path, tiny_csv, synfire_csv):
+    """A cold ``mine`` pays for no simulator arrays and no worker pool."""
+    runs = [
+        ["mine", "serial", str(tiny_csv), "--out", str(tmp_path / "s.txt"),
+         "--threshold", "0.2", "--intervals", "4-6", "--jobs", "2"],
+        ["mine", "parallel", str(tiny_csv), "--out", str(tmp_path / "p.txt"),
+         "--threshold", "0.2", "--expiry", "1", "--jobs", "2"],
+        ["mine", "synfire", str(synfire_csv), "--out", str(tmp_path / "f.txt"),
+         "--threshold", "0.2", "--intervals", "4-6", "--expiry", "1", "--jobs", "2"],
+    ]
+    out = fresh_python("-c", f"""
+import sys
+from spikemine.cli import main
+assert [main(argv) for argv in {runs!r}] == [0, 0, 0]
+print(sorted(m for m in ("numpy", "concurrent.futures") if m in sys.modules))
+""")
+    assert out.splitlines()[-1] == "[]"
+    assert "[B C]" in (tmp_path / "f.txt").read_text()
+
+
+def test_cold_simulate_matches_in_process(tmp_path):
+    """``simulate`` loads numpy when called: a fresh interpreter writes the same CSV."""
+    flags = ["--seed", "3", "--duration", "2", "--pattern", "example1"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    fresh_python("-m", "spikemine.cli", "simulate", str(cold), *flags)
+    assert main(["simulate", str(warm), *flags]) == 0
+    assert cold.read_bytes() == warm.read_bytes()
 
 
 def test_usage_errors_exit_1(tiny_csv, tmp_path):

@@ -243,6 +243,20 @@ class TestDecisionOrder:
             labels = [ev.etype for ev in events]
             assert labels and len(labels) == len(set(labels))
 
+    def test_long_periods_mask_spike_by_spike(self):
+        # periods longer than a batch has spikes: the mask drops spikes a row back
+        # at a time while that takes fewer calls, then reads each spike's rows left
+        rates = (6.5699, 4.0)  # the resting offset, and one that fires ~90 Hz
+        for seed, refractory, offset in itertools.product(range(2), (8, 40, 200), rates):
+            base = NetworkConfig(duration=1.0, seed=seed, rate_offset=offset)
+            unmasked = simulate(base).sequence.events
+            events = assert_matches_oracle(replace(base, refractory_steps=refractory))
+            assert len(events) < len(unmasked)
+        # one neuron, so no other changed row flags the last step a change unmasks
+        for seed, refractory in itertools.product(range(3), (10, 20)):
+            assert_matches_oracle(NetworkConfig(num_neurons=1, rate_offset=3.8, duration=2.0,
+                                                seed=seed, refractory_steps=refractory))
+
     def test_uniform_mode_with_refractory(self):
         # uniform mode reads neither the pattern nor the synaptic delay
         for seed, refractory in itertools.product(range(3), (1, 2, 3, 4)):
