@@ -18,7 +18,6 @@ from .episodes import (
     generate_parallel_candidates,
     generate_serial_candidates,
     is_subepisode,
-    tracked_occurrences,
 )
 from .events import (
     Event,

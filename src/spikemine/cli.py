@@ -172,6 +172,13 @@ def cmd_mine(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    try:
+        out = Path(args.out) if args.out else Path(args.input).with_suffix(".episodes")
+    except ValueError:  # an input path with no file name, such as "" or "/"
+        raise UsageError(f"no default results path for input {args.input!r}; give --out") from None
+    manifest = out.with_suffix(out.suffix + ".manifest")
+    if Path(args.input).resolve() in (out.resolve(), manifest.resolve()):
+        raise UsageError(f"output {out} would overwrite the input {args.input}")
 
     t0 = time.perf_counter()
     seq = parse_spike_file(args.input, tick)
@@ -186,7 +193,6 @@ def cmd_mine(args) -> int:
         levels = mine_synfire(seq, cfg, jobs=args.jobs).serial_levels
     mine_seconds = time.perf_counter() - t0
 
-    out = Path(args.out) if args.out else Path(args.input).with_suffix(".episodes")
     _write_levels(out, args.kind, levels, tick)
     entries = [
         ("command", "mine"),
@@ -209,7 +215,7 @@ def cmd_mine(args) -> int:
     ]
     for level in levels:
         entries.append((f"phase.level{level.size}_sec", f"{level.seconds:.3f}"))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
+    _write_manifest(manifest, entries)
     total = sum(len(level.counts) for level in levels)
     top = max((level.size for level in levels if level.counts), default=0)
     print(f"{total} frequent episodes (largest size {top}) -> {out}")

@@ -18,20 +18,18 @@ sorted-prefix join plus full sub-multiset pruning, which is sound because
 expiry-constrained non-overlapped frequency is monotone under
 sub-multisets.
 
-Mining runs on coded keys. A type's code is its label's rank among the
-sorted labels (``code_table``): of the alphabet for a mining call, and
-also of the candidates' labels, which no event carries, for a direct
-``count_*`` call. A serial key is ``(codes, ((low, high), ...))``, a
-parallel key the sorted ``codes``; keys sort exactly like their episodes.
+Mining runs on label keys: a serial key is ``(etypes, ((low, high),
+...))``, a parallel key the sorted ``etypes``, so keys sort, rank and join
+exactly like their episodes.
 
 One level loop, ``mine_levels``, mines both kinds from their size-1 keys,
-counter, coded join (``serial_join``, ``parallel_join``) and decoder.
-Keys stay keys through counting, ranking, the beam and the join; only the
+counter, key join (``serial_join``, ``parallel_join``) and decoder. Keys
+stay keys through counting, ranking, the beam and the join; only the
 frequent results of a level become episodes and ``EpisodeCount``s. The
-public joins and counters encode, run the same code and decode. A mining
-or counting call codes its stream once (``coded_stream``) into columns of
-type codes and ticks; every counting pass reads those columns once, in
-order, in the calling process.
+public joins and counters take their episodes' keys, run the same code and
+rebuild episodes. A mining or counting call reads its stream once
+(``stream_columns``) into columns of labels and ticks; every counting pass
+reads those columns once, in order, in the calling process.
 """
 
 from __future__ import annotations
@@ -191,22 +189,15 @@ def rank_key(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
-def code_table(labels: Iterable[str]) -> dict[str, int]:
-    """Label -> code, its rank among the sorted labels; ``list(table)`` maps back."""
-    return {label: code for code, label in enumerate(sorted(set(labels)))}
+def serial_key(ep: SerialEpisode) -> tuple:
+    """The key ``(etypes, ((low, high), ...))`` of a serial episode."""
+    return ep.etypes, tuple((iv.low, iv.high) for iv in ep.intervals)
 
 
-def serial_key(ep: SerialEpisode, code: dict[str, int]) -> tuple:
-    """The coded key ``(codes, ((low, high), ...))`` of a serial episode."""
-    return tuple(code[t] for t in ep.etypes), tuple((iv.low, iv.high) for iv in ep.intervals)
-
-
-def serial_episode(key: tuple, labels: list[str], intervals: dict) -> SerialEpisode:
-    """The episode of a coded serial key; ``intervals`` maps ``(low, high)`` to its Interval."""
-    codes, windows = key
-    return SerialEpisode(
-        tuple(map(labels.__getitem__, codes)), tuple(map(intervals.__getitem__, windows))
-    )
+def serial_episode(key: tuple, intervals: dict) -> SerialEpisode:
+    """The episode of a serial key; ``intervals`` maps ``(low, high)`` to its Interval."""
+    etypes, windows = key
+    return SerialEpisode(etypes, tuple(map(intervals.__getitem__, windows)))
 
 
 def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
@@ -216,10 +207,12 @@ def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     ]
 
 
-def coded_stream(seq, code: dict[str, int]) -> tuple:
-    """The stream as ``(width, codes, ticks)``: ``len(code)`` and each event's type
-    code and tick, the columns every counting pass reads."""
-    return len(code), [code[ev.etype] for ev in seq.events], [ev.time for ev in seq.events]
+def stream_columns(seq) -> tuple:
+    """The stream as ``(alphabet, labels, ticks)``: the sorted alphabet and each event's
+    label, as the alphabet's own str object so dict lookups hit by identity, and tick."""
+    alphabet = sorted(seq.alphabet)
+    same = dict(zip(alphabet, alphabet))
+    return alphabet, [same[ev.etype] for ev in seq.events], [ev.time for ev in seq.events]
 
 
 def mine_levels(
@@ -251,13 +244,6 @@ def mine_levels(
         candidates = join([r[1] for r in ranked[: cfg.beam_width]])
         size += 1
     return levels
-
-
-def tracked_occurrences(count: EpisodeCount) -> tuple[tuple[int, ...], ...]:
-    """The counted occurrences of one result; error if counting did not track."""
-    if count.occurrences is None:
-        raise ValueError(f"{count.episode} was counted without occurrence tracking")
-    return count.occurrences
 
 
 def is_subepisode(beta: Episode, alpha: Episode) -> bool:
@@ -300,16 +286,16 @@ def serial_join(keys: Iterable[tuple], windows: Iterable[tuple[int, int]]) -> li
     """``generate_serial_candidates`` on serial keys of one size; sorted, duplicate-free."""
     pool = list(dict.fromkeys(keys))
     if pool and len(pool[0][0]) == 1:
-        firsts = [codes for codes, _ in pool]
+        firsts = [types for types, _ in pool]
         return sorted({(a + b, (w,)) for a in firsts for b in firsts for w in windows})
     by_prefix: dict[tuple, list] = {}
-    for codes, wins in pool:
-        by_prefix.setdefault((codes[:-1], wins[:-1]), []).append((codes[-1], wins[-1]))
+    for types, wins in pool:
+        by_prefix.setdefault((types[:-1], wins[:-1]), []).append((types[-1], wins[-1]))
     # a pair (left, right) determines its candidate, so a duplicate-free pool gives no duplicates
     return sorted(
-        (codes + (last,), wins + (win,))
-        for codes, wins in pool
-        for last, win in by_prefix.get((codes[1:], wins[1:]), ())
+        (types + (last,), wins + (win,))
+        for types, wins in pool
+        for last, win in by_prefix.get((types[1:], wins[1:]), ())
     )
 
 
@@ -326,17 +312,14 @@ def generate_serial_candidates(
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
 
-    The join runs on coded keys (``serial_join``), as in ``mine_serial``,
-    whose counter may prune the size-1 join by hull count (see ``serial``).
+    The join runs on keys (``serial_join``), as in ``mine_serial``, whose
+    counter may prune the size-1 join by hull count (see ``serial``).
     """
     pool = _one_size(frequent)
-    code = code_table(t for ep in pool for t in ep.etypes)
     by_window = {(iv.low, iv.high): iv for ep in pool for iv in ep.intervals}
     by_window.update({(iv.low, iv.high): iv for iv in intervals})
     windows = [(iv.low, iv.high) for iv in intervals]
-    keys = serial_join([serial_key(ep, code) for ep in pool], windows)
-    labels = list(code)
-    return [serial_episode(key, labels, by_window) for key in keys]
+    return [serial_episode(key, by_window) for key in serial_join(map(serial_key, pool), windows)]
 
 
 def parallel_join(keys: Iterable[tuple]) -> list[tuple]:
@@ -358,10 +341,6 @@ def parallel_join(keys: Iterable[tuple]) -> list[tuple]:
 
 
 def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:
-    """Sorted-prefix join plus full sub-multiset pruning, one size up, on coded keys
+    """Sorted-prefix join plus full sub-multiset pruning, one size up, on keys
     (``parallel_join``)."""
-    pool = _one_size(frequent)
-    code = code_table(t for ep in pool for t in ep.etypes)
-    labels = list(code)
-    keys = parallel_join(tuple(code[t] for t in ep.etypes) for ep in pool)
-    return [ParallelEpisode(tuple(map(labels.__getitem__, key))) for key in keys]
+    return [ParallelEpisode(key) for key in parallel_join(ep.etypes for ep in _one_size(frequent))]

@@ -12,9 +12,9 @@ arithmetic:
 * a duration given in milliseconds (``mine --intervals``/``--expiry``, a
   config ``DELAY_MS``, a pattern delay) must be a whole number of ticks,
   else it is refused (ms_to_ticks; the CLI exits 1, or 3 for a config);
-* ticks are written back as decimal text (format_seconds) exactly when the
-  tick is a decimal fraction, else to the fewest places that stay within
-  half a tick, so write-then-parse reproduces every tick.
+* ticks are written back as decimal text (seconds_formatter) exactly when
+  the tick is a decimal fraction, else to the fewest places that stay
+  within half a tick, so write-then-parse reproduces every tick.
 
 File format (spike CSV): UTF-8 text, ``#``-prefixed comment lines allowed,
 data lines ``label,seconds`` with a non-negative decimal time.
@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -111,20 +110,19 @@ def ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
     return ticks
 
 
-def format_seconds(ticks: int, tick: Fraction) -> str:
-    """Decimal text of ``ticks * tick`` that half-up quantization reads back as ``ticks``.
+def seconds_formatter(tick: Fraction):
+    """Ticks -> the decimal text of ``ticks * tick`` that half-up quantization
+    reads back as ``ticks``, with the per-tick constants computed once.
 
     Exact when the reduced denominator of ``tick`` divides a power of ten;
     otherwise rounded to the fewest places that stay within half a tick.
     Trailing zeros are dropped. A tick in milliseconds gives milliseconds.
     """
-    return seconds_formatter(tick)(ticks)
-
-
-def seconds_formatter(tick: Fraction):
-    """``format_seconds`` at one ``tick``, with its per-tick constants computed once."""
     num, den = tick.numerator, tick.denominator
-    places = _decimal_places(num, den)
+    exact = 10 ** den.bit_length() % den == 0  # den has no prime factor but 2 and 5
+    places = 0
+    while (10**places % den if exact else 10**places * num <= den):
+        places += 1
     scale, half, width = num * 10**places, den // 2, places + 1
 
     def format_ticks(ticks: int) -> str:
@@ -134,15 +132,6 @@ def seconds_formatter(tick: Fraction):
         return f"{whole}.{frac}" if frac else whole
 
     return format_ticks
-
-
-@lru_cache(maxsize=64)
-def _decimal_places(num: int, den: int) -> int:
-    exact = 10 ** den.bit_length() % den == 0  # den has no prime factor but 2 and 5
-    places = 0
-    while (10**places % den if exact else 10**places * num <= den):
-        places += 1
-    return places
 
 
 @dataclass(frozen=True)
@@ -248,7 +237,16 @@ def _first_non_utf8_line(path) -> int:
 
 
 def write_spike_file(seq: EventSequence, path) -> None:
-    """Write a spike CSV such that re-parsing reproduces ``seq`` exactly."""
+    """Write a spike CSV such that re-parsing reproduces ``seq`` exactly.
+
+    ValueError, before the file is opened, for an alphabet label that would
+    not read back: empty, with outer whitespace, a comma or line break, or a
+    leading ``#``.
+    """
+    for label in sorted(seq.alphabet):
+        if (not label or label != label.strip() or label[0] == "#"
+                or any(c in label for c in ",\n\r")):
+            raise ValueError(f"label {label!r} would not survive a re-parse of the spike CSV")
     path = Path(path)
     seconds = seconds_formatter(seq.tick_seconds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

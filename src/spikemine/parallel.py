@@ -1,8 +1,8 @@
 """Non-overlapped counting of parallel episodes under an expiry span.
 
-Candidates are coded keys, sorted tuples of type codes (see ``episodes``),
-counted over the stream's columns of type codes and ticks, so the time
-lists and the candidates watching each type are lists indexed by code.
+Candidates are keys, sorted tuples of labels (see ``episodes``), counted
+over the stream's columns of labels and ticks, so each type's time list
+and the candidates watching it sit in a dict keyed by label.
 
 A counting pass keeps one time list of ``(time, index)`` per event type
 that some candidate needs. An event of type ``x`` at ``t`` prunes ``x``'s
@@ -29,11 +29,10 @@ from .episodes import (
     MiningConfig,
     MiningLevel,
     ParallelEpisode,
-    code_table,
-    coded_stream,
     counted,
     mine_levels,
     parallel_join,
+    stream_columns,
 )
 from .events import EventSequence
 
@@ -54,43 +53,44 @@ def count_parallel_expiry(
     so that callers passing it keep working.
     """
     candidates = list(candidates)
-    code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
-    keys = [tuple(code[t] for t in ep.etypes) for ep in candidates]
-    results = _count_keys(keys, coded_stream(seq, code), cfg.track_occurrences, cfg.expiry)
+    keys = [ep.etypes for ep in candidates]
+    results = _count_keys(keys, stream_columns(seq), cfg.track_occurrences, cfg.expiry)
     return counted(candidates, results, cfg.track_occurrences)
 
 
 def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
-    """The counting pass over parallel keys, each a sorted tuple of type codes, on a
-    coded stream ``(width, codes, ticks)``.
+    """The counting pass over parallel keys, each a sorted tuple of labels, on the
+    stream's columns ``(alphabet, labels, ticks)``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``. ValueError unless ``expiry > 0``.
     """
     if expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
-    width, codes, ticks = stream
-    tlists: list = [None] * width
-    watchers: list[list] = [[] for _ in range(width)]  # code -> (slot, needs) of its keys
+    alphabet, labels, ticks = stream
+    # label -> (time list, (slot, needs) of the keys watching it), once some key needs it
+    lists: dict = dict.fromkeys(alphabet)
     slot_of: dict[tuple, list] = {}
     for key in dict.fromkeys(keys):
         slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
         needs = []
         for y, m in Counter(key).items():
-            if tlists[y] is None:
-                tlists[y] = deque()
-            needs.append((tlists[y], m))
-            watchers[y].append((slot, needs))
+            entry = lists.get(y)
+            if entry is None:
+                entry = lists[y] = (deque(), [])
+            needs.append((entry[0], m))
+            entry[1].append((slot, needs))
 
-    for idx, (x, t) in enumerate(zip(codes, ticks)):
-        tl = tlists[x]
-        if tl is None:
+    for idx, (x, t) in enumerate(zip(labels, ticks)):
+        entry = lists[x]
+        if entry is None:
             continue
+        tl, watchers = entry
         cut = t - expiry
         while tl and tl[0][0] < cut:
             tl.popleft()
         tl.append((t, idx))
-        for slot, needs in watchers[x]:
+        for slot, needs in watchers:
             mark = slot[1]
             for q, m in needs:
                 if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
@@ -115,16 +115,14 @@ def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
-    Every level reads one ``coded_stream``. ``jobs`` starts no process, as
-    each pass is one sequential scan; the keyword stays so that callers
-    passing it keep working.
+    Every level reads the same ``stream_columns``. ``jobs`` starts no
+    process, as each pass is one sequential scan; the keyword stays so that
+    callers passing it keep working.
     """
-    code = code_table(seq.alphabet)
-    labels = list(code)
-    stream = coded_stream(seq, code)
+    stream = stream_columns(seq)
     return mine_levels(
-        [(c,) for c in range(len(code))], cfg, cfg.count_floor(len(seq)),
+        [(x,) for x in stream[0]], cfg, cfg.count_floor(len(seq)),
         lambda keys: (keys, _count_keys(keys, stream, cfg.track_occurrences, cfg.expiry)),
         parallel_join,
-        lambda key: ParallelEpisode(tuple(map(labels.__getitem__, key))),
+        ParallelEpisode,
     )

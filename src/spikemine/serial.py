@@ -1,8 +1,8 @@
 """Non-overlapped counting of gap-constrained serial episodes.
 
-Candidates are coded keys ``(codes, ((low, high), ...))`` (see
-``episodes``), counted over the stream's columns of type codes and ticks,
-so trie roots are a list indexed by code.
+Candidates are keys ``(etypes, ((low, high), ...))`` (see ``episodes``),
+counted over the stream's columns of labels and ticks, so trie roots are
+a dict keyed by label.
 
 One counting pass holds all candidates in a prefix trie. A node stands
 for one prefix, its event types and its gap windows; candidates that
@@ -65,13 +65,12 @@ from .episodes import (
     EpisodeCount,
     MiningConfig,
     MiningLevel,
-    code_table,
-    coded_stream,
     counted,
     mine_levels,
     serial_episode,
     serial_join,
     serial_key,
+    stream_columns,
 )
 from .events import EventSequence
 
@@ -84,7 +83,7 @@ class _Node:
     def __init__(self):
         self.tlist = deque()  # oldest first; a node with children is live iff this is non-empty
         self.reach = 0      # largest high among the children's windows; prune cut t - reach
-        self.kids = {}      # event type code -> {(low, high): child}
+        self.kids = {}      # event type -> {(low, high): child}
         self.slot = None    # [freq, watermark, occurrences] of the candidate ending here
 
 
@@ -107,24 +106,23 @@ def count_serial_constrained(
     callers passing it keep working.
     """
     candidates = list(candidates)
-    code = code_table(seq.alphabet.union(*(ep.etypes for ep in candidates)))
-    keys = [serial_key(ep, code) for ep in candidates]
+    keys = [serial_key(ep) for ep in candidates]
     track = bool(cfg and cfg.track_occurrences)
-    return counted(candidates, _count_keys(keys, coded_stream(seq, code), track), track)
+    return counted(candidates, _count_keys(keys, stream_columns(seq), track), track)
 
 
 def _count_keys(keys: list, stream: tuple, track: bool) -> list:
-    """The counting pass over serial keys ``(codes, ((low, high), ...))`` on a coded
-    stream ``(width, codes, ticks)``.
+    """The counting pass over serial keys ``(etypes, ((low, high), ...))`` on the
+    stream's columns ``(alphabet, labels, ticks)``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``.
     """
-    width, codes, ticks = stream
-    roots: list = [None] * width
+    alphabet, labels, ticks = stream
+    roots = dict.fromkeys(alphabet)  # a type outside the alphabet gets a root no event reaches
     slots = []
     for types, windows in keys:
-        node = roots[types[0]]
+        node = roots.get(types[0])
         if node is None:
             node = roots[types[0]] = _Node()
         for x, window in zip(types[1:], windows):
@@ -156,7 +154,7 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
                 live[node] = None
             node.tlist.append(entry)
 
-    for idx, (x, t) in enumerate(zip(codes, ticks)):
+    for idx, (x, t) in enumerate(zip(labels, ticks)):
         root = roots[x]
         if root is not None:
             add(root, (t, idx, idx, None))
@@ -200,8 +198,8 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
     Level 2 may first prune its candidates by hull count (see the module
-    docstring); ``seconds`` covers both passes. Every pass reads one
-    ``coded_stream``. ``jobs`` starts no process, as each pass is one
+    docstring); ``seconds`` covers both passes. Every pass reads the same
+    ``stream_columns``. ``jobs`` starts no process, as each pass is one
     sequential scan; the keyword stays so that callers passing it keep
     working.
     """
@@ -209,11 +207,9 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
     two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
-    code = code_table(seq.alphabet)
-    labels = list(code)
     intervals = {(iv.low, iv.high): iv for iv in cfg.candidate_intervals}
     windows = list(intervals)
-    stream = coded_stream(seq, code)
+    stream = stream_columns(seq)
 
     def count_level(keys):
         if two_pass and len(keys[0][0]) == 2:
@@ -221,7 +217,7 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
         return keys, _count_keys(keys, stream, cfg.track_occurrences)
 
     return mine_levels(
-        [((c,), ()) for c in range(len(code))], cfg, floor, count_level,
+        [((x,), ()) for x in stream[0]], cfg, floor, count_level,
         lambda seeds: serial_join(seeds, windows),
-        lambda key: serial_episode(key, labels, intervals),
+        lambda key: serial_episode(key, intervals),
     )

@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .events import Event, EventSequence, as_tick_seconds, ms_to_ticks, format_seconds
+from .events import Event, EventSequence, as_tick_seconds, ms_to_ticks, seconds_formatter
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -454,7 +454,7 @@ def write_network_config(config: NetworkConfig, path) -> None:
             if getattr(config, key) is not None:
                 fh.write(f"{key} = {getattr(config, key)}\n")
         labels = config.labels
-        step_ms = as_tick_seconds(config.delta_t) * 1000
+        delay_ms = seconds_formatter(as_tick_seconds(config.delta_t) * 1000)
         for edge in config.strong_edges:
-            delay_ms = format_seconds(edge.delay_steps, step_ms)
-            fh.write(f"edge = {labels[edge.src]},{labels[edge.dst]},{edge.weight},{delay_ms}\n")
+            src, dst = labels[edge.src], labels[edge.dst]
+            fh.write(f"edge = {src},{dst},{edge.weight},{delay_ms(edge.delay_steps)}\n")

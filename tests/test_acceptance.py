@@ -38,7 +38,6 @@ from spikemine import (
     parse_spike_file,
     run_significance,
     simulate,
-    tracked_occurrences,
     write_spike_file,
 )
 
@@ -65,7 +64,7 @@ def test_criterion_1_worked_example(worked_sequence, worked_episode):
         (res,) = count_serial_constrained([worked_episode], worked_sequence, cfg)
         best = min(best, time.perf_counter() - t0)
     assert res.freq == 1
-    (occ,) = tracked_occurrences(res)
+    (occ,) = res.occurrences
     events = [(worked_sequence[i].etype, worked_sequence[i].time) for i in occ]
     assert events == [("A", 2), ("B", 4), ("C", 13), ("D", 17)]
     assert best < 0.001, f"pass took {best * 1e3:.3f} ms"

@@ -161,6 +161,29 @@ def test_missing_input_exits_2(tmp_path):
     assert main(["mine", "serial", str(missing), "--intervals", "4-6"]) == 2
 
 
+@pytest.mark.parametrize(
+    "name,out",
+    [("run.episodes", None), ("run.csv", "sub/../run.csv"), ("run.csv.manifest", "run.csv")],
+    ids=["default-out", "out", "out-manifest"],
+)
+def test_mine_refuses_to_overwrite_its_input(tmp_path, tiny_csv, capsys, name, out):
+    source = tmp_path / name
+    source.write_bytes(tiny_csv.read_bytes())
+    (tmp_path / "sub").mkdir()
+    argv = ["mine", "serial", str(source), "--intervals", "4-5", "--min-count", "1"]
+    if out is not None:
+        argv += ["--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    assert "would overwrite the input" in capsys.readouterr().err
+    assert source.read_bytes() == tiny_csv.read_bytes()
+
+
+@pytest.mark.parametrize("name", ["", "/"])
+def test_mine_input_without_a_file_name_exits_1(capsys, name):
+    assert main(["mine", "serial", name, "--intervals", "4-6"]) == 1
+    assert "give --out" in capsys.readouterr().err
+
+
 def test_malformed_input_exits_2(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("A,-1\n")

@@ -1,4 +1,4 @@
-"""Level-wise mining on coded keys against the reference level loop on
+"""Level-wise mining on label keys against the reference level loop on
 episode objects, over alphabets whose sorted order differs from any other
 plausible one (numeric suffixes, lower case, composite labels)."""
 
@@ -28,15 +28,21 @@ from spikemine import (
 LABELS = ("N2", "N10", "N1", "a", "Z", "b", "[A B]")
 
 
-def coded_order_stream(rng: random.Random) -> EventSequence:
+def fresh(label: str) -> str:
+    """A str equal to ``label`` but built anew, so not the same object."""
+    return "".join(list(label))
+
+
+def label_order_stream(rng: random.Random) -> EventSequence:
+    # events and alphabet get fresh copies: equal labels that are not the same objects
     types = rng.sample(LABELS, rng.randint(2, 4))
     silent = rng.sample(LABELS, rng.randint(0, 1))  # alphabet may name silent channels
     events = []
     t = 0
     for _ in range(rng.randint(0, 45)):
         t += rng.choice((0, 1, 1, 2, 3))
-        events.append(Event(rng.choice(types), t))
-    return EventSequence(events, alphabet=set(types) | set(silent))
+        events.append(Event(fresh(rng.choice(types)), t))
+    return EventSequence(events, alphabet={fresh(x) for x in types + silent})
 
 
 def random_config(rng: random.Random) -> MiningConfig:
@@ -63,7 +69,7 @@ def plain(levels):
 def test_mining_equals_reference_levels():
     rng = random.Random(91)
     for _ in range(25):
-        seq = coded_order_stream(rng)
+        seq = label_order_stream(rng)
         cfg = random_config(rng)
         for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
             assert plain(mine(seq, cfg)) == reference_levels(seq, cfg, kind), (kind, cfg)

@@ -24,7 +24,6 @@ from spikemine import (
     count_serial_constrained,
     generate_serial_candidates,
     mine_serial,
-    tracked_occurrences,
 )
 
 TRACK = MiningConfig(track_occurrences=True)
@@ -33,7 +32,7 @@ TRACK = MiningConfig(track_occurrences=True)
 def test_worked_example_count_and_occurrence(worked_sequence, worked_episode):
     (res,) = count_serial_constrained([worked_episode], worked_sequence, TRACK)
     assert res.freq == 1
-    (occ,) = tracked_occurrences(res)
+    (occ,) = res.occurrences
     picked = [(worked_sequence[i].etype, worked_sequence[i].time) for i in occ]
     assert picked == [("A", 2), ("B", 4), ("C", 13), ("D", 17)]
 
@@ -50,8 +49,6 @@ def test_empty_candidate_set(worked_sequence):
 def test_untracked_result_refuses_occurrences(worked_sequence, worked_episode):
     (res,) = count_serial_constrained([worked_episode], worked_sequence)
     assert res.occurrences is None
-    with pytest.raises(ValueError):
-        tracked_occurrences(res)
 
 
 def test_zero_count_episode_tracks_empty(worked_sequence):
@@ -65,11 +62,11 @@ def test_zero_count_episode_tracks_empty(worked_sequence):
     parallel_present = ParallelEpisode(("A", "B"))
     pcfg = MiningConfig(expiry=3, track_occurrences=True)
     *zeros, res = count_serial_constrained(serial_absent + [serial_present], worked_sequence, TRACK)
-    assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+    assert [(z.freq, z.occurrences) for z in zeros] == [(0, ())] * len(zeros)
     assert res.occurrences == serial_oracle_occurrences(serial_present, worked_sequence)
 
     *zeros, res = count_parallel_expiry(parallel_absent + [parallel_present], worked_sequence, pcfg)
-    assert [(z.freq, tracked_occurrences(z)) for z in zeros] == [(0, ())] * len(zeros)
+    assert [(z.freq, z.occurrences) for z in zeros] == [(0, ())] * len(zeros)
     assert res.occurrences == parallel_oracle_occurrences(parallel_present, worked_sequence, 3)
     assert res.freq > 0
 
