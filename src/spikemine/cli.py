@@ -167,7 +167,6 @@ def cmd_mine(args) -> int:
             max_size=args.max_size,
             candidate_intervals=tuple(sorted(intervals)),
             expiry=expiry,
-            track_occurrences=args.track,
             min_count=args.min_count,
         )
     except ValueError as exc:
@@ -179,6 +178,9 @@ def cmd_mine(args) -> int:
     manifest = out.with_suffix(out.suffix + ".manifest")
     if Path(args.input).resolve() in (out.resolve(), manifest.resolve()):
         raise UsageError(f"output {out} would overwrite the input {args.input}")
+    for path in (out, manifest):
+        if path.is_dir() or not path.parent.is_dir():
+            return _fail(EXIT_IO, f"output {path} is a directory or has no parent directory")
 
     t0 = time.perf_counter()
     seq = parse_spike_file(args.input, tick)
@@ -207,7 +209,6 @@ def cmd_mine(args) -> int:
         ("intervals_ms", args.intervals or "-"),
         ("expiry_ms", args.expiry if args.expiry is not None else "-"),
         ("max_size", args.max_size),
-        ("track", args.track),
         ("jobs", args.jobs),
         ("events", len(seq)),
         ("phase.parse_sec", f"{parse_seconds:.3f}"),
@@ -290,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--intervals", help="gap windows in ms, e.g. 4-6 or 0-2,2-4")
     mine.add_argument("--expiry", help="span limit in ms for parallel/synfire")
     mine.add_argument("--max-size", type=int, default=8)
-    mine.add_argument("--track", action="store_true", help="record counted occurrences")
     mine.add_argument("--tick", default="0.001", help="seconds per tick of the input")
     mine.add_argument("--jobs", type=int, default=1,
                       help="at least 1; starts no process, as mining counts in one "

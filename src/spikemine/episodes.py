@@ -27,9 +27,9 @@ counter, key join (``serial_join``, ``parallel_join``) and decoder. Keys
 stay keys through counting, ranking, the beam and the join; only the
 frequent results of a level become episodes and ``EpisodeCount``s. The
 public joins and counters take their episodes' keys, run the same code and
-rebuild episodes. A mining or counting call reads its stream once
-(``stream_columns``) into columns of labels and ticks; every counting pass
-reads those columns once, in order, in the calling process.
+rebuild episodes. Every counting pass reads the stream's columns
+(``EventSequence.labels`` and ``ticks``) once, in order, in the calling
+process.
 """
 
 from __future__ import annotations
@@ -205,14 +205,6 @@ def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     return [
         EpisodeCount(ep, *r) if track else EpisodeCount(ep, r) for ep, r in zip(episodes, results)
     ]
-
-
-def stream_columns(seq) -> tuple:
-    """The stream as ``(alphabet, labels, ticks)``: the sorted alphabet and each event's
-    label, as the alphabet's own str object so dict lookups hit by identity, and tick."""
-    alphabet = sorted(seq.alphabet)
-    same = dict(zip(alphabet, alphabet))
-    return alphabet, [same[ev.etype] for ev in seq.events], [ev.time for ev in seq.events]
 
 
 def mine_levels(

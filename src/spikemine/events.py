@@ -22,9 +22,10 @@ data lines ``label,seconds`` with a non-negative decimal time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Union
 
@@ -148,38 +149,54 @@ class Event:
 
 @dataclass(frozen=True)
 class EventSequence:
-    """Immutable stream of events, sorted non-decreasing by tick.
+    """Immutable stream of events as columns, sorted non-decreasing by tick.
 
-    Ties at equal ticks keep their construction order (the sort is
-    stable). ``alphabet`` may name types that never occur, e.g. silent
-    channels of a recording; it always covers every event's type.
+    ``labels`` holds each event's type, as the alphabet's own str object,
+    and ``ticks`` its tick. Ties at equal ticks keep their construction
+    order (the sort is stable). ``alphabet`` may name types that never
+    occur, e.g. silent channels of a recording; it always covers every
+    event's type. ``events`` is the stream as ``Event`` objects: the ones
+    given to the constructor, else built on first use.
     """
 
-    events: tuple[Event, ...]
-    tick_seconds: Fraction = DEFAULT_TICK_SECONDS
-    alphabet: frozenset[str] = field(default=frozenset())
+    labels: tuple[str, ...]
+    ticks: tuple[int, ...]
+    tick_seconds: Fraction
+    alphabet: frozenset[str]
 
-    def __init__(
-        self,
-        events: Iterable[Event] = (),
-        tick_seconds: TickSeconds = DEFAULT_TICK_SECONDS,
-        alphabet: Iterable[str] | None = None,
-    ):
-        ordered = sorted(events, key=lambda ev: ev.time)
-        seen = {ev.etype for ev in ordered}
-        if alphabet is None:
-            full = frozenset(seen)
-        else:
-            full = frozenset(alphabet)
-            missing = seen - full
-            if missing:
-                raise ValueError(f"events use types outside alphabet: {sorted(missing)}")
-        object.__setattr__(self, "events", tuple(ordered))
-        object.__setattr__(self, "tick_seconds", as_tick_seconds(tick_seconds))
-        object.__setattr__(self, "alphabet", full)
+    def __init__(self, events: Iterable[Event] = (),
+                 tick_seconds: TickSeconds = DEFAULT_TICK_SECONDS,
+                 alphabet: Iterable[str] | None = None):
+        events = list(events)
+        labels = [ev.etype for ev in events]
+        self._store(labels, [ev.time for ev in events], tick_seconds,
+                    labels if alphabet is None else alphabet, events)
+
+    @classmethod
+    def _from_columns(cls, labels, ticks, tick_seconds, alphabet, given=None) -> EventSequence:
+        """The columns in any order; ``given`` holds each row's ``events`` entry or None."""
+        seq = object.__new__(cls)
+        seq._store(labels, ticks, tick_seconds, alphabet, given)
+        return seq
+
+    def _store(self, labels, ticks, tick_seconds, alphabet, given) -> None:
+        full = frozenset(alphabet)
+        same = dict(zip(full, full))
+        if not full.issuperset(labels):
+            raise ValueError(f"events use types outside alphabet: {sorted(set(labels) - full)}")
+        order = sorted(range(len(ticks)), key=ticks.__getitem__)
+        vars(self).update(labels=tuple([same[labels[i]] for i in order]),
+                          ticks=tuple([ticks[i] for i in order]), alphabet=full,
+                          tick_seconds=as_tick_seconds(tick_seconds),
+                          _given=given and [given[i] for i in order])
+
+    @cached_property
+    def events(self) -> tuple[Event, ...]:
+        rows = zip(self._given or [None] * len(self), self.labels, self.ticks)
+        return tuple([ev or Event(x, t) for ev, x, t in rows])
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.ticks)
 
     def __iter__(self) -> Iterator[Event]:
         return iter(self.events)
@@ -200,44 +217,38 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
     decimal_ratio), and bytes that are not UTF-8.
     """
     tick = as_tick_seconds(tick_seconds)
-    events = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                label, sep, stamp = line.partition(",")
-                label = label.strip()
-                stamp = stamp.strip()
-                if not sep or not label or not stamp:
-                    raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
-                try:
-                    num, den = decimal_ratio(stamp)
-                except ValueError as exc:
-                    raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
-                if num < 0:
-                    raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
-                events.append(Event(label, half_up(num * tick.denominator, den * tick.numerator)))
-    except UnicodeDecodeError:
-        raise SpikeFileError(path, _first_non_utf8_line(path), "not UTF-8 text") from None
-    return EventSequence(events, tick)
-
-
-def _first_non_utf8_line(path) -> int:
-    # text mode decodes whole chunks, so the failing line is found again here
-    lineno = 0
-    with open(path, "rb") as fh:
+    labels, ticks = [], []
+    # undecodable bytes become lone surrogates, so the line that holds one is known
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise SpikeFileError(path, lineno, "not UTF-8 text") from None
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            label, sep, stamp = line.partition(",")
+            label, stamp = label.strip(), stamp.strip()
+            if not sep or not label or not stamp:
+                raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
             try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                break
-    return lineno
+                num, den = decimal_ratio(stamp)
+            except ValueError as exc:
+                raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
+            if num < 0:
+                raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
+            labels.append(label)
+            ticks.append(half_up(num * tick.denominator, den * tick.numerator))
+    return EventSequence._from_columns(labels, ticks, tick, labels)
 
 
 def write_spike_file(seq: EventSequence, path) -> None:
-    """Write a spike CSV such that re-parsing reproduces ``seq`` exactly.
+    """Write a spike CSV such that re-parsing reproduces the events and tick of ``seq``.
+
+    The CSV has no place for alphabet labels that no event carries, so they
+    are not written: the re-parsed alphabet is the set of carried labels.
 
     ValueError, before the file is opened, for an alphabet label that would
     not read back: empty, with outer whitespace, a comma or line break, or a
@@ -251,4 +262,4 @@ def write_spike_file(seq: EventSequence, path) -> None:
     seconds = seconds_formatter(seq.tick_seconds)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# spike stream: label,seconds\n")
-        fh.writelines(f"{ev.etype},{seconds(ev.time)}\n" for ev in seq.events)
+        fh.writelines(f"{x},{seconds(t)}\n" for x, t in zip(seq.labels, seq.ticks))

@@ -32,7 +32,6 @@ from .episodes import (
     counted,
     mine_levels,
     parallel_join,
-    stream_columns,
 )
 from .events import EventSequence
 
@@ -54,22 +53,21 @@ def count_parallel_expiry(
     """
     candidates = list(candidates)
     keys = [ep.etypes for ep in candidates]
-    results = _count_keys(keys, stream_columns(seq), cfg.track_occurrences, cfg.expiry)
+    results = _count_keys(keys, seq, cfg.track_occurrences, cfg.expiry)
     return counted(candidates, results, cfg.track_occurrences)
 
 
-def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
+def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> list:
     """The counting pass over parallel keys, each a sorted tuple of labels, on the
-    stream's columns ``(alphabet, labels, ticks)``.
+    stream's columns ``seq.labels`` and ``seq.ticks``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``. ValueError unless ``expiry > 0``.
     """
     if expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
-    alphabet, labels, ticks = stream
     # label -> (time list, (slot, needs) of the keys watching it), once some key needs it
-    lists: dict = dict.fromkeys(alphabet)
+    lists: dict = dict.fromkeys(seq.alphabet)
     slot_of: dict[tuple, list] = {}
     for key in dict.fromkeys(keys):
         slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
@@ -81,7 +79,7 @@ def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
             needs.append((entry[0], m))
             entry[1].append((slot, needs))
 
-    for idx, (x, t) in enumerate(zip(labels, ticks)):
+    for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
         entry = lists[x]
         if entry is None:
             continue
@@ -115,14 +113,13 @@ def _count_keys(keys: list, stream: tuple, track: bool, expiry: int) -> list:
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
-    Every level reads the same ``stream_columns``. ``jobs`` starts no
-    process, as each pass is one sequential scan; the keyword stays so that
-    callers passing it keep working.
+    Every level reads the same columns, ``seq.labels`` and ``seq.ticks``.
+    ``jobs`` starts no process, as each pass is one sequential scan; the
+    keyword stays so that callers passing it keep working.
     """
-    stream = stream_columns(seq)
     return mine_levels(
-        [(x,) for x in stream[0]], cfg, cfg.count_floor(len(seq)),
-        lambda keys: (keys, _count_keys(keys, stream, cfg.track_occurrences, cfg.expiry)),
+        [(x,) for x in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
+        lambda keys: (keys, _count_keys(keys, seq, cfg.track_occurrences, cfg.expiry)),
         parallel_join,
         ParallelEpisode,
     )

@@ -70,7 +70,6 @@ from .episodes import (
     serial_episode,
     serial_join,
     serial_key,
-    stream_columns,
 )
 from .events import EventSequence
 
@@ -108,18 +107,17 @@ def count_serial_constrained(
     candidates = list(candidates)
     keys = [serial_key(ep) for ep in candidates]
     track = bool(cfg and cfg.track_occurrences)
-    return counted(candidates, _count_keys(keys, stream_columns(seq), track), track)
+    return counted(candidates, _count_keys(keys, seq, track), track)
 
 
-def _count_keys(keys: list, stream: tuple, track: bool) -> list:
+def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
     """The counting pass over serial keys ``(etypes, ((low, high), ...))`` on the
-    stream's columns ``(alphabet, labels, ticks)``.
+    stream's columns ``seq.labels`` and ``seq.ticks``.
 
     One result per key, in order: its count, or ``(count, occurrences)``
     when ``track``.
     """
-    alphabet, labels, ticks = stream
-    roots = dict.fromkeys(alphabet)  # a type outside the alphabet gets a root no event reaches
+    roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
     slots = []
     for types, windows in keys:
         node = roots.get(types[0])
@@ -154,7 +152,7 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
                 live[node] = None
             node.tlist.append(entry)
 
-    for idx, (x, t) in enumerate(zip(labels, ticks)):
+    for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
         root = roots[x]
         if root is not None:
             add(root, (t, idx, idx, None))
@@ -182,14 +180,14 @@ def _count_keys(keys: list, stream: tuple, track: bool) -> list:
     return [slot[0] for slot in slots]
 
 
-def _hull_survivors(keys: list, stream: tuple, windows: list, floor: int) -> list:
+def _hull_survivors(keys: list, seq: EventSequence, windows: list, floor: int) -> list:
     """Level-2 keys whose type pair reaches ``floor`` under the window hull.
 
     The hull counts only bound, so they are taken without tracking.
     """
     hull = ((windows[0][0], windows[-1][1]),)
     pairs = sorted({types for types, _ in keys})
-    bounds = _count_keys([(pair, hull) for pair in pairs], stream, False)
+    bounds = _count_keys([(pair, hull) for pair in pairs], seq, False)
     kept = {pair for pair, bound in zip(pairs, bounds) if bound >= floor}
     return [key for key in keys if key[0] in kept]
 
@@ -199,9 +197,9 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
 
     Level 2 may first prune its candidates by hull count (see the module
     docstring); ``seconds`` covers both passes. Every pass reads the same
-    ``stream_columns``. ``jobs`` starts no process, as each pass is one
-    sequential scan; the keyword stays so that callers passing it keep
-    working.
+    columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts no process,
+    as each pass is one sequential scan; the keyword stays so that callers
+    passing it keep working.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
@@ -209,15 +207,14 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
     intervals = {(iv.low, iv.high): iv for iv in cfg.candidate_intervals}
     windows = list(intervals)
-    stream = stream_columns(seq)
 
     def count_level(keys):
         if two_pass and len(keys[0][0]) == 2:
-            keys = _hull_survivors(keys, stream, windows, floor)
-        return keys, _count_keys(keys, stream, cfg.track_occurrences)
+            keys = _hull_survivors(keys, seq, windows, floor)
+        return keys, _count_keys(keys, seq, cfg.track_occurrences)
 
     return mine_levels(
-        [((x,), ()) for x in stream[0]], cfg, floor, count_level,
+        [((x,), ()) for x in sorted(seq.alphabet)], cfg, floor, count_level,
         lambda seeds: serial_join(seeds, windows),
         lambda key: serial_episode(key, intervals),
     )

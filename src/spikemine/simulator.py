@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .events import Event, EventSequence, as_tick_seconds, ms_to_ticks, seconds_formatter
+from .events import EventSequence, as_tick_seconds, ms_to_ticks, seconds_formatter
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -212,9 +212,10 @@ def simulate(config: NetworkConfig) -> SpikeRun:
 
     labels = config.labels
     ks, js = np.nonzero(fired)
-    events = [Event(labels[j], k) for k, j in zip(ks.tolist(), js.tolist())]
-    seq = EventSequence(events, as_tick_seconds(config.delta_t), labels)
-    return SpikeRun(seq, config, len(events))
+    seq = EventSequence._from_columns(
+        list(map(labels.__getitem__, js.tolist())), ks.tolist(), config.delta_t, labels
+    )
+    return SpikeRun(seq, config, len(seq))
 
 
 def _network(config: NetworkConfig, draws, rest: int):

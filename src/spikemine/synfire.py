@@ -67,11 +67,13 @@ def rewrite_stream(
                     )
                 continue
             claimed.update(occ)
-            mean = half_up(sum(seq.events[i].time for i in occ), len(occ))
+            mean = half_up(sum(seq.ticks[i] for i in occ), len(occ))
             composites.append(CompositeEvent(label, mean, tuple(occ)))
-    kept = [ev for i, ev in enumerate(seq.events) if i not in claimed]
-    return EventSequence(
-        kept + composites, seq.tick_seconds, seq.alphabet | labels
+    kept = [i for i in range(len(seq)) if i not in claimed]
+    return EventSequence._from_columns(
+        [seq.labels[i] for i in kept] + [ev.etype for ev in composites],
+        [seq.ticks[i] for i in kept] + [ev.time for ev in composites],
+        seq.tick_seconds, seq.alphabet | labels, [None] * len(kept) + composites,
     )
 
 

@@ -190,6 +190,33 @@ def test_malformed_input_exits_2(tmp_path):
     assert main(["mine", "serial", str(bad), "--intervals", "4-6"]) == 2
 
 
+def test_mine_track_exits_1(tiny_csv, capsys):
+    # the results file never shows occurrences, so mine has no --track
+    argv = ["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--track"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "--track" in capsys.readouterr().err
+    assert not tiny_csv.with_suffix(".episodes").exists()
+
+
+@pytest.mark.parametrize(
+    "out,named,made",
+    [("res", "res", "res"), ("res", "res.manifest", "res.manifest"),
+     ("missing/res", "missing/res", None)],
+    ids=["out-is-a-directory", "manifest-is-a-directory", "no-parent-directory"],
+)
+def test_mine_refuses_an_unwritable_output_before_parsing(tmp_path, capsys, out, named, made):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("A,-1\n")  # a run that parsed first would report line 1
+    if made:
+        (tmp_path / made).mkdir()
+    assert main(["mine", "serial", str(bad), "--intervals", "4-6", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: output {tmp_path / named} " in err
+    assert f"{bad}:1:" not in err
+
+
 # 4402 significant digits: more than Python prints of one integer
 HUGE_DIGITS = "0.001" + "0" * 4400 + "1"
 

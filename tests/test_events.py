@@ -7,7 +7,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spikemine import Event, EventSequence, SpikeFileError, parse_spike_file, write_spike_file
+from spikemine import (
+    CompositeEvent,
+    EpisodeCount,
+    Event,
+    EventSequence,
+    Interval,
+    MiningConfig,
+    NetworkConfig,
+    ParallelEpisode,
+    SpikeFileError,
+    mine_parallel,
+    mine_serial,
+    parse_spike_file,
+    rewrite_stream,
+    simulate,
+    write_spike_file,
+)
 from spikemine.events import half_up, seconds_formatter
 
 from oracles import quantize_oracle, round_half_up
@@ -98,6 +114,21 @@ def test_non_utf8_byte_reports_its_line(tmp_path):
     assert "not UTF-8" in err.value.reason
 
 
+def test_a_malformed_line_before_a_non_utf8_byte_is_reported_first(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"bad line\nA,0.1\xff\n")
+    with pytest.raises(SpikeFileError) as err:
+        parse_spike_file(path, 0.001)
+    assert err.value.lineno == 1
+    assert "expected 'label,seconds'" in err.value.reason
+
+
+def test_non_ascii_utf8_labels_are_read(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("é,0.001\n# ünïcode comment\nÅ,0.002\n", encoding="utf-8")
+    assert parse_spike_file(path, 0.001).labels == ("é", "Å")
+
+
 def test_empty_file_is_empty_sequence(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")
@@ -154,6 +185,17 @@ def test_roundtrip_property(tmp_path_factory, times, tick):
     path = tmp_path_factory.mktemp("rt") / "s.csv"
     write_spike_file(seq, path)
     assert parse_spike_file(path, tick).events == seq.events
+
+
+def test_roundtrip_drops_alphabet_labels_no_event_carries(tmp_path):
+    # the CSV has no place for a silent channel, so it does not read back
+    seq = EventSequence([Event("A", 1), Event("A", 7)], Fraction(1, 1000), alphabet={"A", "B"})
+    path = tmp_path / "s.csv"
+    write_spike_file(seq, path)
+    again = parse_spike_file(path, seq.tick_seconds)
+    assert again.events == seq.events
+    assert again.tick_seconds == seq.tick_seconds
+    assert again.alphabet == {"A"}
 
 
 def decimal_text(value: Fraction) -> str | None:
@@ -259,3 +301,80 @@ def test_hoisted_formatter_matches_format_seconds(tick, ticks):
         text = seconds(k)
         assert text == format_seconds_reference(k, tick)
         assert quantize_oracle(text, tick) == k  # the text reads back as its tick
+
+
+# rows out of tick order, with ties at ticks 2 and 5; sorted, ties keep their row order
+UNSORTED = [("B", 5), ("D", 2), ("A", 5), ("A", 1), ("C", 2)]
+SORTED = [("A", 1), ("D", 2), ("C", 2), ("B", 5), ("A", 5)]
+
+
+def columns_are_the_events(seq):
+    assert seq.labels == tuple(ev.etype for ev in seq.events)
+    assert seq.ticks == tuple(ev.time for ev in seq.events)
+    assert len(seq) == len(seq.events)
+
+
+def test_columns_of_the_events_constructor():
+    seq = EventSequence([Event(x, t) for x, t in UNSORTED])
+    columns_are_the_events(seq)
+    assert list(zip(seq.labels, seq.ticks)) == SORTED
+    # equal columns, tick and alphabet make equal sequences
+    assert seq == EventSequence(list(seq.events), Fraction(1, 1000), "ABCD")
+    assert seq != EventSequence(seq.events, Fraction(1, 100))
+    assert seq != EventSequence(seq.events, alphabet="ABCDZ")
+
+
+def test_columns_of_a_parsed_file(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{x},{t / 1000}\n" for x, t in UNSORTED))
+    seq = parse_spike_file(path, 0.001)
+    columns_are_the_events(seq)
+    assert list(zip(seq.labels, seq.ticks)) == SORTED
+    assert seq == EventSequence([Event(x, t) for x, t in UNSORTED])
+
+
+def test_columns_of_a_simulated_run():
+    # uniform rates near saturation: most steps fire several neurons
+    config = NetworkConfig(num_neurons=6, duration=0.2, seed=3, rate_mode="uniform")
+    seq = simulate(config).sequence
+    columns_are_the_events(seq)
+    rows = list(zip(seq.ticks, seq.labels))
+    assert len(set(seq.ticks)) < len(rows)
+    assert rows == sorted(rows)  # by tick, and within a step in neuron order
+
+
+def test_columns_of_a_rewritten_stream():
+    seq = EventSequence([Event(x, t) for x, t in [("A", 0), ("B", 1), ("C", 3), ("e", 2), ("d", 2)]])
+    # B@1 and C@3 (rows 1 and 4) become one composite at tick 2, after the tied e and d
+    group = EpisodeCount(ParallelEpisode(("B", "C")), 1, ((1, 4),))
+    out = rewrite_stream(seq, [group])
+    columns_are_the_events(out)
+    assert list(zip(out.labels, out.ticks)) == [("A", 0), ("e", 2), ("d", 2), ("[B C]", 2)]
+    assert isinstance(out.events[3], CompositeEvent) and out.events[3].members == (1, 4)
+
+
+def test_parsing_and_mining_build_no_event(tmp_path, monkeypatch):
+    made = []
+    check = Event.__post_init__
+
+    def counted_check(ev):
+        made.append(ev)
+        check(ev)
+
+    monkeypatch.setattr(Event, "__post_init__", counted_check)
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{x},{k / 1000}\n" for k in range(0, 300, 3) for x in "ABC"[k % 2:]))
+    seq = parse_spike_file(path, 0.001)
+    cfg = MiningConfig(min_count=1, max_size=3, candidate_intervals=(Interval(0, 3),), expiry=3)
+    assert mine_serial(seq, cfg)[1].counts and mine_parallel(seq, cfg)[1].counts
+    assert made == []
+    assert len(seq.events) == len(made) == len(seq)  # the view builds them on first use
+
+
+def test_parsed_labels_are_the_alphabet_entries(tmp_path):
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"{x},{k / 1000}\n" for k in range(50) for x in ("AB", "C", "AB")))
+    seq = parse_spike_file(path, 0.001)
+    entry = {x: x for x in seq.alphabet}
+    assert len(seq) == 150
+    assert all(x is entry[x] for x in seq.labels)
