@@ -250,11 +250,11 @@ def write_spike_file(seq: EventSequence, path) -> None:
     The CSV has no place for alphabet labels that no event carries, so they
     are not written: the re-parsed alphabet is the set of carried labels.
 
-    ValueError, before the file is opened, for an alphabet label that would
+    ValueError, before the file is opened, for a carried label that would
     not read back: empty, with outer whitespace, a comma or line break, or a
     leading ``#``.
     """
-    for label in sorted(seq.alphabet):
+    for label in sorted(set(seq.labels)):
         if (not label or label != label.strip() or label[0] == "#"
                 or any(c in label for c in ",\n\r")):
             raise ValueError(f"label {label!r} would not survive a re-parse of the spike CSV")

@@ -1,55 +1,45 @@
 """Non-overlapped counting of parallel episodes under an expiry span.
 
 Candidates are keys, sorted tuples of labels (see ``episodes``), counted
-over the stream's columns of labels and ticks, so each type's time list
-and the candidates watching it sit in a dict keyed by label.
+over the columns ``EventSequence.labels`` and ``ticks``. A pass keeps one
+time list of ``(time, index)`` per type some key needs, in a dict keyed by
+label; an event of type ``x`` at ``t`` prunes ``x``'s list by the cut
+``t - expiry`` and appends itself, so a list holds one expiry span at most.
 
-A counting pass keeps one time list of ``(time, index)`` per event type
-that some candidate needs. An event of type ``x`` at ``t`` prunes ``x``'s
-list by the cut ``t - expiry`` and then appends itself, so a list never
-holds more than one expiry span of its type's events.
+Each distinct key has a slot: its count, its watermark (the index of its
+last completion) and its occurrences. It may use only events after the
+watermark and not before the cut, a suffix of each list, so it completes
+at ``t`` iff, for each of its types with multiplicity ``m``, the ``m``-th
+entry from the end of that list is usable; a tracked occurrence takes the
+earliest ``m`` usable entries of each type. Completing at the earliest
+feasible event gives the maximum non-overlapped count (checked against
+the exhaustive oracle in the test suite, occurrences included).
 
-Each distinct candidate has a slot: its count, its watermark (the index of
-its last completion) and its occurrences. It may use only events after the
-watermark and not before the cut; in each list, ordered by index and time,
-those form a suffix. So the candidate completes at ``t`` iff, for each of
-its types with multiplicity ``m``, the ``m``-th entry from the end of that
-type's list is usable, and a tracked occurrence takes the earliest ``m``
-usable entries of each type. Completing at the earliest feasible event
-gives the maximum non-overlapped count (checked exactly against the
-exhaustive oracle in the test suite, occurrences included).
+As in the "waits" lists of Laxman, Sastry and Unnikrishnan ("A fast
+algorithm for finding frequent episodes in event streams", KDD 2007), an
+event checks only the keys that can complete on it: the watchers of ``x``
+are filed under the first other type of their key (``x`` for a key of
+``x`` alone), and an event of ``x`` reads a file only when its filing
+type's last entry is not before the cut. This is exact: a key completing
+at ``t`` has a usable entry of each type, so its filing type has one too.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 
-from .episodes import (
-    EpisodeCount,
-    MiningConfig,
-    MiningLevel,
-    ParallelEpisode,
-    counted,
-    mine_levels,
-    parallel_join,
-)
+from .episodes import (EpisodeCount, MiningConfig, MiningLevel, ParallelEpisode, counted,
+                       mine_levels, parallel_join)
 from .events import EventSequence
 
 
-def count_parallel_expiry(
-    candidates,
-    seq: EventSequence,
-    cfg: MiningConfig,
-    *,
-    jobs: int = 1,
-) -> list[EpisodeCount]:
+def count_parallel_expiry(candidates, seq: EventSequence, cfg: MiningConfig, *,
+                          jobs: int = 1) -> list[EpisodeCount]:
     """Count all candidates in one pass over shared time lists; returns counts in input order.
 
-    Candidates that need a type share its list and equal candidates share
-    a slot; each count is still exact, since the events a candidate may use
-    form a suffix of each list (see the module docstring). ``jobs`` starts
-    no process: the pass reads the stream once, in order; the keyword stays
-    so that callers passing it keep working.
+    Each count is exact, as if counted alone (see the module docstring).
+    ``jobs`` starts no process: the pass reads the stream once, in order;
+    the keyword stays so that callers passing it keep working.
     """
     candidates = list(candidates)
     keys = [ep.etypes for ep in candidates]
@@ -58,52 +48,52 @@ def count_parallel_expiry(
 
 
 def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> list:
-    """The counting pass over parallel keys, each a sorted tuple of labels, on the
-    stream's columns ``seq.labels`` and ``seq.ticks``.
-
-    One result per key, in order: its count, or ``(count, occurrences)``
-    when ``track``. ValueError unless ``expiry > 0``.
+    """The counting pass over parallel keys, sorted tuples of labels; one result per
+    key, in order: its count, or ``(count, occurrences)`` when ``track``.
+    ValueError unless ``expiry > 0``.
     """
     if expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
-    # label -> (time list, (slot, needs) of the keys watching it), once some key needs it
+    # label -> (time list, {filing label: (that label's list, [(slot, needs)])}) once needed
     lists: dict = dict.fromkeys(seq.alphabet)
     slot_of: dict[tuple, list] = {}
     for key in dict.fromkeys(keys):
         slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
-        needs = []
-        for y, m in Counter(key).items():
-            entry = lists.get(y)
-            if entry is None:
-                entry = lists[y] = (deque(), [])
-            needs.append((entry[0], m))
-            entry[1].append((slot, needs))
+        mult = Counter(key)
+        for y in mult:
+            lists[y] = lists.get(y) or (deque(), {})
+        needs = [(lists[y][0], m) for y, m in mult.items()]
+        for y in mult:
+            f = next((z for z in mult if z != y), y)
+            lists[y][1].setdefault(f, (lists[f][0], []))[1].append((slot, needs))
 
     for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
         entry = lists[x]
         if entry is None:
             continue
-        tl, watchers = entry
+        tl, files = entry
         cut = t - expiry
         while tl and tl[0][0] < cut:
             tl.popleft()
         tl.append((t, idx))
-        for slot, needs in watchers:
-            mark = slot[1]
-            for q, m in needs:
-                if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
-                    break
-            else:
-                slot[0] += 1
-                slot[1] = idx
-                if track:
-                    chosen = []
+        for zq, watchers in files.values():
+            if zq and zq[-1][0] >= cut:
+                for slot, needs in watchers:
+                    mark = slot[1]
                     for q, m in needs:
-                        k = len(q) - m
-                        while k and q[k - 1][0] >= cut and q[k - 1][1] > mark:
-                            k -= 1
-                        chosen.extend(q[i][1] for i in range(k, k + m))
-                    slot[2].append(tuple(sorted(chosen)))
+                        if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
+                            break
+                    else:
+                        slot[0] += 1
+                        slot[1] = idx
+                        if track:
+                            chosen = []
+                            for q, m in needs:
+                                k = len(q) - m
+                                while k and q[k - 1][0] >= cut and q[k - 1][1] > mark:
+                                    k -= 1
+                                chosen.extend(q[i][1] for i in range(k, k + m))
+                            slot[2].append(tuple(sorted(chosen)))
 
     if track:
         return [(slot_of[key][0], tuple(slot_of[key][2])) for key in keys]
@@ -120,6 +110,5 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
     return mine_levels(
         [(x,) for x in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
         lambda keys: (keys, _count_keys(keys, seq, cfg.track_occurrences, cfg.expiry)),
-        parallel_join,
-        ParallelEpisode,
+        parallel_join, ParallelEpisode,
     )

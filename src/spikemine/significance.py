@@ -24,6 +24,8 @@ maxima from size 3 on; the report states both profiles side by side.
 from __future__ import annotations
 
 import os
+import sys
+import time
 from dataclasses import dataclass, replace
 
 from .episodes import Interval, MiningConfig, SerialEpisode
@@ -117,6 +119,24 @@ def _min_profile(args) -> list[int]:
     return [min(f) for f in freqs]
 
 
+def _timed(task) -> tuple[list[int], float]:
+    """The profile of one ``(family, profile function, spec)`` task and its seconds."""
+    _, profile, spec = task
+    start = time.perf_counter()
+    return profile(spec), time.perf_counter() - start
+
+
+def _reported(tasks, results) -> dict[str, list[list[int]]]:
+    """The profiles of each family, in task order; a stderr line as each dataset finishes."""
+    profiles: dict[str, list[list[int]]] = {"random": [], "patterned": []}
+    totals = {family: sum(task[0] == family for task in tasks) for family in profiles}
+    for (family, _, _), (profile, seconds) in zip(tasks, results):
+        profiles[family].append(profile)
+        print(f"significance: {family} dataset {len(profiles[family])}/{totals[family]}"
+              f" done in {seconds:.2f} s", file=sys.stderr, flush=True)
+    return profiles
+
+
 def run_significance(
     base: NetworkConfig | None = None,
     *,
@@ -147,12 +167,8 @@ def run_significance(
             cfg = replace(base, weight_seed=seed0 + 100 + w, seed=seed0 + 1000 * (w + 1) + r)
             random_specs.append((cfg, max_size, interval, beam_width))
     for r in range(random_rate_runs):
-        cfg = replace(
-            base,
-            rate_mode="uniform",
-            lambda_max=RATE_MODEL_LAMBDA_MAX,
-            seed=seed0 + 500_000 + r,
-        )
+        cfg = replace(base, rate_mode="uniform", lambda_max=RATE_MODEL_LAMBDA_MAX,
+                      seed=seed0 + 500_000 + r)
         random_specs.append((cfg, max_size, interval, beam_width))
 
     chain = embed_pattern(base, f"chain-{chain_length}")
@@ -161,31 +177,24 @@ def run_significance(
         for r in range(patterned_runs)
     ]
 
+    tasks = [("random", _max_profile, spec) for spec in random_specs]
+    tasks += [("patterned", _min_profile, spec) for spec in patterned_specs]
     workers = pool_size(jobs, max(len(random_specs), len(patterned_specs)))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            max_profiles = list(pool.map(_max_profile, random_specs))
-            min_profiles = list(pool.map(_min_profile, patterned_specs))
+            profiles = _reported(tasks, pool.map(_timed, tasks))
     else:
-        max_profiles = [_max_profile(spec) for spec in random_specs]
-        min_profiles = [_min_profile(spec) for spec in patterned_specs]
+        profiles = _reported(tasks, map(_timed, tasks))
 
-    n_random = len(max_profiles)
-    n_patterned = len(min_profiles)
-    sizes = tuple(range(1, max_size + 1))
-    avg_max = tuple(
-        sum(profile[i] for profile in max_profiles) / n_random for i in range(max_size)
-    )
-    avg_min = tuple(
-        sum(profile[i] for profile in min_profiles) / n_patterned for i in range(max_size)
-    )
+    avg_max, avg_min = (tuple(sum(p[i] for p in ps) / len(ps) for i in range(max_size))
+                        for ps in (profiles["random"], profiles["patterned"]))
     return SignificanceReport(
         interval=interval,
-        sizes=sizes,
+        sizes=tuple(range(1, max_size + 1)),
         random_avg_max=avg_max,
         patterned_avg_min=avg_min,
-        random_samples=n_random,
-        patterned_samples=n_patterned,
+        random_samples=len(random_specs),
+        patterned_samples=len(patterned_specs),
         chain_length=chain_length,
     )

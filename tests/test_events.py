@@ -198,6 +198,15 @@ def test_roundtrip_drops_alphabet_labels_no_event_carries(tmp_path):
     assert again.alphabet == {"A"}
 
 
+def test_write_skips_a_bad_label_on_a_silent_channel(tmp_path):
+    # only carried labels are written, so only they must survive a re-parse
+    seq = EventSequence([Event("A", 1)], Fraction(1, 1000), alphabet={"A", "B,C"})
+    path = tmp_path / "s.csv"
+    write_spike_file(seq, path)
+    again = parse_spike_file(path, seq.tick_seconds)
+    assert again.events == seq.events
+    assert again.alphabet == {"A"}
+
 def decimal_text(value: Fraction) -> str | None:
     """Exact decimal text of ``value``, or None if it has no finite expansion."""
     with localcontext() as ctx:

@@ -1,4 +1,6 @@
 import random
+import string
+from collections import deque
 
 import pytest
 
@@ -18,6 +20,7 @@ from spikemine import (
     count_parallel_expiry,
     mine_parallel,
 )
+from spikemine import parallel
 
 
 def cfg_for(expiry, track=False):
@@ -185,3 +188,72 @@ def test_time_list_is_pruned_at_append(peak_live_entries):
     ab = [ParallelEpisode(("A", "B"))]
     expiry = 4
     assert peak_live_entries(count_parallel_expiry, ab, seq, cfg_for(expiry)) <= 2 * (expiry + 1)
+
+
+def test_key_waits_while_its_filing_type_is_out_of_the_window():
+    # (A, B, C) is filed under A at the events of B and C, and under B at
+    # those of A; B and C meet within the span while A lies outside it
+    seq = EventSequence([Event("A", 0), Event("B", 5), Event("C", 6), Event("B", 9), Event("C", 9)])
+    abc = ParallelEpisode(("A", "B", "C"))
+    (res,) = count_parallel_expiry([abc], seq, cfg_for(3, track=True))
+    assert res.freq == 0 and res.occurrences == ()
+    check_shared_pass([abc, ParallelEpisode(("B", "C"))], seq, 3)
+
+
+def test_filing_type_before_the_cut_and_again_inside_it():
+    # B's watchers of (A, B) and (A, A, B) are filed under A, whose first
+    # event lies before the cut of B at 6 and whose second lies inside it
+    seq = EventSequence([Event("A", 0), Event("A", 5), Event("B", 6), Event("A", 7), Event("B", 12)])
+    ab, aab = ParallelEpisode(("A", "B")), ParallelEpisode(("A", "A", "B"))
+    res_ab, res_aab = count_parallel_expiry([ab, aab], seq, cfg_for(3, track=True))
+    assert res_ab.occurrences == ((1, 2),)
+    assert res_aab.occurrences == ((1, 2, 3),)  # completes at the third A, not at B
+    check_shared_pass([ab, aab], seq, 3)
+
+
+def test_negative_cut_at_ticks_below_expiry():
+    seq = EventSequence([Event("C", 0), Event("A", 1), Event("B", 3), Event("A", 4), Event("C", 9)])
+    eps = [ParallelEpisode(p) for p in ("ABC", "AC", "AA", "C")]
+    abc, ac, aa, c = count_parallel_expiry(eps, seq, cfg_for(10, track=True))
+    assert abc.occurrences == ((0, 1, 2),)
+    assert ac.occurrences == ((0, 1), (3, 4))
+    assert aa.occurrences == ((1, 3),)
+    assert c.occurrences == ((0,), (4,))
+    check_shared_pass(eps, seq, 10)
+
+
+def test_shared_pass_over_six_types_matches_oracle():
+    # with six types most keys are filed under a type other than the event's
+    rng = random.Random(1806)
+    for _ in range(60):
+        types = "ABCDEF"[: rng.randint(5, 6)]
+        t, events = 0, []
+        for _ in range(rng.randint(0, 70)):
+            t += rng.choice((0, 0, 1, 1, 2, 4))
+            events.append(Event(rng.choice(types), t))
+        seq = EventSequence(events, alphabet=types)
+        eps = [ParallelEpisode(tuple(rng.choices(types, k=rng.randint(1, 4))))
+               for _ in range(rng.randint(5, 12))]
+        check_shared_pass(eps, seq, rng.randint(1, 6))
+
+
+def test_an_event_checks_no_key_whose_filing_type_is_out_of_the_window(monkeypatch):
+    # every other type fires once at tick 0 and then only B fires, so each
+    # pair (B, y) is filed under y, which is out of the window: a B event
+    # reads two entries pruning its own list and the last entry of each
+    # filing type's list, and runs no key's check
+    reads = 0
+
+    class ReadCountingDeque(deque):
+        def __getitem__(self, i):
+            nonlocal reads
+            reads += 1
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(parallel, "deque", ReadCountingDeque)
+    others = [y for y in string.ascii_uppercase if y != "B"]
+    bs = [Event("B", t) for t in range(10, 1010)]
+    seq = EventSequence([Event(y, 0) for y in others] + bs)
+    pairs = [ParallelEpisode(tuple(sorted(("B", y)))) for y in others]
+    assert {c.freq for c in count_parallel_expiry(pairs, seq, cfg_for(4))} == {0}
+    assert reads <= (2 + len(others)) * len(bs)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import spikemine.significance as significance
@@ -106,6 +108,23 @@ def test_significance_workers_bounded(cpus, inline_pools):
         solo.random_avg_max, solo.patterned_avg_min
     )
 
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
+    cpus(2)  # two workers start a process pool; one counts in this process
+    run_significance(
+        NetworkConfig(duration=2.0), weight_seeds=1, noise_runs_per_seed=2, random_rate_runs=0,
+        patterned_runs=1, max_size=2, beam_width=40, chain_length=4, jobs=jobs,
+    )
+    out, err = capfd.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert [line.rsplit(" in ", 1)[0] for line in lines] == [
+        "significance: random dataset 1/2 done",
+        "significance: random dataset 2/2 done",
+        "significance: patterned dataset 1/1 done",
+    ]
+    assert all(re.fullmatch(r".* in \d+\.\d\d s", line) for line in lines)
 
 def test_min_profile_one_pass_equals_one_pass_per_size():
     chain = embed_pattern(NetworkConfig(duration=4.0, seed=11), "chain-6")
