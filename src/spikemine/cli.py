@@ -188,11 +188,11 @@ def cmd_mine(args) -> int:
 
     t0 = time.perf_counter()
     if args.kind == "serial":
-        levels = mine_serial(seq, cfg, jobs=args.jobs)
+        levels = mine_serial(seq, cfg)
     elif args.kind == "parallel":
-        levels = mine_parallel(seq, cfg, jobs=args.jobs)
+        levels = mine_parallel(seq, cfg)
     else:
-        levels = mine_synfire(seq, cfg, jobs=args.jobs).serial_levels
+        levels = mine_synfire(seq, cfg).serial_levels
     mine_seconds = time.perf_counter() - t0
 
     _write_levels(out, args.kind, levels, tick)

@@ -10,48 +10,48 @@ Two pattern kinds are mined:
 * parallel episodes: a multiset of event types (multiplicity matters),
   matched within an expiry span regardless of order.
 
+``Interval``, ``SerialEpisode`` and ``ParallelEpisode`` are validated
+named tuples, ``(low, high)``, ``(etypes, intervals)`` and ``(etypes,)``,
+so an episode sorts, hashes and compares as its tuple and is itself the
+key the counters file and the joins match on.
+
 Candidate growth is level-wise. Serial candidates join a size-k episode's
 (k-1)-suffix against another's (k-1)-prefix, types and windows both;
 no subset pruning is applied beyond the join because gap windows do not
 project onto skipping subepisodes. Parallel candidates use the classic
 sorted-prefix join plus full sub-multiset pruning, which is sound because
 expiry-constrained non-overlapped frequency is monotone under
-sub-multisets.
+sub-multisets. The join of valid episodes is valid, so the joins build
+their results with ``tuple.__new__`` and skip the checks.
 
-Mining runs on label keys: a serial key is ``(etypes, ((low, high),
-...))``, a parallel key the sorted ``etypes``, so keys sort, rank and join
-exactly like their episodes.
-
-One level loop, ``mine_levels``, mines both kinds from their size-1 keys,
-counter, key join (``serial_join``, ``parallel_join``) and decoder. Keys
-stay keys through counting, ranking, the beam and the join; only the
-frequent results of a level become episodes and ``EpisodeCount``s. The
-public joins and counters take their episodes' keys, run the same code and
-rebuild episodes. Every counting pass reads the stream's columns
-(``EventSequence.labels`` and ``ticks``) once, in order, in the calling
-process.
+One level loop, ``mine_levels``, mines both kinds from their size-1
+episodes, counter and join (``generate_serial_candidates``,
+``generate_parallel_candidates``). Every counting pass reads the stream's
+columns (``EventSequence.labels`` and ``ticks``) once, in order, in the
+calling process.
 """
 
 from __future__ import annotations
 
 import math
 import time as _time
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
+_new = tuple.__new__  # builds a named tuple without its checks
 
-@dataclass(frozen=True, order=True)
-class Interval:
+
+class Interval(namedtuple("Interval", "low high")):
     """Half-open gap window ``(low, high]`` in ticks, with 0 <= low < high."""
 
-    low: int
-    high: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0 <= self.low < self.high):
-            raise ValueError(f"require 0 <= low < high, got ({self.low}, {self.high}]")
+    def __new__(cls, low: int, high: int):
+        if not (0 <= low < high):
+            raise ValueError(f"require 0 <= low < high, got ({low}, {high}]")
+        return _new(cls, (low, high))
 
     def contains(self, gap: int) -> bool:
         return self.low < gap <= self.high
@@ -60,23 +60,22 @@ class Interval:
         return f"({self.low},{self.high}]"
 
 
-@dataclass(frozen=True, order=True)
-class SerialEpisode:
+class SerialEpisode(namedtuple("SerialEpisode", "etypes intervals")):
     """Ordered event types plus one gap window per consecutive pair."""
 
-    etypes: tuple[str, ...]
-    intervals: tuple[Interval, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "etypes", tuple(self.etypes))
-        object.__setattr__(self, "intervals", tuple(self.intervals))
-        if not self.etypes:
+    def __new__(cls, etypes: Iterable[str], intervals: Iterable = ()):
+        etypes = tuple(etypes)
+        intervals = tuple(Interval(*iv) for iv in intervals)
+        if not etypes:
             raise ValueError("serial episode needs at least one event type")
-        if len(self.intervals) != len(self.etypes) - 1:
+        if len(intervals) != len(etypes) - 1:
             raise ValueError(
-                f"{len(self.etypes)}-node serial episode needs "
-                f"{len(self.etypes) - 1} intervals, got {len(self.intervals)}"
+                f"{len(etypes)}-node serial episode needs "
+                f"{len(etypes) - 1} intervals, got {len(intervals)}"
             )
+        return _new(cls, (etypes, intervals))
 
     @property
     def size(self) -> int:
@@ -89,16 +88,16 @@ class SerialEpisode:
         return " ".join(parts)
 
 
-@dataclass(frozen=True, order=True)
-class ParallelEpisode:
+class ParallelEpisode(namedtuple("ParallelEpisode", "etypes")):
     """Multiset of event types, stored canonically sorted."""
 
-    etypes: tuple[str, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "etypes", tuple(sorted(self.etypes)))
-        if not self.etypes:
+    def __new__(cls, etypes: Iterable[str]):
+        etypes = tuple(sorted(etypes))
+        if not etypes:
             raise ValueError("parallel episode needs at least one event type")
+        return _new(cls, (etypes,))
 
     @property
     def size(self) -> int:
@@ -124,7 +123,8 @@ class MiningConfig:
     ``min_count`` is given it replaces the fractional floor outright.
     ``beam_width`` caps how many frequent episodes of one level seed the
     next level's join (None = no cap); counts of retained episodes are
-    exact either way.
+    exact either way. Each ``candidate_intervals`` entry may be any
+    ``(low, high)`` pair; it is checked and kept as an ``Interval``.
     """
 
     freq_threshold: float = 0.0
@@ -136,7 +136,9 @@ class MiningConfig:
     beam_width: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "candidate_intervals", tuple(self.candidate_intervals))
+        object.__setattr__(
+            self, "candidate_intervals", tuple(Interval(*iv) for iv in self.candidate_intervals)
+        )
         if not (0.0 <= self.freq_threshold <= 1.0):
             raise ValueError(f"freq_threshold must be in [0,1], got {self.freq_threshold}")
         if self.max_size < 1:
@@ -189,17 +191,6 @@ def rank_key(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
-def serial_key(ep: SerialEpisode) -> tuple:
-    """The key ``(etypes, ((low, high), ...))`` of a serial episode."""
-    return ep.etypes, tuple((iv.low, iv.high) for iv in ep.intervals)
-
-
-def serial_episode(key: tuple, intervals: dict) -> SerialEpisode:
-    """The episode of a serial key; ``intervals`` maps ``(low, high)`` to its Interval."""
-    etypes, windows = key
-    return SerialEpisode(etypes, tuple(map(intervals.__getitem__, windows)))
-
-
 def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     """One ``EpisodeCount`` per episode, from its counting result."""
     return [
@@ -207,29 +198,26 @@ def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     ]
 
 
-def mine_levels(
-    candidates: list, cfg: MiningConfig, floor: int, count, join, decode
-) -> list[MiningLevel]:
-    """Level-wise search from the size-1 keys ``candidates``: count, filter, rank, join.
+def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
+    """Level-wise search from the size-1 episodes ``candidates``: count, filter, rank, join.
 
-    ``count(keys)`` gives the keys it counted and a result each, the count
-    or ``(count, occurrences)`` if tracked; its time is the level's
-    ``seconds``. Keys counted ``floor`` times or more rank by ``(-count,
-    key)``, which is ``rank_key``'s order, and only they are decoded
-    (``decode(key)`` is the episode). ``join(keys)`` makes the next level's
-    keys from the best ``beam_width``. Stops at a level with no frequent
-    key or at ``max_size``.
+    ``count(episodes)`` gives the episodes it counted and a result each,
+    the count or ``(count, occurrences)`` if tracked; its time is the
+    level's ``seconds``. Episodes counted ``floor`` times or more rank by
+    ``(-count, episode)``, which is ``rank_key``'s order. ``join(seeds)``
+    makes the next level's candidates from the best ``beam_width``. Stops
+    at a level with no frequent episode or at ``max_size``.
     """
     levels: list[MiningLevel] = []
     size = 1
     while candidates and size <= cfg.max_size:
         t0 = _time.perf_counter()
-        keys, results = count(candidates)
+        eps, results = count(candidates)
         if cfg.track_occurrences:
-            ranked = sorted((-f, key, occs) for key, (f, occs) in zip(keys, results) if f >= floor)
+            ranked = sorted((-f, ep, occs) for ep, (f, occs) in zip(eps, results) if f >= floor)
         else:
-            ranked = sorted((-f, key) for key, f in zip(keys, results) if f >= floor)
-        counts = tuple(EpisodeCount(decode(r[1]), -r[0], *r[2:]) for r in ranked)
+            ranked = sorted((-f, ep) for ep, f in zip(eps, results) if f >= floor)
+        counts = tuple(EpisodeCount(r[1], -r[0], *r[2:]) for r in ranked)
         levels.append(MiningLevel(size, len(candidates), counts, _time.perf_counter() - t0))
         if not ranked or size == cfg.max_size:
             break
@@ -266,29 +254,12 @@ def bootstrap_serial(alphabet: Iterable[str]) -> list[SerialEpisode]:
 
 
 def _one_size(episodes: Iterable[Episode]) -> list[Episode]:
-    """``episodes`` as a list; ValueError if their sizes differ."""
-    pool = list(episodes)
-    sizes = {ep.size for ep in pool}
+    """``episodes`` without repeats, as a list; ValueError if their sizes differ."""
+    pool = list(dict.fromkeys(episodes))
+    sizes = {len(ep.etypes) for ep in pool}
     if len(sizes) > 1:
         raise ValueError(f"mixed episode sizes in join input: {sorted(sizes)}")
     return pool
-
-
-def serial_join(keys: Iterable[tuple], windows: Iterable[tuple[int, int]]) -> list[tuple]:
-    """``generate_serial_candidates`` on serial keys of one size; sorted, duplicate-free."""
-    pool = list(dict.fromkeys(keys))
-    if pool and len(pool[0][0]) == 1:
-        firsts = [types for types, _ in pool]
-        return sorted({(a + b, (w,)) for a in firsts for b in firsts for w in windows})
-    by_prefix: dict[tuple, list] = {}
-    for types, wins in pool:
-        by_prefix.setdefault((types[:-1], wins[:-1]), []).append((types[-1], wins[-1]))
-    # a pair (left, right) determines its candidate, so a duplicate-free pool gives no duplicates
-    return sorted(
-        (types + (last,), wins + (win,))
-        for types, wins in pool
-        for last, win in by_prefix.get((types[1:], wins[1:]), ())
-    )
 
 
 def generate_serial_candidates(
@@ -303,24 +274,32 @@ def generate_serial_candidates(
     chains like A -> A -> A are reachable. For size 1 the overlap is
     empty and every ordered type pair is emitted once per candidate
     window in ``intervals``. Output is duplicate-free and sorted.
-
-    The join runs on keys (``serial_join``), as in ``mine_serial``, whose
-    counter may prune the size-1 join by hull count (see ``serial``).
     """
     pool = _one_size(frequent)
-    by_window = {(iv.low, iv.high): iv for ep in pool for iv in ep.intervals}
-    by_window.update({(iv.low, iv.high): iv for iv in intervals})
-    windows = [(iv.low, iv.high) for iv in intervals]
-    return [serial_episode(key, by_window) for key in serial_join(map(serial_key, pool), windows)]
+    if pool and len(pool[0].etypes) == 1:
+        firsts = [ep.etypes for ep in pool]
+        windows = [Interval(*iv) for iv in intervals]
+        return sorted(
+            {_new(SerialEpisode, (a + b, (w,))) for a in firsts for b in firsts for w in windows}
+        )
+    by_prefix: dict[tuple, list] = {}
+    for types, wins in pool:
+        by_prefix.setdefault((types[:-1], wins[:-1]), []).append((types[-1], wins[-1]))
+    # a pair (left, right) determines its candidate, so a duplicate-free pool gives no duplicates
+    return sorted(
+        _new(SerialEpisode, (types + (last,), wins + (win,)))
+        for types, wins in pool
+        for last, win in by_prefix.get((types[1:], wins[1:]), ())
+    )
 
 
-def parallel_join(keys: Iterable[tuple]) -> list[tuple]:
-    """``generate_parallel_candidates`` on parallel keys of one size; sorted, duplicate-free."""
-    pool = sorted(set(keys))
+def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:
+    """Sorted-prefix join plus full sub-multiset pruning, one size up; sorted, duplicate-free."""
+    pool = sorted(ep.etypes for ep in _one_size(frequent))
     have = set(pool)
     by_prefix: dict[tuple, list[tuple]] = {}
-    for key in pool:
-        by_prefix.setdefault(key[:-1], []).append(key)
+    for types in pool:
+        by_prefix.setdefault(types[:-1], []).append(types)
     # prefixes, lefts and rights all ascend, so the output comes out sorted
     out = []
     for group in by_prefix.values():
@@ -328,11 +307,5 @@ def parallel_join(keys: Iterable[tuple]) -> list[tuple]:
             for right in group[i:]:  # right[-1] >= left[-1]; self-join allowed
                 cand = left + right[-1:]
                 if all(cand[:j] + cand[j + 1 :] in have for j in range(len(cand))):
-                    out.append(cand)
+                    out.append(_new(ParallelEpisode, (cand,)))
     return out
-
-
-def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:
-    """Sorted-prefix join plus full sub-multiset pruning, one size up, on keys
-    (``parallel_join``)."""
-    return [ParallelEpisode(key) for key in parallel_join(ep.etypes for ep in _one_size(frequent))]

@@ -1,13 +1,14 @@
 """Non-overlapped counting of parallel episodes under an expiry span.
 
-Candidates are keys, sorted tuples of labels (see ``episodes``), counted
-over the columns ``EventSequence.labels`` and ``ticks``. A pass keeps one
-time list of ``(time, index)`` per type some key needs, in a dict keyed by
-label; an event of type ``x`` at ``t`` prunes ``x``'s list by the cut
-``t - expiry`` and appends itself, so a list holds one expiry span at most.
+Candidates are ``ParallelEpisode``s, named tuples ``(etypes,)`` of sorted
+labels, counted over the columns ``EventSequence.labels`` and ``ticks``. A
+pass keeps one time list of ``(time, index)`` per type some candidate
+needs, in a dict keyed by label; an event of type ``x`` at ``t`` prunes
+``x``'s list by the cut ``t - expiry`` and appends itself, so a list holds
+one expiry span at most.
 
-Each distinct key has a slot: its count, its watermark (the index of its
-last completion) and its occurrences. It may use only events after the
+Each distinct candidate has a slot: its count, its watermark (the index of
+its last completion) and its occurrences. It may use only events after the
 watermark and not before the cut, a suffix of each list, so it completes
 at ``t`` iff, for each of its types with multiplicity ``m``, the ``m``-th
 entry from the end of that list is usable; a tracked occurrence takes the
@@ -17,11 +18,12 @@ the exhaustive oracle in the test suite, occurrences included).
 
 As in the "waits" lists of Laxman, Sastry and Unnikrishnan ("A fast
 algorithm for finding frequent episodes in event streams", KDD 2007), an
-event checks only the keys that can complete on it: the watchers of ``x``
-are filed under the first other type of their key (``x`` for a key of
-``x`` alone), and an event of ``x`` reads a file only when its filing
-type's last entry is not before the cut. This is exact: a key completing
-at ``t`` has a usable entry of each type, so its filing type has one too.
+event checks only the candidates that can complete on it: the watchers of
+``x`` are filed under the first other type of their episode (``x`` for an
+episode of ``x`` alone), and an event of ``x`` reads a file only when its
+filing type's last entry is not before the cut. This is exact: a candidate
+completing at ``t`` has a usable entry of each type, so its filing type has
+one too.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from .episodes import (EpisodeCount, MiningConfig, MiningLevel, ParallelEpisode, counted,
-                       mine_levels, parallel_join)
+                       generate_parallel_candidates, mine_levels)
 from .events import EventSequence
 
 
@@ -42,14 +44,13 @@ def count_parallel_expiry(candidates, seq: EventSequence, cfg: MiningConfig, *,
     the keyword stays so that callers passing it keep working.
     """
     candidates = list(candidates)
-    keys = [ep.etypes for ep in candidates]
-    results = _count_keys(keys, seq, cfg.track_occurrences, cfg.expiry)
+    results = _count(candidates, seq, cfg.track_occurrences, cfg.expiry)
     return counted(candidates, results, cfg.track_occurrences)
 
 
-def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> list:
-    """The counting pass over parallel keys, sorted tuples of labels; one result per
-    key, in order: its count, or ``(count, occurrences)`` when ``track``.
+def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> list:
+    """The counting pass over parallel episodes; one result per candidate, in
+    order: its count, or ``(count, occurrences)`` when ``track``.
     ValueError unless ``expiry > 0``.
     """
     if expiry <= 0:
@@ -57,9 +58,9 @@ def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> lis
     # label -> (time list, {filing label: (that label's list, [(slot, needs)])}) once needed
     lists: dict = dict.fromkeys(seq.alphabet)
     slot_of: dict[tuple, list] = {}
-    for key in dict.fromkeys(keys):
-        slot = slot_of[key] = [0, -1, []]  # freq, watermark, occurrences
-        mult = Counter(key)
+    for ep in dict.fromkeys(candidates):
+        slot = slot_of[ep] = [0, -1, []]  # freq, watermark, occurrences
+        mult = Counter(ep.etypes)
         for y in mult:
             lists[y] = lists.get(y) or (deque(), {})
         needs = [(lists[y][0], m) for y, m in mult.items()]
@@ -96,8 +97,8 @@ def _count_keys(keys: list, seq: EventSequence, track: bool, expiry: int) -> lis
                             slot[2].append(tuple(sorted(chosen)))
 
     if track:
-        return [(slot_of[key][0], tuple(slot_of[key][2])) for key in keys]
-    return [slot_of[key][0] for key in keys]
+        return [(slot_of[ep][0], tuple(slot_of[ep][2])) for ep in candidates]
+    return [slot_of[ep][0] for ep in candidates]
 
 
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
@@ -108,7 +109,7 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
     keyword stays so that callers passing it keep working.
     """
     return mine_levels(
-        [(x,) for x in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
-        lambda keys: (keys, _count_keys(keys, seq, cfg.track_occurrences, cfg.expiry)),
-        parallel_join, ParallelEpisode,
+        [ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
+        lambda eps: (eps, _count(eps, seq, cfg.track_occurrences, cfg.expiry)),
+        generate_parallel_candidates,
     )

@@ -1,6 +1,6 @@
 """Non-overlapped counting of gap-constrained serial episodes.
 
-Candidates are keys ``(etypes, ((low, high), ...))`` (see ``episodes``),
+Candidates are ``SerialEpisode``s, named tuples ``(etypes, intervals)``,
 counted over the stream's columns of labels and ticks, so trie roots are
 a dict keyed by label.
 
@@ -45,9 +45,10 @@ event, and its children of the event's type are extended. Visit order
 cannot change a count: an entry made at tick ``t`` is never in a window
 ``[t - high, t - low)`` of an event at ``t``, as ``low >= 0``.
 
-``mine_serial`` runs ``episodes.mine_levels`` with a counter that counts
-level 2 in two passes when the count floor is above zero and there are
-at least two candidate windows. Every occurrence of
+``mine_serial`` runs ``episodes.mine_levels`` from ``bootstrap_serial``
+with the join ``generate_serial_candidates``. Its counter counts level 2
+in two passes when the count floor is above zero and there are at least
+two candidate windows. Every occurrence of
 ``A -(w)-> B`` is also one of ``A -(hull)-> B`` for the hull
 ``(lowest low, highest high]`` of the windows, so the hull count bounds
 each per-window count from above. Pass 1 counts each type pair once under
@@ -65,11 +66,10 @@ from .episodes import (
     EpisodeCount,
     MiningConfig,
     MiningLevel,
+    bootstrap_serial,
     counted,
+    generate_serial_candidates,
     mine_levels,
-    serial_episode,
-    serial_join,
-    serial_key,
 )
 from .events import EventSequence
 
@@ -105,21 +105,20 @@ def count_serial_constrained(
     callers passing it keep working.
     """
     candidates = list(candidates)
-    keys = [serial_key(ep) for ep in candidates]
     track = bool(cfg and cfg.track_occurrences)
-    return counted(candidates, _count_keys(keys, seq, track), track)
+    return counted(candidates, _count(candidates, seq, track), track)
 
 
-def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
-    """The counting pass over serial keys ``(etypes, ((low, high), ...))`` on the
-    stream's columns ``seq.labels`` and ``seq.ticks``.
+def _count(candidates: list, seq: EventSequence, track: bool) -> list:
+    """The counting pass over ``(etypes, windows)`` pairs on the stream's
+    columns ``seq.labels`` and ``seq.ticks``.
 
-    One result per key, in order: its count, or ``(count, occurrences)``
-    when ``track``.
+    One result per candidate, in order: its count, or ``(count,
+    occurrences)`` when ``track``.
     """
     roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
     slots = []
-    for types, windows in keys:
+    for types, windows in candidates:
         node = roots.get(types[0])
         if node is None:
             node = roots[types[0]] = _Node()
@@ -127,7 +126,8 @@ def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
             by_window = node.kids.setdefault(x, {})
             child = by_window.get(window)
             if child is None:
-                child = by_window[window] = _Node()
+                # a plain pair: the scan unpacks exact tuples faster than Intervals
+                child = by_window[tuple(window)] = _Node()
                 node.reach = max(node.reach, window[1])
             node = child
         if node.slot is None:
@@ -180,16 +180,16 @@ def _count_keys(keys: list, seq: EventSequence, track: bool) -> list:
     return [slot[0] for slot in slots]
 
 
-def _hull_survivors(keys: list, seq: EventSequence, windows: list, floor: int) -> list:
-    """Level-2 keys whose type pair reaches ``floor`` under the window hull.
+def _hull_survivors(candidates: list, seq: EventSequence, windows: tuple, floor: int) -> list:
+    """Level-2 candidates whose type pair reaches ``floor`` under the window hull.
 
     The hull counts only bound, so they are taken without tracking.
     """
-    hull = ((windows[0][0], windows[-1][1]),)
-    pairs = sorted({types for types, _ in keys})
-    bounds = _count_keys([(pair, hull) for pair in pairs], seq, False)
+    hull = ((windows[0].low, windows[-1].high),)
+    pairs = sorted({ep.etypes for ep in candidates})
+    bounds = _count([(pair, hull) for pair in pairs], seq, False)
     kept = {pair for pair, bound in zip(pairs, bounds) if bound >= floor}
-    return [key for key in keys if key[0] in kept]
+    return [ep for ep in candidates if ep.etypes in kept]
 
 
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
@@ -204,17 +204,15 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
-    two_pass = floor > 0 and len(cfg.candidate_intervals) > 1
-    intervals = {(iv.low, iv.high): iv for iv in cfg.candidate_intervals}
-    windows = list(intervals)
+    windows = cfg.candidate_intervals
+    two_pass = floor > 0 and len(windows) > 1
 
-    def count_level(keys):
-        if two_pass and len(keys[0][0]) == 2:
-            keys = _hull_survivors(keys, seq, windows, floor)
-        return keys, _count_keys(keys, seq, cfg.track_occurrences)
+    def count_level(candidates):
+        if two_pass and len(candidates[0].etypes) == 2:
+            candidates = _hull_survivors(candidates, seq, windows, floor)
+        return candidates, _count(candidates, seq, cfg.track_occurrences)
 
     return mine_levels(
-        [((x,), ()) for x in sorted(seq.alphabet)], cfg, floor, count_level,
-        lambda seeds: serial_join(seeds, windows),
-        lambda key: serial_episode(key, intervals),
+        bootstrap_serial(seq.alphabet), cfg, floor, count_level,
+        lambda seeds: generate_serial_candidates(seeds, windows),
     )

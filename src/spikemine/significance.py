@@ -154,7 +154,8 @@ def run_significance(
     """Generate both dataset families, mine them, and aggregate profiles.
 
     ValueError, before anything is simulated, when ``max_size`` exceeds
-    ``chain_length``: the chain has no segment of that size.
+    ``chain_length`` (the chain has no segment of that size) or when a
+    family has no dataset to average.
     """
     if max_size > chain_length:
         raise ValueError(f"max_size {max_size} exceeds the embedded chain length {chain_length}")
@@ -176,6 +177,8 @@ def run_significance(
         (replace(chain, seed=seed0 + 900_000 + r), max_size, interval, chain_length)
         for r in range(patterned_runs)
     ]
+    if not random_specs or not patterned_specs:
+        raise ValueError("each family needs at least one dataset")
 
     tasks = [("random", _max_profile, spec) for spec in random_specs]
     tasks += [("patterned", _min_profile, spec) for spec in patterned_specs]

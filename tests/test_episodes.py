@@ -1,10 +1,13 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemine import (
+    Event,
+    EventSequence,
     Interval,
     MiningConfig,
     ParallelEpisode,
@@ -13,6 +16,9 @@ from spikemine import (
     generate_parallel_candidates,
     generate_serial_candidates,
     is_subepisode,
+    mine_parallel,
+    mine_serial,
+    mine_synfire,
 )
 
 
@@ -226,3 +232,77 @@ class TestBootstrapAndConfig:
     def test_threshold_range(self):
         with pytest.raises(ValueError):
             MiningConfig(freq_threshold=1.5)
+
+
+class TestValueTypes:
+    def test_episodes_equal_hash_and_sort_as_their_tuples(self):
+        eps = [serial("B", "A"), serial("A", "B", iv=(4, 6)), serial("A", "B"), serial("A")]
+        plain = [(ep.etypes, tuple(tuple(iv) for iv in ep.intervals)) for ep in eps]
+        assert eps == plain
+        assert [hash(ep) for ep in eps] == [hash(t) for t in plain]
+        assert sorted(eps) == sorted(plain)
+        assert Interval(4, 6) == (4, 6) and hash(Interval(4, 6)) == hash((4, 6))
+        assert sorted([Interval(4, 6), Interval(0, 9), Interval(0, 2)]) == [(0, 2), (0, 9), (4, 6)]
+        pars = [ParallelEpisode(("B", "A")), ParallelEpisode(("A",)), ParallelEpisode(("A", "A"))]
+        assert pars == [(("A", "B"),), (("A",),), (("A", "A"),)]
+        assert [hash(ep) for ep in pars] == [hash((ep.etypes,)) for ep in pars]
+        assert sorted(pars) == sorted((ep.etypes,) for ep in pars)
+
+    def test_repr_and_str_pinned(self):
+        iv = Interval(4, 6)
+        assert repr(iv) == "Interval(low=4, high=6)"
+        assert str(iv) == "(4,6]"
+        ab = SerialEpisode(("A", "B"), (iv,))
+        assert repr(ab) == "SerialEpisode(etypes=('A', 'B'), intervals=(Interval(low=4, high=6),))"
+        assert str(ab) == "A -(4,6]-> B"
+        assert repr(ParallelEpisode(("B", "A"))) == "ParallelEpisode(etypes=('A', 'B'))"
+        assert str(ParallelEpisode(("B", "A"))) == "{A B}"
+
+    def test_plain_pairs_become_checked_intervals(self):
+        ep = SerialEpisode(("A", "B"), ((4, 6),))
+        assert type(ep.intervals[0]) is Interval and ep == serial("A", "B", iv=(4, 6))
+        with pytest.raises(ValueError):
+            SerialEpisode(("A", "B"), ((6, 4),))
+
+    def test_joins_and_miners_return_episode_instances(self):
+        ones = bootstrap_serial("AB")
+        twos = generate_serial_candidates(ones, [Interval(0, 2), Interval(2, 4)])
+        threes = generate_serial_candidates(twos)
+        for ep in ones + twos + threes:
+            assert type(ep) is SerialEpisode
+            assert all(type(iv) is Interval for iv in ep.intervals)
+        pars = generate_parallel_candidates([ParallelEpisode((x,)) for x in "AB"])
+        pars += generate_parallel_candidates(pars)
+        assert pars and all(type(ep) is ParallelEpisode for ep in pars)
+        seq = EventSequence([Event(x, t) for t, x in enumerate("ABABABAB")])
+        cfg = MiningConfig(max_size=3, candidate_intervals=(Interval(0, 2),), expiry=2)
+        levels = [*mine_serial(seq, cfg), *mine_synfire(seq, cfg).serial_levels]
+        serials = [c.episode for lv in levels for c in lv.counts]
+        assert serials and all(type(ep) is SerialEpisode for ep in serials)
+        assert all(type(iv) is Interval for ep in serials for iv in ep.intervals)
+        parallels = [c.episode for lv in mine_parallel(seq, cfg) for c in lv.counts]
+        assert parallels and all(type(ep) is ParallelEpisode for ep in parallels)
+
+    def test_pickled_interval_round_trips_and_is_checked_again(self):
+        iv = pickle.loads(pickle.dumps(Interval(4, 6)))
+        assert type(iv) is Interval and iv == Interval(4, 6)
+        forged = pickle.dumps(tuple.__new__(Interval, (6, 4)))  # skips the check on the way in
+        with pytest.raises(ValueError):
+            pickle.loads(forged)
+
+
+class TestConfigIntervals:
+    def test_bad_plain_pair_rejected(self):
+        with pytest.raises(ValueError):
+            MiningConfig(candidate_intervals=((6, 4),))
+
+    def test_plain_pair_mines_as_its_interval(self):
+        seq = EventSequence([Event(x, 5 * t) for t, x in enumerate("ABCABCABDAB")])
+        plain = MiningConfig(max_size=3, candidate_intervals=((4, 6),), min_count=2)
+        assert plain.candidate_intervals == (Interval(4, 6),)
+        assert type(plain.candidate_intervals[0]) is Interval
+        checked = MiningConfig(max_size=3, candidate_intervals=(Interval(4, 6),), min_count=2)
+        got = mine_serial(seq, plain)
+        want = mine_serial(seq, checked)
+        assert [lv.counts for lv in got] == [lv.counts for lv in want]
+        assert str(got[-1].counts[0].episode) == "A -(4,6]-> B -(4,6]-> C"

@@ -1,6 +1,7 @@
-"""Level-wise mining on label keys against the reference level loop on
-episode objects, over alphabets whose sorted order differs from any other
-plausible one (numeric suffixes, lower case, composite labels)."""
+"""Level-wise mining and the candidate joins against the reference level
+loop and joins of ``oracles``, over alphabets whose sorted order differs
+from any other plausible one (numeric suffixes, lower case, composite
+labels)."""
 
 import random
 

@@ -147,3 +147,14 @@ def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
         run_significance(NetworkConfig(duration=1.0), max_size=6, chain_length=5)
     with pytest.raises(ValueError, match="chain length 10"):
         run_significance(max_size=11)
+
+
+@pytest.mark.parametrize("empty", [
+    dict(patterned_runs=0),
+    dict(weight_seeds=0, random_rate_runs=0),
+    dict(noise_runs_per_seed=0, random_rate_runs=0),
+])
+def test_family_without_datasets_refused_before_simulating(monkeypatch, empty):
+    monkeypatch.setattr(significance, "simulate", lambda config: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match="each family needs at least one dataset"):
+        run_significance(NetworkConfig(duration=1.0), max_size=2, chain_length=4, **empty)
