@@ -41,7 +41,6 @@ from .simulator import (
 )
 from .synfire import (
     CompositeEvent,
-    RewriteConflictError,
     SynfireResult,
     composite_label,
     mine_synfire,

@@ -75,6 +75,16 @@ def _write_manifest(path: Path, entries: list[tuple[str, object]]) -> None:
             fh.write(f"{key} = {value}\n")
 
 
+def _manifest_path(out: Path) -> Path:
+    """``out``'s manifest path; OSError (exit 2) if either is a directory or has
+    no parent directory. Called before any work, so a refused run writes nothing."""
+    manifest = Path(f"{out}.manifest")
+    for path in (out, manifest):
+        if path.is_dir() or not path.parent.is_dir():
+            raise OSError(f"output {path} is a directory or has no parent directory")
+    return manifest
+
+
 def _parse_intervals_ms(spec: str, tick_seconds: Fraction) -> tuple[Interval, ...]:
     """'a-b,c-d' in milliseconds -> tick intervals (a,b],(c,d]; ValueError if malformed."""
     intervals = []
@@ -123,10 +133,11 @@ def cmd_simulate(args) -> int:
         config = replace(config, duration=args.duration)
     if args.pattern:
         config = embed_pattern(config, args.pattern)
+    out = Path(args.out)
+    manifest = _manifest_path(out)
     t0 = time.perf_counter()
     run = simulate(config)
     sim_seconds = time.perf_counter() - t0
-    out = Path(args.out)
     write_spike_file(run.sequence, out)
     entries = [
         ("command", "simulate"),
@@ -137,7 +148,7 @@ def cmd_simulate(args) -> int:
         ("phase.simulate_sec", f"{sim_seconds:.3f}"),
     ]
     entries.extend(_config_entries(config))
-    _write_manifest(out.with_suffix(out.suffix + ".manifest"), entries)
+    _write_manifest(manifest, entries)
     print(f"{run.total_spikes} spikes over {config.duration} s -> {out}")
     return EXIT_OK
 
@@ -175,12 +186,9 @@ def cmd_mine(args) -> int:
         out = Path(args.out) if args.out else Path(args.input).with_suffix(".episodes")
     except ValueError:  # an input path with no file name, such as "" or "/"
         raise UsageError(f"no default results path for input {args.input!r}; give --out") from None
-    manifest = out.with_suffix(out.suffix + ".manifest")
+    manifest = _manifest_path(out)
     if Path(args.input).resolve() in (out.resolve(), manifest.resolve()):
         raise UsageError(f"output {out} would overwrite the input {args.input}")
-    for path in (out, manifest):
-        if path.is_dir() or not path.parent.is_dir():
-            return _fail(EXIT_IO, f"output {path} is a directory or has no parent directory")
 
     t0 = time.perf_counter()
     seq = parse_spike_file(args.input, tick)

@@ -43,10 +43,15 @@ from typing import Iterable, Sequence, Union
 _new = tuple.__new__  # builds a named tuple without its checks
 
 
+# ``_make``, and so ``_replace``, build through ``__new__`` and its checks
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class Interval(namedtuple("Interval", "low high")):
     """Half-open gap window ``(low, high]`` in ticks, with 0 <= low < high."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, low: int, high: int):
         if not (0 <= low < high):
@@ -64,6 +69,7 @@ class SerialEpisode(namedtuple("SerialEpisode", "etypes intervals")):
     """Ordered event types plus one gap window per consecutive pair."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, etypes: Iterable[str], intervals: Iterable = ()):
         etypes = tuple(etypes)
@@ -92,6 +98,7 @@ class ParallelEpisode(namedtuple("ParallelEpisode", "etypes")):
     """Multiset of event types, stored canonically sorted."""
 
     __slots__ = ()
+    _make = _checked_make
 
     def __new__(cls, etypes: Iterable[str]):
         etypes = tuple(sorted(etypes))

@@ -203,8 +203,8 @@ def test_mine_track_exits_1(tiny_csv, capsys):
 @pytest.mark.parametrize(
     "out,named,made",
     [("res", "res", "res"), ("res", "res.manifest", "res.manifest"),
-     ("missing/res", "missing/res", None)],
-    ids=["out-is-a-directory", "manifest-is-a-directory", "no-parent-directory"],
+     ("missing/res", "missing/res", None), ("/", "/", None)],
+    ids=["out-is-a-directory", "manifest-is-a-directory", "no-parent-directory", "no-file-name"],
 )
 def test_mine_refuses_an_unwritable_output_before_parsing(tmp_path, capsys, out, named, made):
     bad = tmp_path / "bad.csv"
@@ -215,6 +215,25 @@ def test_mine_refuses_an_unwritable_output_before_parsing(tmp_path, capsys, out,
     err = capsys.readouterr().err
     assert f"error: output {tmp_path / named} " in err
     assert f"{bad}:1:" not in err
+
+
+@pytest.mark.parametrize(
+    "out,named,made",
+    [("d.csv", "d.csv", "d.csv"), ("d.csv", "d.csv.manifest", "d.csv.manifest"),
+     ("missing/d.csv", "missing/d.csv", None), ("/", "/", None)],
+    ids=["out-is-a-directory", "manifest-is-a-directory", "no-parent-directory", "no-file-name"],
+)
+def test_simulate_refuses_an_unwritable_output_before_simulating(
+    tmp_path, capsys, monkeypatch, out, named, made
+):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "simulate", lambda config: pytest.fail("simulated"))
+    if made:
+        (tmp_path / made).mkdir()
+    assert main(["simulate", str(tmp_path / out)]) == 2
+    assert f"error: output {tmp_path / named} " in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ([made] if made else [])
 
 
 # 4402 significant digits: more than Python prints of one integer

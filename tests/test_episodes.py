@@ -283,6 +283,28 @@ class TestValueTypes:
         parallels = [c.episode for lv in mine_parallel(seq, cfg) for c in lv.counts]
         assert parallels and all(type(ep) is ParallelEpisode for ep in parallels)
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Interval._make((6, 4)),
+            lambda: Interval(4, 6)._replace(low=9),
+            lambda: SerialEpisode(("A", "B"), ((4, 6),))._replace(intervals=()),
+            lambda: SerialEpisode._make((("A", "B"), ((6, 4),))),
+            lambda: ParallelEpisode._make(((),)),
+        ],
+        ids=["interval-make", "interval-replace", "serial-replace", "serial-make", "parallel-make"],
+    )
+    def test_make_and_replace_check_their_fields(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_valid_replace_returns_a_checked_instance(self):
+        ep = serial("A", "B")._replace(intervals=((4, 6),))
+        assert type(ep) is SerialEpisode and type(ep.intervals[0]) is Interval
+        assert ep == serial("A", "B", iv=(4, 6))
+        assert ParallelEpisode(("A", "B"))._replace(etypes=("C", "A")).etypes == ("A", "C")
+        assert Interval._make([2, 4]) == Interval(2, 4)
+
     def test_pickled_interval_round_trips_and_is_checked_again(self):
         iv = pickle.loads(pickle.dumps(Interval(4, 6)))
         assert type(iv) is Interval and iv == Interval(4, 6)

@@ -4,6 +4,7 @@ from any other plausible one (numeric suffixes, lower case, composite
 labels)."""
 
 import random
+from dataclasses import replace
 
 from oracles import (
     parallel_join_oracle,
@@ -67,11 +68,18 @@ def plain(levels):
     return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
 
 
+def deep_config(rng: random.Random) -> MiningConfig:
+    """``random_config`` mining to size 4 or 5 under a beam."""
+    return replace(random_config(rng), max_size=rng.randint(4, 5), beam_width=rng.choice((2, 5, 8)))
+
+
 def test_mining_equals_reference_levels():
     rng = random.Random(91)
-    for _ in range(25):
-        seq = label_order_stream(rng)
-        cfg = random_config(rng)
+    cases = [(label_order_stream(rng), random_config(rng)) for _ in range(25)]
+    # deeper runs: covers come from several levels, and the beam leaves out frequent groups
+    cases += [(label_order_stream(rng), deep_config(rng)) for _ in range(25)]
+    deepest = 0
+    for seq, cfg in cases:
         for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
             assert plain(mine(seq, cfg)) == reference_levels(seq, cfg, kind), (kind, cfg)
         result = mine_synfire(seq, cfg)
@@ -80,6 +88,8 @@ def test_mining_equals_reference_levels():
         assert result.rewritten_group_counts == groups
         assert result.rewritten == rewritten
         assert plain(result.serial_levels) == serial
+        deepest = max([deepest] + [lv.size for lv in result.parallel_levels if lv.counts])
+    assert deepest == 5
 
 
 def test_joins_equal_the_object_joins():

@@ -7,7 +7,6 @@ from spikemine import (
     Interval,
     MiningConfig,
     ParallelEpisode,
-    RewriteConflictError,
     SerialEpisode,
     composite_label,
     mine_synfire,
@@ -63,10 +62,12 @@ def test_cross_episode_conflicts():
     seq = EventSequence([Event("A", 0), Event("B", 1), Event("C", 2)])
     first = tracked(("A", "B"), (0, 1))
     second = tracked(("B", "C"), (1, 2))
-    with pytest.raises(RewriteConflictError):
-        rewrite_stream(seq, [first, second])
-    out = rewrite_stream(seq, [first, second], on_conflict="skip")
+    out = rewrite_stream(seq, [first, second])  # the first claim on B wins
     assert [(e.etype, e.time) for e in out] == [("[A B]", 1), ("C", 2)]
+    assert out.alphabet >= {"[A B]", "[B C]"}
+    assert rewrite_stream(seq, [first, second], on_conflict="skip") == out
+    with pytest.raises(ValueError):
+        rewrite_stream(seq, [first, second], on_conflict="error")
 
 
 def test_event_conservation():
