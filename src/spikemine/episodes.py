@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time as _time
-from collections import Counter, namedtuple
+from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
@@ -231,6 +231,61 @@ def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) ->
         candidates = join([r[1] for r in ranked[: cfg.beam_width]])
         size += 1
     return levels
+
+
+def pair_bounds(seq, low: int, high: int) -> defaultdict:
+    """``bounds[x][a]``: the events of ``x``, at tick ``t``, with an earlier
+    event (by index) of ``a`` at a tick in ``[t - high, t - low)``.
+
+    One sweep with two index pointers over the tick-sorted columns. Ticks
+    are integers, so ``low = -1`` gives the parallel span ``[t - high, t]``.
+    """
+    labels, ticks = seq.labels, seq.ticks
+    bounds = defaultdict(Counter)
+    lo = hi = 0
+    for j, t in enumerate(ticks):
+        while ticks[lo] < t - high:
+            lo += 1
+        while hi < j and ticks[hi] < t - low:
+            hi += 1
+        if lo < hi:
+            bounds[labels[j]].update(set(labels[lo:hi]))
+    return bounds
+
+
+def level_counter(seq, floor: int, track: bool, span: tuple[int, int], ordered: bool, count):
+    """The counter ``mine_levels`` gets: ``count`` at levels 2 and up, none at level 1.
+
+    Level 1 is the label counts; tracked, a type's occurrences are
+    ``(i,)`` for each of its events. At level 2, when ``floor`` is above 0,
+    ``count`` gets only the candidates whose pair bound (``pair_bounds``
+    over ``span``) reaches it: ``bounds[b][a]`` for ``ordered`` (serial)
+    pairs ``(a, b)``, else (parallel) that plus ``bounds[a][b]`` for
+    ``a != b``, as an occurrence may end at either type. This is the
+    two-pass elimination of Cao, Patnaik, Ponce et al. (CF 2010).
+    """
+
+    def count_level(candidates):
+        size = len(candidates[0].etypes)
+        if size == 1 and not track:
+            n = Counter(seq.labels)
+            return candidates, [n[ep.etypes[0]] for ep in candidates]
+        if size == 1:
+            at = defaultdict(list)
+            for i, x in enumerate(seq.labels):
+                at[x].append((i,))
+            return candidates, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in candidates)]
+        if size == 2 and floor > 0:
+            bounds = pair_bounds(seq, *span)
+
+            def bound(a, b):
+                n = bounds[b][a]
+                return n if ordered or a == b else n + bounds[a][b]
+
+            candidates = [ep for ep in candidates if bound(*ep.etypes) >= floor]
+        return candidates, count(candidates)
+
+    return count_level
 
 
 def is_subepisode(beta: Episode, alpha: Episode) -> bool:

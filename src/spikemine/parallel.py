@@ -24,6 +24,14 @@ episode of ``x`` alone), and an event of ``x`` reads a file only when its
 filing type's last entry is not before the cut. This is exact: a candidate
 completing at ``t`` has a usable entry of each type, so its filing type has
 one too.
+
+In ``mine_parallel`` this pass runs from level 2 on, as level 1 is the
+label counts (``episodes.level_counter``). Above a floor of 0, level 2
+counts only the candidates whose bound from one ``pair_bounds`` sweep
+over ``[t - expiry, t]`` reaches the floor. An occurrence of ``{A B}``
+ends at an event of one type with an earlier one of the other in that
+span, and occurrences end at distinct events, so ``bounds[B][A] +
+bounds[A][B]`` bounds its count, and ``bounds[A][A]`` that of ``{A A}``.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ from __future__ import annotations
 from collections import Counter, deque
 
 from .episodes import (EpisodeCount, MiningConfig, MiningLevel, ParallelEpisode, counted,
-                       generate_parallel_candidates, mine_levels)
+                       generate_parallel_candidates, level_counter, mine_levels)
 from .events import EventSequence
 
 
@@ -104,12 +112,17 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
-    Every level reads the same columns, ``seq.labels`` and ``seq.ticks``.
-    ``jobs`` starts no process, as each pass is one sequential scan; the
-    keyword stays so that callers passing it keep working.
+    Level 1 is the label counts, and level 2 may first cut its candidates
+    by pair bound (see the module docstring). Every level reads the same
+    columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts no process,
+    as each pass is one sequential scan; the keyword stays so that callers
+    passing it keep working. ValueError unless ``cfg.expiry > 0``.
     """
-    return mine_levels(
-        [ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg, cfg.count_floor(len(seq)),
-        lambda eps: (eps, _count(eps, seq, cfg.track_occurrences, cfg.expiry)),
-        generate_parallel_candidates,
-    )
+    if cfg.expiry <= 0:
+        raise ValueError("parallel mining needs expiry > 0")
+    floor = cfg.count_floor(len(seq))
+    track = cfg.track_occurrences
+    count = level_counter(seq, floor, track, (-1, cfg.expiry), False,
+                          lambda eps: _count(eps, seq, track, cfg.expiry))
+    return mine_levels([ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg, floor, count,
+                       generate_parallel_candidates)

@@ -46,16 +46,17 @@ cannot change a count: an entry made at tick ``t`` is never in a window
 ``[t - high, t - low)`` of an event at ``t``, as ``low >= 0``.
 
 ``mine_serial`` runs ``episodes.mine_levels`` from ``bootstrap_serial``
-with the join ``generate_serial_candidates``. Its counter counts level 2
-in two passes when the count floor is above zero and there are at least
-two candidate windows. Every occurrence of
-``A -(w)-> B`` is also one of ``A -(hull)-> B`` for the hull
-``(lowest low, highest high]`` of the windows, so the hull count bounds
-each per-window count from above. Pass 1 counts each type pair once under
-the hull; pass 2 counts exactly only the per-window candidates of the
-pairs that reach the floor. The rest cannot be frequent, so the level's
-frequent set is unchanged. ``MiningLevel.n_candidates``, and with it the
-CLI's ``candidates=N``, still reports the full join.
+with the join ``generate_serial_candidates`` and the counter of
+``episodes.level_counter``, so this pass runs from level 2 on. Level 1 is
+the label counts. When the count floor is above zero, level 2 first takes
+one ``pair_bounds`` sweep over the hull ``(lowest low, highest high]`` of
+the windows: an occurrence of ``A -(w)-> B`` ends at a ``B`` event with an
+``A`` in ``[t - high, t - low)`` of the hull, and occurrences end at
+distinct events, so the number of such ``B`` events bounds the count under
+every window. Only the candidates whose pair reaches the floor are counted
+here; the rest cannot be frequent, so the level's frequent set is
+unchanged. ``MiningLevel.n_candidates``, and with it the CLI's
+``candidates=N``, still reports the full join.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ from .episodes import (
     bootstrap_serial,
     counted,
     generate_serial_candidates,
+    level_counter,
     mine_levels,
 )
 from .events import EventSequence
@@ -180,23 +182,11 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
     return [slot[0] for slot in slots]
 
 
-def _hull_survivors(candidates: list, seq: EventSequence, windows: tuple, floor: int) -> list:
-    """Level-2 candidates whose type pair reaches ``floor`` under the window hull.
-
-    The hull counts only bound, so they are taken without tracking.
-    """
-    hull = ((windows[0].low, windows[-1].high),)
-    pairs = sorted({ep.etypes for ep in candidates})
-    bounds = _count([(pair, hull) for pair in pairs], seq, False)
-    kept = {pair for pair, bound in zip(pairs, bounds) if bound >= floor}
-    return [ep for ep in candidates if ep.etypes in kept]
-
-
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
-    Level 2 may first prune its candidates by hull count (see the module
-    docstring); ``seconds`` covers both passes. Every pass reads the same
+    Level 1 is the label counts, and level 2 may first cut its candidates
+    by pair bound (see the module docstring). Every pass reads the same
     columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts no process,
     as each pass is one sequential scan; the keyword stays so that callers
     passing it keep working.
@@ -205,14 +195,10 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
         raise ValueError("serial mining needs a non-empty candidate interval set")
     floor = cfg.count_floor(len(seq))
     windows = cfg.candidate_intervals
-    two_pass = floor > 0 and len(windows) > 1
-
-    def count_level(candidates):
-        if two_pass and len(candidates[0].etypes) == 2:
-            candidates = _hull_survivors(candidates, seq, windows, floor)
-        return candidates, _count(candidates, seq, cfg.track_occurrences)
-
+    track = cfg.track_occurrences
+    hull = (windows[0].low, windows[-1].high)
     return mine_levels(
-        bootstrap_serial(seq.alphabet), cfg, floor, count_level,
+        bootstrap_serial(seq.alphabet), cfg, floor,
+        level_counter(seq, floor, track, hull, True, lambda eps: _count(eps, seq, track)),
         lambda seeds: generate_serial_candidates(seeds, windows),
     )

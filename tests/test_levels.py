@@ -19,11 +19,14 @@ from spikemine import (
     MiningConfig,
     ParallelEpisode,
     SerialEpisode,
+    bootstrap_serial,
     generate_parallel_candidates,
     generate_serial_candidates,
     mine_parallel,
     mine_serial,
     mine_synfire,
+    parallel,
+    serial,
 )
 
 # sorted: "N1" < "N10" < "N2" < "Z" < "[A B]" < "a" < "b"
@@ -114,3 +117,55 @@ def test_joins_equal_the_object_joins():
         ]
         joined = generate_parallel_candidates(parallel + parallel[:2])
         assert joined == parallel_join_oracle(parallel)
+
+
+def brute_pair_bound(seq, a, b, low, high):
+    """The events of ``b`` with an earlier event of ``a`` at a tick in ``[t - high, t - low)``."""
+    events = list(zip(seq.labels, seq.ticks))
+    return sum(
+        y == b and any(x == a and t - high <= u < t - low for x, u in events[:j])
+        for j, (y, t) in enumerate(events)
+    )
+
+
+def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch):
+    # a bound that is only too wide keeps every result exact, so only the
+    # candidates the exact counters receive can show it
+    rng = random.Random(2121)
+    t, events = 0, []
+    for _ in range(300):  # A -(2,4]-> B and {C D} embedded in noise
+        t += rng.choice((1, 2, 3, 4))
+        x = rng.choice("ABCDE")
+        events += [Event(x, t)] + [Event("B", t + 3)] * (x == "A") + [Event("D", t)] * (x == "C")
+    seq = EventSequence(events)
+    received = []
+
+    def recording(module):
+        count = module._count
+        monkeypatch.setattr(module, "_count", lambda eps, *args: received.append(eps) or count(eps, *args))
+
+    recording(serial)
+    recording(parallel)
+    windows = (Interval(1, 2), Interval(2, 4))
+    cfg = MiningConfig(max_size=2, candidate_intervals=windows, expiry=2, min_count=30)
+    levels = mine_serial(seq, cfg) + mine_parallel(seq, cfg)
+    assert [len(lv.counts) for lv in levels] == [5, 3, 5, 3]
+    serial_level_2, parallel_level_2 = received  # level 1 runs no counting pass
+    assert serial_level_2 == [
+        ep for ep in generate_serial_candidates(bootstrap_serial("ABCDE"), windows)
+        if brute_pair_bound(seq, *ep.etypes, 1, 4) >= 30
+    ]
+
+    def parallel_bound(a, b):
+        n = brute_pair_bound(seq, a, b, -1, 2)
+        return n if a == b else n + brute_pair_bound(seq, b, a, -1, 2)
+
+    assert parallel_level_2 == [
+        ep for ep in generate_parallel_candidates([ParallelEpisode((x,)) for x in "ABCDE"])
+        if parallel_bound(*ep.etypes) >= 30
+    ]
+    assert (len(serial_level_2), len(parallel_level_2)) == (14, 7)  # of 50 and 15
+    received.clear()
+    for mine in (mine_serial, mine_parallel):  # at floor 0 level 2 is the full join
+        mine(seq, replace(cfg, min_count=0))
+    assert [len(eps) for eps in received] == [50, 15]

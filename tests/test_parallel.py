@@ -21,6 +21,7 @@ from spikemine import (
     mine_parallel,
 )
 from spikemine import parallel
+from spikemine.episodes import pair_bounds
 
 
 def cfg_for(expiry, track=False):
@@ -257,3 +258,18 @@ def test_an_event_checks_no_key_whose_filing_type_is_out_of_the_window(monkeypat
     pairs = [ParallelEpisode(tuple(sorted(("B", y)))) for y in others]
     assert {c.freq for c in count_parallel_expiry(pairs, seq, cfg_for(4))} == {0}
     assert reads <= (2 + len(others)) * len(bs)
+
+
+def test_pair_bound_is_at_least_each_parallel_pair_count():
+    # an occurrence of {a b} ends at b with an earlier a in [t - expiry, t], or
+    # the other way round; {a a} ends at an a with an earlier a in the span
+    rng = random.Random(515)
+    for _ in range(80):
+        seq = random_sequence(rng, max_events=100, max_types=4)
+        expiry = rng.randint(1, 4)
+        bounds = pair_bounds(seq, -1, expiry)
+        types = sorted(seq.alphabet)
+        for i, a in enumerate(types):
+            for b in types[i:]:
+                bound = bounds[a][a] if a == b else bounds[b][a] + bounds[a][b]
+                assert bound >= parallel_oracle_count(ParallelEpisode((a, b)), seq, expiry)

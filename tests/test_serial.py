@@ -25,6 +25,7 @@ from spikemine import (
     generate_serial_candidates,
     mine_serial,
 )
+from spikemine.episodes import pair_bounds
 
 TRACK = MiningConfig(track_occurrences=True)
 
@@ -307,27 +308,28 @@ def test_hull_prepass_keeps_levels_of_full_count():
             for count in level.counts[:3]:
                 assert count.freq == serial_oracle_count(count.episode, seq)
         if len(levels) > 1:
-            hull = Interval(cfg.candidate_intervals[0].low, cfg.candidate_intervals[-1].high)
-            pairs = {ep.etypes for ep in generate_serial_candidates(
-                [c.episode for c in levels[0].counts], (hull,))}
-            bounds = count_serial_constrained([SerialEpisode(p, (hull,)) for p in pairs], seq)
-            pruned += sum(b.freq < cfg.min_count for b in bounds)
+            bounds = pair_bounds(seq, cfg.candidate_intervals[0].low, cfg.candidate_intervals[-1].high)
+            firsts = [c.episode.etypes[0] for c in levels[0].counts]
+            pruned += sum(bounds[b][a] < cfg.min_count for a in firsts for b in firsts)
     assert pruned > 0  # the sweep exercises the elimination, not only its bypass
 
 
 def test_hull_count_bounds_each_window_count():
+    # every window inside the hull: the given ones, the hull itself, and random sub-windows
     rng = random.Random(808)
-    for _ in range(80):
-        seq = random_sequence(rng, max_events=150)
+    for _ in range(60):
+        seq = random_sequence(rng, max_events=100, max_types=4)
         windows = random_windows(rng)
-        hull = Interval(windows[0].low, windows[-1].high)
-        types = sorted(seq.alphabet) or ["A"]
-        pair = (rng.choice(types), rng.choice(types))
-        counts = count_serial_constrained(
-            [SerialEpisode(pair, (iv,)) for iv in (hull, *windows)], seq
-        )
-        assert all(counts[0].freq >= c.freq for c in counts[1:])
-        assert counts[0].freq == serial_oracle_count(counts[0].episode, seq)
+        low, high = windows[0].low, windows[-1].high
+        inside = [Interval(low, high), *windows]
+        for _ in range(2):
+            a = rng.randint(low, high - 1)
+            inside.append(Interval(a, rng.randint(a + 1, high)))
+        bounds = pair_bounds(seq, low, high)
+        types = sorted(seq.alphabet)
+        for pair in ((a, b) for a in types for b in types):  # repeated types included
+            for iv in inside:
+                assert bounds[pair[1]][pair[0]] >= serial_oracle_count(SerialEpisode(pair, (iv,)), seq)
 
 
 def churn_windows(rng):

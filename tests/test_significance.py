@@ -5,10 +5,12 @@ import pytest
 import spikemine.significance as significance
 from spikemine import (
     Interval,
+    MiningConfig,
     NetworkConfig,
     SerialEpisode,
     count_serial_constrained,
     embed_pattern,
+    mine_serial,
     run_significance,
     simulate,
 )
@@ -125,6 +127,20 @@ def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
         "significance: patterned dataset 1/1 done",
     ]
     assert all(re.fullmatch(r".* in \d+\.\d\d s", line) for line in lines)
+
+@pytest.mark.parametrize("beam", (3, 40))
+def test_max_profile_equals_a_floor_0_mine(beam):
+    # the study mines at floor 1; zero-count episodes would only fill the deep levels
+    interval = Interval(0, 5)
+    for config in (NetworkConfig(duration=3.0, weight_seed=101, seed=1001),
+                   NetworkConfig(duration=3.0, weight_seed=102, seed=2001),
+                   NetworkConfig(duration=3.0, rate_mode="uniform", lambda_max=14.0, seed=500_001)):
+        cfg = MiningConfig(max_size=6, candidate_intervals=(interval,), beam_width=beam)
+        levels = mine_serial(simulate(config).sequence, cfg)
+        maxima = [max(c.freq for c in level.counts) for level in levels]
+        assert maxima[-1] == 0  # floor 0 mines levels that floor 1 stops before
+        assert significance._max_profile((config, 6, interval, beam)) == maxima + [0] * (6 - len(maxima))
+
 
 def test_min_profile_one_pass_equals_one_pass_per_size():
     chain = embed_pattern(NetworkConfig(duration=4.0, seed=11), "chain-6")
