@@ -38,6 +38,7 @@ import time as _time
 from collections import Counter, defaultdict, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 _new = tuple.__new__  # builds a named tuple without its checks
@@ -168,19 +169,18 @@ class MiningConfig:
         return math.ceil(Fraction(str(self.freq_threshold)) * n_events)
 
 
-@dataclass(frozen=True)
-class EpisodeCount:
+class EpisodeCount(namedtuple("EpisodeCount", "episode freq occurrences", defaults=(None,))):
     """A counted episode; occurrences (event-index tuples) only when tracked."""
 
-    episode: Episode
-    freq: int
-    occurrences: tuple[tuple[int, ...], ...] | None = None
+    __slots__ = ()
+    _make = _checked_make
 
-    def __post_init__(self):
-        if self.occurrences is not None and len(self.occurrences) != self.freq:
+    def __new__(cls, episode: Episode, freq: int, occurrences: tuple | None = None):
+        if occurrences is not None and len(occurrences) != freq:
             raise ValueError(
-                f"tracked occurrence list length {len(self.occurrences)} != freq {self.freq}"
+                f"tracked occurrence list length {len(occurrences)} != freq {freq}"
             )
+        return _new(cls, (episode, freq, occurrences))
 
 
 @dataclass(frozen=True)
@@ -200,18 +200,20 @@ def rank_key(count: EpisodeCount):
 
 def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     """One ``EpisodeCount`` per episode, from its counting result."""
-    return [
-        EpisodeCount(ep, *r) if track else EpisodeCount(ep, r) for ep, r in zip(episodes, results)
-    ]
+    if track:
+        return [_new(EpisodeCount, (ep, *r)) for ep, r in zip(episodes, results)]
+    return [_new(EpisodeCount, (ep, r, None)) for ep, r in zip(episodes, results)]
 
 
 def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
     """Level-wise search from the size-1 episodes ``candidates``: count, filter, rank, join.
 
-    ``count(episodes)`` gives the episodes it counted and a result each,
-    the count or ``(count, occurrences)`` if tracked; its time is the
-    level's ``seconds``. Episodes counted ``floor`` times or more rank by
-    ``(-count, episode)``, which is ``rank_key``'s order. ``join(seeds)``
+    ``count(episodes)`` gives the episodes it counted, in the order given,
+    and a result each, the count or ``(count, occurrences)`` if tracked;
+    its time is the level's ``seconds``. Episodes counted ``floor`` times
+    or more rank by count, highest first, in one stable sort. Every level's
+    candidates must come sorted, as the bootstraps and joins give them, so
+    ties keep episode order and the ranking is ``rank_key``'s. ``join(seeds)``
     makes the next level's candidates from the best ``beam_width``. Stops
     at a level with no frequent episode or at ``max_size``.
     """
@@ -220,15 +222,14 @@ def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) ->
     while candidates and size <= cfg.max_size:
         t0 = _time.perf_counter()
         eps, results = count(candidates)
-        if cfg.track_occurrences:
-            ranked = sorted((-f, ep, occs) for ep, (f, occs) in zip(eps, results) if f >= floor)
-        else:
-            ranked = sorted((-f, ep) for ep, f in zip(eps, results) if f >= floor)
-        counts = tuple(EpisodeCount(r[1], -r[0], *r[2:]) for r in ranked)
-        levels.append(MiningLevel(size, len(candidates), counts, _time.perf_counter() - t0))
+        ranked = sorted(
+            (c for c in counted(eps, results, cfg.track_occurrences) if c.freq >= floor),
+            key=itemgetter(1), reverse=True,
+        )
+        levels.append(MiningLevel(size, len(candidates), tuple(ranked), _time.perf_counter() - t0))
         if not ranked or size == cfg.max_size:
             break
-        candidates = join([r[1] for r in ranked[: cfg.beam_width]])
+        candidates = join([c.episode for c in ranked[: cfg.beam_width]])
         size += 1
     return levels
 

@@ -4,11 +4,14 @@ Candidates are ``SerialEpisode``s, named tuples ``(etypes, intervals)``,
 counted over the stream's columns of labels and ticks, so trie roots are
 a dict keyed by label.
 
-One counting pass holds all candidates in a prefix trie. A node stands
-for one prefix, its event types and its gap windows; candidates that
-share a prefix share its node. A node with children keeps one time list
-of entries ``(time, index, start, back)``, one per event of its last type
-that ends a gap-valid chain of the prefix:
+One counting pass holds all candidates in a prefix trie of steps
+``[node, slot]``: one root per first type, and under a node one step per
+next type and window ``(low, high)``. A node stands for one prefix, its
+event types and its gap windows. Roots always have one; any other step
+has one only where a longer candidate goes on, and a slot only where a
+candidate ends. Candidates that share a prefix share its node, which
+keeps one time list of entries ``(time, index, start, back)``, one per
+event of its last type that ends a gap-valid chain of the prefix:
 
 * at depth 1 every event of the type is an entry, with ``start`` its own
   index;
@@ -22,18 +25,18 @@ and it never decreases along a list: a later event's window ends later,
 so its latest parent entry is no earlier. The latest entry in a window
 therefore carries the largest ``start`` of all entries in it.
 
-Each distinct candidate has a slot with its count, its watermark (the
-index of its last completion) and its occurrences. Counted occurrences
-must not overlap, so only chains that start after the watermark may
-complete; an event completes the candidate iff the latest entry in its
-last window has ``start > watermark``. That is exact: by the monotone
-``start``, no other entry in the window has a later chain. The candidate
-completes at the earliest event that ends any valid occurrence after its
-last one, and earliest-completion greedy gives the maximum number of
-non-overlapped occurrences for this interval-scheduling structure (the
-randomized oracle suite checks this exactly). Following ``back`` from a
-completion recovers its occurrence: the latest event at each node, walking
-back from the end.
+Each distinct candidate has the slot of the step it ends at: its count,
+its watermark (the index of its last completion) and its occurrences.
+Counted occurrences must not overlap, so only chains that start after the
+watermark may complete; an event completes the candidate iff the latest
+entry in its last window has ``start > watermark``. That is exact: by the
+monotone ``start``, no other entry in the window has a later chain. The
+candidate completes at the earliest event that ends any valid occurrence
+after its last one, and earliest-completion greedy gives the maximum
+number of non-overlapped occurrences for this interval-scheduling
+structure (the randomized oracle suite checks this exactly). Following
+``back`` from a completion recovers its occurrence: the latest event at
+each node, walking back from the end.
 
 The pass keeps one insertion-ordered set of live nodes, those with
 children and a non-empty list: a node enters when its list gets an entry
@@ -77,15 +80,14 @@ from .events import EventSequence
 
 
 class _Node:
-    """One candidate prefix: its time list, its children and its candidate's slot."""
+    """One candidate prefix: its time list and the steps to its children."""
 
-    __slots__ = ("tlist", "reach", "kids", "slot")
+    __slots__ = ("tlist", "reach", "kids")
 
     def __init__(self):
         self.tlist = deque()  # oldest first; a node with children is live iff this is non-empty
         self.reach = 0      # largest high among the children's windows; prune cut t - reach
-        self.kids = {}      # event type -> {(low, high): child}
-        self.slot = None    # [freq, watermark, occurrences] of the candidate ending here
+        self.kids = {}      # event type -> {(low, high): [child node or None, slot or None]}
 
 
 def count_serial_constrained(
@@ -121,43 +123,38 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
     roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
     slots = []
     for types, windows in candidates:
-        node = roots.get(types[0])
-        if node is None:
-            node = roots[types[0]] = _Node()
+        step = roots.get(types[0])
+        if step is None:
+            step = roots[types[0]] = [_Node(), None]
         for x, window in zip(types[1:], windows):
+            node = step[0]
+            if node is None:
+                node = step[0] = _Node()
             by_window = node.kids.setdefault(x, {})
-            child = by_window.get(window)
-            if child is None:
+            step = by_window.get(window)
+            if step is None:
                 # a plain pair: the scan unpacks exact tuples faster than Intervals
-                child = by_window[tuple(window)] = _Node()
-                node.reach = max(node.reach, window[1])
-            node = child
-        if node.slot is None:
-            node.slot = [0, -1, []]
-        slots.append(node.slot)
+                step = by_window[tuple(window)] = [None, None]
+                if window[1] > node.reach:
+                    node.reach = window[1]
+        if step[1] is None:
+            step[1] = [0, -1, []]
+        slots.append(step[1])
     live: dict[_Node, None] = {}  # nodes with children and a non-empty time list
 
-    def add(node, entry):
-        slot = node.slot
-        if slot is not None and entry[2] > slot[1]:
-            slot[0] += 1
-            slot[1] = entry[1]
-            if track:
-                chain = []
-                link = entry
-                while link is not None:
-                    chain.append(link[1])
-                    link = link[3]
-                slot[2].append(tuple(reversed(chain)))
-        if node.kids:
-            if not node.tlist:
-                live[node] = None
-            node.tlist.append(entry)
-
     for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
-        root = roots[x]
-        if root is not None:
-            add(root, (t, idx, idx, None))
+        step = roots[x]
+        if step is not None:
+            root, slot = step
+            if slot is not None:  # every event completes its 1-node candidate
+                slot[0] += 1
+                slot[1] = idx
+                if track:
+                    slot[2].append((idx,))
+            if root.kids:
+                if not root.tlist:
+                    live[root] = None
+                root.tlist.append((t, idx, idx, None))
         for node in tuple(live):  # the scan may add and drop live nodes
             tl = node.tlist
             cut = t - node.reach
@@ -169,12 +166,24 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
             by_window = node.kids.get(x)
             if by_window is None:
                 continue
-            for (low, high), child in by_window.items():
+            for (low, high), (child, slot) in by_window.items():
                 limit = t - low
                 for prev in reversed(tl):
                     if prev[0] < limit:
                         if prev[0] >= t - high:
-                            add(child, (t, idx, prev[2], prev if track else None))
+                            if slot is not None and prev[2] > slot[1]:
+                                slot[0] += 1
+                                slot[1] = idx
+                                if track:
+                                    chain, link = [idx], prev
+                                    while link is not None:
+                                        chain.append(link[1])
+                                        link = link[3]
+                                    slot[2].append(tuple(reversed(chain)))
+                            if child is not None:
+                                if not child.tlist:
+                                    live[child] = None
+                                child.tlist.append((t, idx, prev[2], prev if track else None))
                         break
 
     if track:

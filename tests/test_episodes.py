@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemine import (
+    EpisodeCount,
     Event,
     EventSequence,
     Interval,
@@ -291,8 +292,12 @@ class TestValueTypes:
             lambda: SerialEpisode(("A", "B"), ((4, 6),))._replace(intervals=()),
             lambda: SerialEpisode._make((("A", "B"), ((6, 4),))),
             lambda: ParallelEpisode._make(((),)),
+            lambda: EpisodeCount._make((serial("A"), 2, ((0,),))),
+            lambda: EpisodeCount(serial("A"), 1, ((0,),))._replace(freq=2),
+            lambda: EpisodeCount(serial("A"), 1, ((0,),))._replace(occurrences=()),
         ],
-        ids=["interval-make", "interval-replace", "serial-replace", "serial-make", "parallel-make"],
+        ids=["interval-make", "interval-replace", "serial-replace", "serial-make", "parallel-make",
+             "count-make", "count-replace-freq", "count-replace-occurrences"],
     )
     def test_make_and_replace_check_their_fields(self, build):
         with pytest.raises(ValueError):
@@ -304,6 +309,19 @@ class TestValueTypes:
         assert ep == serial("A", "B", iv=(4, 6))
         assert ParallelEpisode(("A", "B"))._replace(etypes=("C", "A")).etypes == ("A", "C")
         assert Interval._make([2, 4]) == Interval(2, 4)
+        count = EpisodeCount(serial("A"), 1, ((0,),))._replace(freq=2, occurrences=((0,), (3,)))
+        assert type(count) is EpisodeCount and count == (serial("A"), 2, ((0,), (3,)))
+
+    def test_episode_count_defaults_and_pickles(self):
+        untracked = EpisodeCount(serial("A", "B"), 4)
+        assert untracked.occurrences is None and untracked == (serial("A", "B"), 4, None)
+        tracked = EpisodeCount(ParallelEpisode(("B", "A")), 1, ((0, 2),))
+        for count in (untracked, tracked):
+            back = pickle.loads(pickle.dumps(count))
+            assert type(back) is EpisodeCount and back == count
+        forged = pickle.dumps(tuple.__new__(EpisodeCount, (serial("A"), 2, ((0,),))))
+        with pytest.raises(ValueError):
+            pickle.loads(forged)
 
     def test_pickled_interval_round_trips_and_is_checked_again(self):
         iv = pickle.loads(pickle.dumps(Interval(4, 6)))

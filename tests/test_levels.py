@@ -169,3 +169,27 @@ def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch
     for mine in (mine_serial, mine_parallel):  # at floor 0 level 2 is the full join
         mine(seq, replace(cfg, min_count=0))
     assert [len(eps) for eps in received] == [50, 15]
+
+
+def test_ties_rank_by_episode_through_the_beam():
+    # repeated motifs at fixed gaps and short streams make many candidates
+    # share a count, and at floor 0 the zero counts tie too: the beam cuts
+    # among ties, and only episode order can pick the seeds
+    rng = random.Random(2222)
+    cut_among_ties = 0
+    for case in range(16):
+        motif = [fresh(rng.choice(LABELS[:4])) for _ in range(rng.randint(2, 4))]
+        events = [Event(x, 2 * (k * len(motif) + j)) for k in range(rng.randint(1, 4))
+                  for j, x in enumerate(motif)]
+        seq = EventSequence(events, alphabet=set(LABELS[:4]))
+        cfg = MiningConfig(
+            max_size=3, candidate_intervals=(Interval(0, 2), Interval(2, 5)), expiry=rng.randint(1, 4),
+            min_count=0, beam_width=rng.randint(2, 5), track_occurrences=case % 2 == 1,
+        )
+        for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
+            levels = mine(seq, cfg)
+            assert plain(levels) == reference_levels(seq, cfg, kind), (kind, cfg)
+            for lv in levels[:-1]:
+                counts, k = lv.counts, cfg.beam_width
+                cut_among_ties += len(counts) > k and counts[k - 1].freq == counts[k].freq
+    assert cut_among_ties >= 10

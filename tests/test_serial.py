@@ -224,6 +224,50 @@ def test_shared_prefix_holds_no_extra_entries(peak_live_entries):
     assert peak_fan <= peak_live_entries(count_serial_constrained, [one], seq)
 
 
+def test_trie_builds_no_node_for_a_last_step(monkeypatch):
+    # a node per root and per proper prefix of a longer candidate: the step
+    # a candidate ends at holds its slot but no node, and no time list
+    import spikemine.serial as serial
+
+    built = 0
+
+    class CountedNode(serial._Node):
+        __slots__ = ()
+
+        def __init__(self):
+            nonlocal built
+            built += 1
+            super().__init__()
+
+    monkeypatch.setattr(serial, "_Node", CountedNode)
+
+    def nodes_for(eps):
+        roots = {ep.etypes[0] for ep in eps}
+        inner = {(ep.etypes[:k], ep.intervals[: k - 1]) for ep in eps for k in range(2, ep.size)}
+        return len(roots) + len(inner)
+
+    rng = random.Random(2222)
+    for case in range(6):
+        seq = random_sequence(rng, max_events=60, max_types=3)
+        windows = random_windows(rng)
+        level1 = bootstrap_serial("ABC")
+        level2 = generate_serial_candidates(level1, windows)
+        level3 = generate_serial_candidates(rng.sample(level2, len(level2) // 2), windows)
+        built = 0
+        counts = count_serial_constrained(level3, seq)
+        assert built == nodes_for(level3) < len(level3)
+        for ep, res in zip(level3[:20], counts):
+            assert res.freq == serial_oracle_count(ep, seq), ep
+        # 1-, 2- and 3-node candidates that share prefixes, with repeats
+        eps = rng.sample(level1, 2) + rng.sample(level2, 6) + rng.sample(level3, min(len(level3), 10))
+        eps += rng.choices(eps, k=5)
+        rng.shuffle(eps)
+        built = 0
+        shared = count_serial_constrained(eps, seq, TRACK)
+        assert built == nodes_for(eps), case
+        assert check_shared_pass(eps, seq) == shared
+
+
 def test_mine_serial_levels():
     # crafted stream: A->B->C every 10 ticks with gap 2 within the triple
     events = []
