@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--threshold", type=float, default=0.01,
                       help="frequency threshold as a fraction of stream length")
     mine.add_argument("--min-count", type=int, default=None,
-                      help="absolute occurrence floor (overrides --threshold)")
+                      help="absolute occurrence floor, at least 1 (overrides --threshold)")
     mine.add_argument("--intervals", help="gap windows in ms, e.g. 4-6 or 0-2,2-4")
     mine.add_argument("--expiry", help="span limit in ms for parallel/synfire")
     mine.add_argument("--max-size", type=int, default=8)

@@ -127,8 +127,9 @@ class MiningConfig:
 
     ``freq_threshold`` is a fraction of the stream length; the absolute
     floor for a stream of n events is ceil(freq_threshold * n), computed
-    exactly, so a threshold of 0 keeps every counted candidate. When
-    ``min_count`` is given it replaces the fractional floor outright.
+    exactly, and at least 1: a frequent episode occurs at least once, so
+    the default threshold of 0 keeps every episode that occurs. When
+    ``min_count`` (at least 1) is given it replaces the fractional floor.
     ``beam_width`` caps how many frequent episodes of one level seed the
     next level's join (None = no cap); counts of retained episodes are
     exact either way. Each ``candidate_intervals`` entry may be any
@@ -157,8 +158,8 @@ class MiningConfig:
                 raise ValueError(f"candidate intervals must be disjoint and sorted: {prev} vs {cur}")
         if self.expiry < 0:
             raise ValueError("expiry must be >= 0")
-        if self.min_count is not None and self.min_count < 0:
-            raise ValueError("min_count must be >= 0")
+        if self.min_count is not None and self.min_count < 1:
+            raise ValueError("min_count must be >= 1")
         if self.beam_width is not None and self.beam_width < 1:
             raise ValueError("beam_width must be >= 1")
 
@@ -166,7 +167,7 @@ class MiningConfig:
         if self.min_count is not None:
             return self.min_count
         # exact threshold arithmetic: 0.01 * 25000 must be 250, not 250.0000003
-        return math.ceil(Fraction(str(self.freq_threshold)) * n_events)
+        return max(1, math.ceil(Fraction(str(self.freq_threshold)) * n_events))
 
 
 class EpisodeCount(namedtuple("EpisodeCount", "episode freq occurrences", defaults=(None,))):
@@ -258,12 +259,12 @@ def level_counter(seq, floor: int, track: bool, span: tuple[int, int], ordered: 
     """The counter ``mine_levels`` gets: ``count`` at levels 2 and up, none at level 1.
 
     Level 1 is the label counts; tracked, a type's occurrences are
-    ``(i,)`` for each of its events. At level 2, when ``floor`` is above 0,
-    ``count`` gets only the candidates whose pair bound (``pair_bounds``
-    over ``span``) reaches it: ``bounds[b][a]`` for ``ordered`` (serial)
-    pairs ``(a, b)``, else (parallel) that plus ``bounds[a][b]`` for
-    ``a != b``, as an occurrence may end at either type. This is the
-    two-pass elimination of Cao, Patnaik, Ponce et al. (CF 2010).
+    ``(i,)`` for each of its events. At level 2, ``count`` gets only the
+    candidates whose pair bound (``pair_bounds`` over ``span``) reaches
+    ``floor``: ``bounds[b][a]`` for ``ordered`` (serial) pairs ``(a, b)``,
+    else (parallel) that plus ``bounds[a][b]`` for ``a != b``, as an
+    occurrence may end at either type. This is the two-pass elimination of
+    Cao, Patnaik, Ponce et al. (CF 2010).
     """
 
     def count_level(candidates):
@@ -276,7 +277,7 @@ def level_counter(seq, floor: int, track: bool, span: tuple[int, int], ordered: 
             for i, x in enumerate(seq.labels):
                 at[x].append((i,))
             return candidates, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in candidates)]
-        if size == 2 and floor > 0:
+        if size == 2:
             bounds = pair_bounds(seq, *span)
 
             def bound(a, b):

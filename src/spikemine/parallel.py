@@ -26,9 +26,9 @@ completing at ``t`` has a usable entry of each type, so its filing type has
 one too.
 
 In ``mine_parallel`` this pass runs from level 2 on, as level 1 is the
-label counts (``episodes.level_counter``). Above a floor of 0, level 2
-counts only the candidates whose bound from one ``pair_bounds`` sweep
-over ``[t - expiry, t]`` reaches the floor. An occurrence of ``{A B}``
+label counts (``episodes.level_counter``). Level 2 counts only the
+candidates whose bound from one ``pair_bounds`` sweep over
+``[t - expiry, t]`` reaches the floor. An occurrence of ``{A B}``
 ends at an event of one type with an earlier one of the other in that
 span, and occurrences end at distinct events, so ``bounds[B][A] +
 bounds[A][B]`` bounds its count, and ``bounds[A][A]`` that of ``{A A}``.

@@ -51,15 +51,14 @@ cannot change a count: an entry made at tick ``t`` is never in a window
 ``mine_serial`` runs ``episodes.mine_levels`` from ``bootstrap_serial``
 with the join ``generate_serial_candidates`` and the counter of
 ``episodes.level_counter``, so this pass runs from level 2 on. Level 1 is
-the label counts. When the count floor is above zero, level 2 first takes
-one ``pair_bounds`` sweep over the hull ``(lowest low, highest high]`` of
-the windows: an occurrence of ``A -(w)-> B`` ends at a ``B`` event with an
-``A`` in ``[t - high, t - low)`` of the hull, and occurrences end at
-distinct events, so the number of such ``B`` events bounds the count under
-every window. Only the candidates whose pair reaches the floor are counted
-here; the rest cannot be frequent, so the level's frequent set is
-unchanged. ``MiningLevel.n_candidates``, and with it the CLI's
-``candidates=N``, still reports the full join.
+the label counts. Level 2 first takes one ``pair_bounds`` sweep over the
+hull ``(lowest low, highest high]`` of the windows: an occurrence of
+``A -(w)-> B`` ends at a ``B`` event with an ``A`` in ``[t - high, t - low)``
+of the hull, and occurrences end at distinct events, so the number of such
+``B`` events bounds the count under every window. Only the candidates whose
+pair reaches the floor are counted here; the rest cannot be frequent, so
+the level's frequent set is unchanged. ``MiningLevel.n_candidates``, and
+with it the CLI's ``candidates=N``, still reports the full join.
 """
 
 from __future__ import annotations

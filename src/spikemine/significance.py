@@ -11,13 +11,11 @@ The study contrasts two dataset families:
   contiguous segments of that size (the embedded subepisodes that the
   gap window can actually match).
 
-Random-data maxima are found level-wise at a count floor of 1; growth
-beyond size 2 is seeded from the top-scoring episodes of the previous
-level (beam), which preserves the maximum profile because a level's best
-episode never outscores its own parent. The floor changes no maximum: a
-candidate counts at most as often as either seed it joins, and nonzero
-seeds rank ahead of zero-count ones in the beam. Patterned minima are counted
-directly on the known segment candidates, which is exact and cheap.
+Random-data maxima are found level-wise; growth beyond size 2 is seeded
+from the top-scoring episodes of the previous level (beam), which
+preserves the maximum profile because a level's best episode never
+outscores its own parent. Patterned minima are counted directly on the
+known segment candidates, which is exact and cheap.
 
 Averaged over datasets, the patterned minima sit far above the random
 maxima from size 3 on; the report states both profiles side by side.
@@ -87,12 +85,7 @@ def _max_profile(args) -> list[int]:
     """Simulate one random dataset and return max frequency per size."""
     config, max_size, interval, beam = args
     seq = simulate(config).sequence
-    cfg = MiningConfig(
-        min_count=1,
-        max_size=max_size,
-        candidate_intervals=(interval,),
-        beam_width=beam,
-    )
+    cfg = MiningConfig(max_size=max_size, candidate_intervals=(interval,), beam_width=beam)
     levels = mine_serial(seq, cfg)
     maxima = [0] * max_size
     for level in levels:

@@ -156,6 +156,25 @@ def test_usage_errors_exit_1(tiny_csv, tmp_path):
     assert main(["mine", "serial", str(tiny_csv), "--intervals", "4-6", "--tick", "0.0003"]) == 1
 
 
+def test_threshold_0_mines_the_episodes_that_occur(tmp_path, tiny_csv):
+    # a frequent episode occurs at least once: threshold 0 is a floor of 1
+    flags = ["--intervals", "0-3,4-6", "--max-size", "3"]
+    zero, one = tmp_path / "zero.txt", tmp_path / "one.txt"
+    assert main(["mine", "serial", str(tiny_csv), "--out", str(zero), "--threshold", "0", *flags]) == 0
+    assert main(["mine", "serial", str(tiny_csv), "--out", str(one), "--min-count", "1", *flags]) == 0
+    assert zero.read_bytes() == one.read_bytes()
+    assert " : 0\n" not in zero.read_text()
+    assert "A -(4,6]-> B -(4,6]-> C : 30\n" in zero.read_text()
+
+
+def test_min_count_0_exits_1(tmp_path, tiny_csv, capsys):
+    out = tmp_path / "res.txt"
+    argv = ["mine", "serial", str(tiny_csv), "--out", str(out), "--intervals", "4-6", "--min-count", "0"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: min_count must be >= 1"]
+    assert not out.exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["mine", "serial", str(missing), "--intervals", "4-6"]) == 2

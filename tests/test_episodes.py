@@ -221,9 +221,14 @@ class TestBootstrapAndConfig:
     def test_count_floor_is_exact(self):
         cfg = MiningConfig(freq_threshold=0.01)
         assert cfg.count_floor(25_000) == 250
-        assert MiningConfig(freq_threshold=0.0).count_floor(10) == 0
+        # a frequent episode occurs at least once, also in an empty stream
+        assert MiningConfig(freq_threshold=0.0).count_floor(10) == 1
+        assert MiningConfig().count_floor(0) == 1
+        assert MiningConfig(freq_threshold=0.01).count_floor(50) == 1
         assert MiningConfig(freq_threshold=1.0).count_floor(7) == 7
         assert MiningConfig(min_count=42, freq_threshold=0.5).count_floor(1000) == 42
+        with pytest.raises(ValueError, match="min_count must be >= 1"):
+            MiningConfig(min_count=0)
 
     def test_overlapping_intervals_rejected(self):
         with pytest.raises(ValueError):

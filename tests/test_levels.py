@@ -61,7 +61,7 @@ def random_config(rng: random.Random) -> MiningConfig:
         max_size=3,
         candidate_intervals=tuple(windows),
         expiry=rng.randint(1, 4),
-        min_count=rng.choice((0, 0, 1, 2, 3)),
+        min_count=rng.choice((None, None, 1, 2, 3)),  # None: the threshold's floor, 1
         beam_width=rng.choice((None, 1, 3)),
         track_occurrences=rng.random() < 0.5,
     )
@@ -137,6 +137,7 @@ def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch
         t += rng.choice((1, 2, 3, 4))
         x = rng.choice("ABCDE")
         events += [Event(x, t)] + [Event("B", t + 3)] * (x == "A") + [Event("D", t)] * (x == "C")
+    events += [Event("F", t + 100), Event("F", t + 200)]  # no pair with F occurs
     seq = EventSequence(events)
     received = []
 
@@ -148,43 +149,44 @@ def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch
     recording(parallel)
     windows = (Interval(1, 2), Interval(2, 4))
     cfg = MiningConfig(max_size=2, candidate_intervals=windows, expiry=2, min_count=30)
-    levels = mine_serial(seq, cfg) + mine_parallel(seq, cfg)
-    assert [len(lv.counts) for lv in levels] == [5, 3, 5, 3]
-    serial_level_2, parallel_level_2 = received  # level 1 runs no counting pass
-    assert serial_level_2 == [
-        ep for ep in generate_serial_candidates(bootstrap_serial("ABCDE"), windows)
-        if brute_pair_bound(seq, *ep.etypes, 1, 4) >= 30
-    ]
 
     def parallel_bound(a, b):
         n = brute_pair_bound(seq, a, b, -1, 2)
         return n if a == b else n + brute_pair_bound(seq, b, a, -1, 2)
 
-    assert parallel_level_2 == [
-        ep for ep in generate_parallel_candidates([ParallelEpisode((x,)) for x in "ABCDE"])
-        if parallel_bound(*ep.etypes) >= 30
-    ]
-    assert (len(serial_level_2), len(parallel_level_2)) == (14, 7)  # of 50 and 15
+    def survivors(types, floor):
+        return [
+            [ep for ep in generate_serial_candidates(bootstrap_serial(types), windows)
+             if brute_pair_bound(seq, *ep.etypes, 1, 4) >= floor],
+            [ep for ep in generate_parallel_candidates([ParallelEpisode((x,)) for x in types])
+             if parallel_bound(*ep.etypes) >= floor],
+        ]
+
+    levels = mine_serial(seq, cfg) + mine_parallel(seq, cfg)
+    assert [len(lv.counts) for lv in levels] == [5, 3, 5, 3]
+    assert received == survivors("ABCDE", 30)  # level 1 runs no counting pass
+    assert [len(eps) for eps in received] == [14, 7]  # of 50 and 15
     received.clear()
-    for mine in (mine_serial, mine_parallel):  # at floor 0 level 2 is the full join
-        mine(seq, replace(cfg, min_count=0))
-    assert [len(eps) for eps in received] == [50, 15]
+    for mine in (mine_serial, mine_parallel):  # the default threshold: a floor of 1
+        mine(seq, replace(cfg, min_count=None))
+    assert received == survivors("ABCDEF", 1)
+    assert [len(eps) for eps in received] == [50, 15]  # of 72 and 21: no pair with F
 
 
 def test_ties_rank_by_episode_through_the_beam():
     # repeated motifs at fixed gaps and short streams make many candidates
-    # share a count, and at floor 0 the zero counts tie too: the beam cuts
-    # among ties, and only episode order can pick the seeds
+    # share a count: the beam cuts among ties, and only episode order can
+    # pick the seeds
     rng = random.Random(2222)
     cut_among_ties = 0
-    for case in range(16):
+    for case in range(32):
         motif = [fresh(rng.choice(LABELS[:4])) for _ in range(rng.randint(2, 4))]
         events = [Event(x, 2 * (k * len(motif) + j)) for k in range(rng.randint(1, 4))
                   for j, x in enumerate(motif)]
         seq = EventSequence(events, alphabet=set(LABELS[:4]))
         cfg = MiningConfig(
             max_size=3, candidate_intervals=(Interval(0, 2), Interval(2, 5)), expiry=rng.randint(1, 4),
-            min_count=0, beam_width=rng.randint(2, 5), track_occurrences=case % 2 == 1,
+            beam_width=rng.randint(2, 5), track_occurrences=case % 2 == 1,
         )
         for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
             levels = mine(seq, cfg)

@@ -2,6 +2,7 @@ import re
 
 import pytest
 
+from oracles import reference_levels
 import spikemine.significance as significance
 from spikemine import (
     Interval,
@@ -10,7 +11,6 @@ from spikemine import (
     SerialEpisode,
     count_serial_constrained,
     embed_pattern,
-    mine_serial,
     run_significance,
     simulate,
 )
@@ -128,16 +128,26 @@ def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
     ]
     assert all(re.fullmatch(r".* in \d+\.\d\d s", line) for line in lines)
 
+
+class FloorZero(MiningConfig):
+    """Keeps every counted candidate, as no mining run does."""
+
+    def count_floor(self, n_events):
+        return 0
+
+
 @pytest.mark.parametrize("beam", (3, 40))
 def test_max_profile_equals_a_floor_0_mine(beam):
-    # the study mines at floor 1; zero-count episodes would only fill the deep levels
+    # the study mines at floor 1. A candidate counts at most as often as
+    # either seed it joins, and nonzero seeds rank ahead of zero-count ones
+    # in the beam, so zero-count episodes would only fill the deep levels
     interval = Interval(0, 5)
     for config in (NetworkConfig(duration=3.0, weight_seed=101, seed=1001),
                    NetworkConfig(duration=3.0, weight_seed=102, seed=2001),
                    NetworkConfig(duration=3.0, rate_mode="uniform", lambda_max=14.0, seed=500_001)):
-        cfg = MiningConfig(max_size=6, candidate_intervals=(interval,), beam_width=beam)
-        levels = mine_serial(simulate(config).sequence, cfg)
-        maxima = [max(c.freq for c in level.counts) for level in levels]
+        cfg = FloorZero(max_size=6, candidate_intervals=(interval,), beam_width=beam)
+        levels = reference_levels(simulate(config).sequence, cfg, "serial")
+        maxima = [max(c.freq for c in counts) for _, _, counts in levels]
         assert maxima[-1] == 0  # floor 0 mines levels that floor 1 stops before
         assert significance._max_profile((config, 6, interval, beam)) == maxima + [0] * (6 - len(maxima))
 
