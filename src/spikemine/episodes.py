@@ -26,9 +26,11 @@ their results with ``tuple.__new__`` and skip the checks.
 
 One level loop, ``mine_levels``, mines both kinds from their size-1
 episodes, counter and join (``generate_serial_candidates``,
-``generate_parallel_candidates``). Every counting pass reads the stream's
-columns (``EventSequence.labels`` and ``ticks``) once, in order, in the
-calling process.
+``generate_parallel_candidates``). The counter (``level_counter``) takes
+level 1 from the label counts and level 2 from one sweep over the type
+pairs. Every pass reads the stream's columns (``EventSequence.labels``
+and ``ticks``) in order, in the calling process; a pass from level 3 on
+reads only the events whose type some candidate uses.
 """
 
 from __future__ import annotations
@@ -235,37 +237,57 @@ def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) ->
     return levels
 
 
-def pair_bounds(seq, low: int, high: int) -> defaultdict:
-    """``bounds[x][a]``: the events of ``x``, at tick ``t``, with an earlier
-    event (by index) of ``a`` at a tick in ``[t - high, t - low)``.
-
-    One sweep with two index pointers over the tick-sorted columns. Ticks
-    are integers, so ``low = -1`` gives the parallel span ``[t - high, t]``.
-    """
-    labels, ticks = seq.labels, seq.ticks
-    bounds = defaultdict(Counter)
-    lo = hi = 0
-    for j, t in enumerate(ticks):
-        while ticks[lo] < t - high:
-            lo += 1
-        while hi < j and ticks[hi] < t - low:
-            hi += 1
-        if lo < hi:
-            bounds[labels[j]].update(set(labels[lo:hi]))
-    return bounds
-
-
-def level_counter(seq, floor: int, track: bool, span: tuple[int, int], ordered: bool, count):
-    """The counter ``mine_levels`` gets: ``count`` at levels 2 and up, none at level 1.
+def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), expiry: int = 0):
+    """The counter ``mine_levels`` gets: ``count`` runs from level 3 on.
 
     Level 1 is the label counts; tracked, a type's occurrences are
-    ``(i,)`` for each of its events. At level 2, ``count`` gets only the
-    candidates whose pair bound (``pair_bounds`` over ``span``) reaches
-    ``floor``: ``bounds[b][a]`` for ``ordered`` (serial) pairs ``(a, b)``,
-    else (parallel) that plus ``bounds[a][b]`` for ``a != b``, as an
-    occurrence may end at either type. This is the two-pass elimination of
-    Cao, Patnaik, Ponce et al. (CF 2010).
+    ``(i,)`` for each of its events. Level 2 is one sweep over the
+    tick-sorted columns: of serial pairs under the sorted, disjoint gap
+    ``windows``, or, with none, of parallel pairs under ``expiry``. For
+    event ``j`` of type ``x`` at tick ``t`` it walks the earlier events
+    ``i`` in ``[t - reach, t]``, ``reach`` being the highest ``high`` or
+    ``expiry``. Each pair has a slot ``[count, watermark, occurrences]``
+    and completes at ``j`` with ``i`` iff ``i > watermark``; the
+    watermark becomes ``j``, so no other ``i`` completes it at ``j``. This
+    is the earliest-completion rule of the counting passes, so counts and
+    occurrences equal theirs. Serial ``a -(w)-> x``: the gap
+    ``t - ticks[i]`` picks the window ``w``, and the walk goes backward,
+    so an occurrence takes the latest ``a`` in ``w``, as the trie's
+    ``back`` chain does. Parallel ``{a x}``, keyed by the sorted pair (for
+    ``{x x}``, ``i`` is the other ``x``): the walk goes forward, so an
+    occurrence takes the earliest usable ``a``, as ``parallel._count``
+    does. Level 2 gives only the candidates that occur.
     """
+    labels, ticks = seq.labels, seq.ticks
+    spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
+    reach = spans[-1][1]
+
+    def count_pairs(candidates):
+        rows = {w: {} for w in spans}  # window -> {pair: slot}
+        row_at = [None] * (reach + 1)  # gap -> the row of the window holding it
+        for (low, high), row in rows.items():
+            row_at[low + 1 : high + 1] = [row] * (high - low)
+        lo = 0
+        for j, (x, t) in enumerate(zip(labels, ticks)):
+            while ticks[lo] < t - reach:
+                lo += 1
+            for i in range(j - 1, lo - 1, -1) if windows else range(lo, j):
+                row = row_at[t - ticks[i]]
+                if row is not None:
+                    a = labels[i]
+                    key = (a, x) if windows or a <= x else (x, a)
+                    slot = row.get(key)
+                    if slot is None:
+                        slot = row[key] = [0, -1, []]
+                    if i > slot[1]:
+                        slot[0] += 1
+                        slot[1] = j
+                        if track:
+                            slot[2].append((i, j))
+        found = [(ep, slot) for ep in candidates
+                 if (slot := rows[ep.intervals[0] if windows else spans[0]].get(ep.etypes))]
+        results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
+        return [ep for ep, _ in found], results
 
     def count_level(candidates):
         size = len(candidates[0].etypes)
@@ -278,13 +300,7 @@ def level_counter(seq, floor: int, track: bool, span: tuple[int, int], ordered: 
                 at[x].append((i,))
             return candidates, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in candidates)]
         if size == 2:
-            bounds = pair_bounds(seq, *span)
-
-            def bound(a, b):
-                n = bounds[b][a]
-                return n if ordered or a == b else n + bounds[a][b]
-
-            candidates = [ep for ep in candidates if bound(*ep.etypes) >= floor]
+            return count_pairs(candidates)
         return candidates, count(candidates)
 
     return count_level
@@ -341,11 +357,10 @@ def generate_serial_candidates(
     """
     pool = _one_size(frequent)
     if pool and len(pool[0].etypes) == 1:
-        firsts = [ep.etypes for ep in pool]
-        windows = [Interval(*iv) for iv in intervals]
-        return sorted(
-            {_new(SerialEpisode, (a + b, (w,))) for a in firsts for b in firsts for w in windows}
-        )
+        # a product of sorted, distinct factors comes out sorted and distinct
+        firsts = sorted(ep.etypes[0] for ep in pool)
+        windows = [(w,) for w in sorted({Interval(*iv) for iv in intervals})]
+        return [_new(SerialEpisode, ((a, b), w)) for a in firsts for b in firsts for w in windows]
     by_prefix: dict[tuple, list] = {}
     for types, wins in pool:
         by_prefix.setdefault((types[:-1], wins[:-1]), []).append((types[-1], wins[-1]))

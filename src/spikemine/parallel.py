@@ -2,10 +2,10 @@
 
 Candidates are ``ParallelEpisode``s, named tuples ``(etypes,)`` of sorted
 labels, counted over the columns ``EventSequence.labels`` and ``ticks``. A
-pass keeps one time list of ``(time, index)`` per type some candidate
-needs, in a dict keyed by label; an event of type ``x`` at ``t`` prunes
-``x``'s list by the cut ``t - expiry`` and appends itself, so a list holds
-one expiry span at most.
+pass reads only the events of the types some candidate needs, and keeps
+one time list of ``(time, index)`` per such type, in a dict keyed by
+label; an event of type ``x`` at ``t`` prunes ``x``'s list by the cut
+``t - expiry`` and appends itself, so a list holds one expiry span at most.
 
 Each distinct candidate has a slot: its count, its watermark (the index of
 its last completion) and its occurrences. It may use only events after the
@@ -25,13 +25,9 @@ filing type's last entry is not before the cut. This is exact: a candidate
 completing at ``t`` has a usable entry of each type, so its filing type has
 one too.
 
-In ``mine_parallel`` this pass runs from level 2 on, as level 1 is the
-label counts (``episodes.level_counter``). Level 2 counts only the
-candidates whose bound from one ``pair_bounds`` sweep over
-``[t - expiry, t]`` reaches the floor. An occurrence of ``{A B}``
-ends at an event of one type with an earlier one of the other in that
-span, and occurrences end at distinct events, so ``bounds[B][A] +
-bounds[A][B]`` bounds its count, and ``bounds[A][A]`` that of ``{A A}``.
+In ``mine_parallel`` this pass runs from level 3 on, as level 1 is the
+label counts and level 2 one sweep over the type pairs
+(``episodes.level_counter``).
 """
 
 from __future__ import annotations
@@ -76,11 +72,10 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
             f = next((z for z in mult if z != y), y)
             lists[y][1].setdefault(f, (lists[f][0], []))[1].append((slot, needs))
 
-    for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
-        entry = lists[x]
-        if entry is None:
-            continue
-        tl, files = entry
+    labels, ticks = seq.labels, seq.ticks
+    for idx in [i for i, x in enumerate(labels) if lists[x] is not None]:
+        x, t = labels[idx], ticks[idx]
+        tl, files = lists[x]
         cut = t - expiry
         while tl and tl[0][0] < cut:
             tl.popleft()
@@ -112,17 +107,17 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
-    Level 1 is the label counts, and level 2 may first cut its candidates
-    by pair bound (see the module docstring). Every level reads the same
-    columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts no process,
-    as each pass is one sequential scan; the keyword stays so that callers
-    passing it keep working. ValueError unless ``cfg.expiry > 0``.
+    Level 1 is the label counts and level 2 one sweep over the type pairs
+    (``episodes.level_counter``); the expiry pass counts from level 3.
+    Every level reads the same columns, ``seq.labels`` and ``seq.ticks``.
+    ``jobs`` starts no process, as each pass is one sequential scan; the
+    keyword stays so that callers passing it keep working. ValueError
+    unless ``cfg.expiry > 0``.
     """
     if cfg.expiry <= 0:
         raise ValueError("parallel mining needs expiry > 0")
-    floor = cfg.count_floor(len(seq))
     track = cfg.track_occurrences
-    count = level_counter(seq, floor, track, (-1, cfg.expiry), False,
-                          lambda eps: _count(eps, seq, track, cfg.expiry))
-    return mine_levels([ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg, floor, count,
-                       generate_parallel_candidates)
+    count = level_counter(seq, track, lambda eps: _count(eps, seq, track, cfg.expiry),
+                          expiry=cfg.expiry)
+    return mine_levels([ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg,
+                       cfg.count_floor(len(seq)), count, generate_parallel_candidates)

@@ -46,19 +46,18 @@ pruned from the front by the cut ``t - (largest high among its
 children)``, since an older entry lies in no window of this or a later
 event, and its children of the event's type are extended. Visit order
 cannot change a count: an entry made at tick ``t`` is never in a window
-``[t - high, t - low)`` of an event at ``t``, as ``low >= 0``.
+``[t - high, t - low)`` of an event at ``t``, as ``low >= 0``. The pass
+reads only the events whose type some candidate uses: any other event
+would only prune, and the next visit prunes by a later cut anyway, so no
+count, watermark or occurrence changes, and the lists stay bounded by
+the window population of the events read.
 
 ``mine_serial`` runs ``episodes.mine_levels`` from ``bootstrap_serial``
 with the join ``generate_serial_candidates`` and the counter of
-``episodes.level_counter``, so this pass runs from level 2 on. Level 1 is
-the label counts. Level 2 first takes one ``pair_bounds`` sweep over the
-hull ``(lowest low, highest high]`` of the windows: an occurrence of
-``A -(w)-> B`` ends at a ``B`` event with an ``A`` in ``[t - high, t - low)``
-of the hull, and occurrences end at distinct events, so the number of such
-``B`` events bounds the count under every window. Only the candidates whose
-pair reaches the floor are counted here; the rest cannot be frequent, so
-the level's frequent set is unchanged. ``MiningLevel.n_candidates``, and
-with it the CLI's ``candidates=N``, still reports the full join.
+``episodes.level_counter``, whose level 1 is the label counts and level 2
+one sweep over the type pairs, so this pass runs from level 3 on.
+``MiningLevel.n_candidates``, and with it the CLI's ``candidates=N``,
+reports the full join.
 """
 
 from __future__ import annotations
@@ -140,8 +139,11 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
             step[1] = [0, -1, []]
         slots.append(step[1])
     live: dict[_Node, None] = {}  # nodes with children and a non-empty time list
+    labels, ticks = seq.labels, seq.ticks
+    used = {x for types, _ in candidates for x in types}
 
-    for idx, (x, t) in enumerate(zip(seq.labels, seq.ticks)):
+    for idx in [i for i, x in enumerate(labels) if x in used]:
+        x, t = labels[idx], ticks[idx]
         step = roots[x]
         if step is not None:
             root, slot = step
@@ -193,20 +195,18 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
-    Level 1 is the label counts, and level 2 may first cut its candidates
-    by pair bound (see the module docstring). Every pass reads the same
-    columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts no process,
-    as each pass is one sequential scan; the keyword stays so that callers
-    passing it keep working.
+    Level 1 is the label counts and level 2 one sweep over the type pairs
+    (``episodes.level_counter``); the trie pass counts from level 3. Every
+    pass reads the same columns, ``seq.labels`` and ``seq.ticks``. ``jobs``
+    starts no process, as each pass is one sequential scan; the keyword
+    stays so that callers passing it keep working.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
-    floor = cfg.count_floor(len(seq))
     windows = cfg.candidate_intervals
     track = cfg.track_occurrences
-    hull = (windows[0].low, windows[-1].high)
     return mine_levels(
-        bootstrap_serial(seq.alphabet), cfg, floor,
-        level_counter(seq, floor, track, hull, True, lambda eps: _count(eps, seq, track)),
+        bootstrap_serial(seq.alphabet), cfg, cfg.count_floor(len(seq)),
+        level_counter(seq, track, lambda eps: _count(eps, seq, track), windows=windows),
         lambda seeds: generate_serial_candidates(seeds, windows),
     )

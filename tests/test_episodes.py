@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,20 @@ class TestSerialCandidates:
             SerialEpisode((a, b), (Interval(0, 5),)) for a in "AB" for b in "AB"
         }
         assert set(out) == expected  # self-pairs A->A included
+
+    def test_level1_cross_is_sorted_and_distinct_from_any_seed_order(self):
+        # seeds arrive ranked by count, and callers may repeat or unsort windows
+        rng = random.Random(2424)
+        windows = [(0, 2), Interval(2, 3), (3, 5), Interval(7, 9), (9, 12)]
+        for _ in range(100):
+            seeds = bootstrap_serial(rng.sample("ABCDEFGH", rng.randint(1, 8)))
+            rng.shuffle(seeds)
+            chosen = rng.choices(windows, k=rng.randint(0, 8))
+            old = {
+                SerialEpisode(a.etypes + b.etypes, (Interval(*w),))
+                for a in seeds for b in seeds for w in chosen
+            }
+            assert generate_serial_candidates(seeds + seeds[:2], chosen) == sorted(old)
 
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):

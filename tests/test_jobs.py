@@ -48,7 +48,7 @@ def test_mining_starts_no_process(cpus, monkeypatch, recording):
     def run(jobs):
         synfire = mine_synfire(recording, cfg, jobs=jobs)
         return (
-            levels_of(mine_serial(recording, cfg, jobs=jobs)),  # level 2 after the pair-bound sweep
+            levels_of(mine_serial(recording, cfg, jobs=jobs)),  # level 2 from the pair sweep
             levels_of(mine_parallel(recording, cfg, jobs=jobs)),
             levels_of(synfire.parallel_levels), synfire.rewritten_group_counts,
             synfire.rewritten.events, levels_of(synfire.serial_levels),

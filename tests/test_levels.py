@@ -5,12 +5,15 @@ labels)."""
 
 import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 from oracles import (
     parallel_join_oracle,
+    parallel_oracle_count,
     reference_levels,
     reference_synfire,
     serial_join_oracle,
+    serial_oracle_count,
 )
 from spikemine import (
     Event,
@@ -19,7 +22,8 @@ from spikemine import (
     MiningConfig,
     ParallelEpisode,
     SerialEpisode,
-    bootstrap_serial,
+    count_parallel_expiry,
+    count_serial_constrained,
     generate_parallel_candidates,
     generate_serial_candidates,
     mine_parallel,
@@ -119,18 +123,9 @@ def test_joins_equal_the_object_joins():
         assert joined == parallel_join_oracle(parallel)
 
 
-def brute_pair_bound(seq, a, b, low, high):
-    """The events of ``b`` with an earlier event of ``a`` at a tick in ``[t - high, t - low)``."""
-    events = list(zip(seq.labels, seq.ticks))
-    return sum(
-        y == b and any(x == a and t - high <= u < t - low for x, u in events[:j])
-        for j, (y, t) in enumerate(events)
-    )
-
-
-def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch):
-    # a bound that is only too wide keeps every result exact, so only the
-    # candidates the exact counters receive can show it
+def test_levels_1_and_2_run_no_counting_pass(monkeypatch):
+    # level 1 is the label counts and level 2 the pair sweep, so the
+    # counting passes first run at level 3, on the level-3 candidates
     rng = random.Random(2121)
     t, events = 0, []
     for _ in range(300):  # A -(2,4]-> B and {C D} embedded in noise
@@ -149,28 +144,55 @@ def test_level_2_counts_only_the_pairs_whose_bound_reaches_the_floor(monkeypatch
     recording(parallel)
     windows = (Interval(1, 2), Interval(2, 4))
     cfg = MiningConfig(max_size=2, candidate_intervals=windows, expiry=2, min_count=30)
-
-    def parallel_bound(a, b):
-        n = brute_pair_bound(seq, a, b, -1, 2)
-        return n if a == b else n + brute_pair_bound(seq, b, a, -1, 2)
-
-    def survivors(types, floor):
-        return [
-            [ep for ep in generate_serial_candidates(bootstrap_serial(types), windows)
-             if brute_pair_bound(seq, *ep.etypes, 1, 4) >= floor],
-            [ep for ep in generate_parallel_candidates([ParallelEpisode((x,)) for x in types])
-             if parallel_bound(*ep.etypes) >= floor],
-        ]
-
     levels = mine_serial(seq, cfg) + mine_parallel(seq, cfg)
     assert [len(lv.counts) for lv in levels] == [5, 3, 5, 3]
-    assert received == survivors("ABCDE", 30)  # level 1 runs no counting pass
-    assert [len(eps) for eps in received] == [14, 7]  # of 50 and 15
-    received.clear()
-    for mine in (mine_serial, mine_parallel):  # the default threshold: a floor of 1
-        mine(seq, replace(cfg, min_count=None))
-    assert received == survivors("ABCDEF", 1)
-    assert [len(eps) for eps in received] == [50, 15]  # of 72 and 21: no pair with F
+    assert [lv.n_candidates for lv in levels] == [6, 50, 6, 15]  # the full joins
+    floor_1 = replace(cfg, min_count=None)  # the default threshold
+    levels = mine_serial(seq, floor_1) + mine_parallel(seq, floor_1)
+    assert [lv.n_candidates for lv in levels] == [6, 72, 6, 21]
+    assert not [c for lv in (levels[1], levels[3]) for c in lv.counts if "F" in c.episode.etypes]
+    assert received == []
+    deeper = replace(cfg, max_size=3, min_count=20)
+    serial_levels, parallel_levels = mine_serial(seq, deeper), mine_parallel(seq, deeper)
+    assert received == [
+        generate_serial_candidates([c.episode for c in serial_levels[1].counts], windows),
+        generate_parallel_candidates([c.episode for c in parallel_levels[1].counts]),
+    ]
+    assert [len(eps) for eps in received] == [24, 8]
+
+
+class ReadTicks(tuple):
+    """A tick column that records the indices read from it."""
+
+    def __getitem__(self, i):
+        self.read.add(i)
+        return super().__getitem__(i)
+
+
+def test_passes_read_only_the_events_of_their_candidates_types():
+    # size-3 candidates over two of the stream's types: the passes count as
+    # the oracles do, and read the tick of no event of another type
+    rng = random.Random(2323)
+    unread = 0
+    for case in range(20):
+        seq = label_order_stream(rng)
+        ticks = ReadTicks(seq.ticks)
+        stream = SimpleNamespace(labels=seq.labels, ticks=ticks, alphabet=seq.alphabet)
+        cfg = random_config(rng)
+        types = rng.sample(sorted(seq.alphabet), min(2, len(seq.alphabet)))
+        eps = [SerialEpisode([rng.choice(types) for _ in range(3)], rng.choices(cfg.candidate_intervals, k=2))
+               for _ in range(4)]
+        peps = [ParallelEpisode([rng.choice(types) for _ in range(3)]) for _ in range(4)]
+        for count, candidates, oracle in (
+            (count_serial_constrained, eps, lambda ep: serial_oracle_count(ep, seq)),
+            (count_parallel_expiry, peps, lambda ep: parallel_oracle_count(ep, seq, cfg.expiry)),
+        ):
+            ticks.read = set()
+            assert [c.freq for c in count(candidates, stream, cfg)] == [oracle(ep) for ep in candidates]
+            used = {x for ep in candidates for x in ep.etypes}
+            assert ticks.read == {i for i, x in enumerate(seq.labels) if x in used}, case
+            unread += len(seq) - len(ticks.read)
+    assert unread > 0
 
 
 def test_ties_rank_by_episode_through_the_beam():

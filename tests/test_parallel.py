@@ -18,10 +18,11 @@ from spikemine import (
     MiningConfig,
     ParallelEpisode,
     count_parallel_expiry,
+    generate_parallel_candidates,
     mine_parallel,
 )
 from spikemine import parallel
-from spikemine.episodes import pair_bounds
+from spikemine.episodes import level_counter
 
 
 def cfg_for(expiry, track=False):
@@ -260,16 +261,21 @@ def test_an_event_checks_no_key_whose_filing_type_is_out_of_the_window(monkeypat
     assert reads <= (2 + len(others)) * len(bs)
 
 
-def test_pair_bound_is_at_least_each_parallel_pair_count():
-    # an occurrence of {a b} ends at b with an earlier a in [t - expiry, t], or
-    # the other way round; {a a} ends at an a with an earlier a in the span
+def test_pair_sweep_equals_the_parallel_oracles():
+    # every pair {a b}, {a a} included, over streams with equal ticks
     rng = random.Random(515)
     for _ in range(80):
         seq = random_sequence(rng, max_events=100, max_types=4)
+        if not seq.alphabet:
+            continue
         expiry = rng.randint(1, 4)
-        bounds = pair_bounds(seq, -1, expiry)
-        types = sorted(seq.alphabet)
-        for i, a in enumerate(types):
-            for b in types[i:]:
-                bound = bounds[a][a] if a == b else bounds[b][a] + bounds[a][b]
-                assert bound >= parallel_oracle_count(ParallelEpisode((a, b)), seq, expiry)
+        pairs = generate_parallel_candidates([ParallelEpisode((x,)) for x in seq.alphabet])
+        found, results = level_counter(seq, True, None, expiry=expiry)(pairs)
+        swept = dict(zip(found, results))
+        for ep in pairs:
+            freq, occurrences = swept.get(ep, (0, ()))
+            assert freq == parallel_oracle_count(ep, seq, expiry), (ep, expiry)
+            assert occurrences == parallel_oracle_occurrences(ep, seq, expiry), (ep, expiry)
+        found, counts = level_counter(seq, False, None, expiry=expiry)(pairs)
+        assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
+        assert 0 not in counts

@@ -25,7 +25,8 @@ from spikemine import (
     generate_serial_candidates,
     mine_serial,
 )
-from spikemine.episodes import pair_bounds
+from spikemine.episodes import level_counter
+
 
 TRACK = MiningConfig(track_occurrences=True)
 
@@ -334,9 +335,9 @@ def level_tuples(levels):
     return [(lv.size, lv.n_candidates, lv.counts) for lv in levels]
 
 
-def test_hull_prepass_keeps_levels_of_full_count():
+def test_exact_level_2_keeps_levels_of_full_count():
     rng = random.Random(4242)
-    pruned = 0
+    absent = 0
     for _ in range(60):
         seq = random_sequence(rng, max_events=150)
         cfg = MiningConfig(
@@ -352,28 +353,39 @@ def test_hull_prepass_keeps_levels_of_full_count():
             for count in level.counts[:3]:
                 assert count.freq == serial_oracle_count(count.episode, seq)
         if len(levels) > 1:
-            bounds = pair_bounds(seq, cfg.candidate_intervals[0].low, cfg.candidate_intervals[-1].high)
-            firsts = [c.episode.etypes[0] for c in levels[0].counts]
-            pruned += sum(bounds[b][a] < cfg.min_count for a in firsts for b in firsts)
-    assert pruned > 0  # the sweep exercises the elimination, not only its bypass
+            seeds = [c.episode for c in levels[0].counts]
+            pairs = generate_serial_candidates(seeds, cfg.candidate_intervals)
+            found, _ = pair_sweep(seq, cfg.candidate_intervals, pairs)
+            absent += len(pairs) - len(found)
+    assert absent > 0  # the sweep leaves out candidates that never occur
 
 
-def test_hull_count_bounds_each_window_count():
-    # every window inside the hull: the given ones, the hull itself, and random sub-windows
+def pair_sweep(seq, windows, pairs, track=True):
+    """The level-2 sweep of ``mine_serial``: the ``pairs`` that occur, and their results."""
+    return level_counter(seq, track, None, windows=windows)(pairs)
+
+
+def test_pair_sweep_equals_the_oracles_under_every_window():
+    # equal ticks, low = 0, gaps between windows, and repeated types
     rng = random.Random(808)
-    for _ in range(60):
+    lows = set()
+    for _ in range(80):
         seq = random_sequence(rng, max_events=100, max_types=4)
-        windows = random_windows(rng)
-        low, high = windows[0].low, windows[-1].high
-        inside = [Interval(low, high), *windows]
-        for _ in range(2):
-            a = rng.randint(low, high - 1)
-            inside.append(Interval(a, rng.randint(a + 1, high)))
-        bounds = pair_bounds(seq, low, high)
-        types = sorted(seq.alphabet)
-        for pair in ((a, b) for a in types for b in types):  # repeated types included
-            for iv in inside:
-                assert bounds[pair[1]][pair[0]] >= serial_oracle_count(SerialEpisode(pair, (iv,)), seq)
+        if not seq.alphabet:
+            continue
+        windows = random_windows(rng, first_low=rng.choice((0, 0, 1)))
+        lows.add(windows[0].low)
+        pairs = generate_serial_candidates(bootstrap_serial(seq.alphabet), windows)
+        found, results = pair_sweep(seq, windows, pairs)
+        swept = dict(zip(found, results))
+        for ep in pairs:
+            freq, occurrences = swept.get(ep, (0, ()))
+            assert freq == serial_oracle_count(ep, seq), ep
+            assert occurrences == serial_oracle_occurrences(ep, seq), ep
+        found, counts = pair_sweep(seq, windows, pairs, track=False)
+        assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
+        assert 0 not in counts
+    assert 0 in lows
 
 
 def churn_windows(rng):
@@ -390,8 +402,7 @@ def churn_windows(rng):
 def churn_stream(rng, types):
     """A sparse stream over ``types``: same-tick events, short gaps, and gaps
     beyond every window, so each list empties and refills many times. A
-    last event of type ``z``, which no candidate has, comes later than any
-    window reaches."""
+    last event of type ``z`` comes later than any window reaches."""
     events = []
     t = 0
     for _ in range(rng.randint(60, 120)):
@@ -403,8 +414,9 @@ def churn_stream(rng, types):
 
 def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch):
     # wide alphabets, so every root has many child types and goes live and
-    # empty many times. After the late last event no window can reach any
-    # entry, so every time list the pass made must be empty again.
+    # empty many times. Every pass also counts the 1-node episode z, so it
+    # reads the late last event, whose visit must prune every list: no
+    # window reaches back to any entry, so every list must be empty again.
     import spikemine.serial as serial
 
     lists = []
@@ -417,7 +429,8 @@ def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch):
     monkeypatch.setattr(serial, "deque", RecordedDeque)
 
     def one_pass(eps, seq):
-        results = count_serial_constrained(eps, seq, TRACK)
+        *results, late = count_serial_constrained(eps + [SerialEpisode(("z",))], seq, TRACK)
+        assert late.freq == 1
         assert lists and not any(lists), "entries outlived every window"
         lists.clear()
         return results
