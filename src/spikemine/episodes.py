@@ -253,27 +253,32 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
     occurrences equal theirs. Serial ``a -(w)-> x``: the gap
     ``t - ticks[i]`` picks the window ``w``, and the walk goes backward,
     so an occurrence takes the latest ``a`` in ``w``, as the trie's
-    ``back`` chain does. Parallel ``{a x}``, keyed by the sorted pair (for
-    ``{x x}``, ``i`` is the other ``x``): the walk goes forward, so an
-    occurrence takes the earliest usable ``a``, as ``parallel._count``
-    does. Level 2 gives only the candidates that occur.
+    ``back`` chain does. The gaps only grow as it goes, so the window is
+    found by a pointer that only moves forward, and no table of gaps is
+    kept: the memory is the slots', whatever the windows' widths. Parallel
+    ``{a x}``, keyed by the sorted pair (for ``{x x}``, ``i`` is the other
+    ``x``): every gap in the walk is within ``expiry``, and the walk goes
+    forward, so an occurrence takes the earliest usable ``a``, as
+    ``parallel._count`` does. Level 2 gives only the candidates that occur.
     """
     labels, ticks = seq.labels, seq.ticks
     spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
-    reach = spans[-1][1]
+    lows, highs = [low for low, _ in spans], [high for _, high in spans]
+    reach = highs[-1]
 
     def count_pairs(candidates):
-        rows = {w: {} for w in spans}  # window -> {pair: slot}
-        row_at = [None] * (reach + 1)  # gap -> the row of the window holding it
-        for (low, high), row in rows.items():
-            row_at[low + 1 : high + 1] = [row] * (high - low)
+        rows = [{} for _ in spans]  # per window: {pair: slot}
         lo = 0
         for j, (x, t) in enumerate(zip(labels, ticks)):
             while ticks[lo] < t - reach:
                 lo += 1
+            k = 0  # the first window whose high is not below the gap
             for i in range(j - 1, lo - 1, -1) if windows else range(lo, j):
-                row = row_at[t - ticks[i]]
-                if row is not None:
+                gap = t - ticks[i]
+                while gap > highs[k]:
+                    k += 1
+                if gap > lows[k]:
+                    row = rows[k]
                     a = labels[i]
                     key = (a, x) if windows or a <= x else (x, a)
                     slot = row.get(key)
@@ -284,6 +289,7 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
                         slot[1] = j
                         if track:
                             slot[2].append((i, j))
+        rows = dict(zip(spans, rows))
         found = [(ep, slot) for ep in candidates
                  if (slot := rows[ep.intervals[0] if windows else spans[0]].get(ep.etypes))]
         results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]

@@ -123,6 +123,21 @@ def test_joins_equal_the_object_joins():
         assert joined == parallel_join_oracle(parallel)
 
 
+def test_windows_of_any_width_mine_without_a_table_of_gaps():
+    # the level-2 sweep keeps nothing per tick of gap: windows and an
+    # expiry of 10**12 ticks, one reaching past the stream's span and one
+    # wholly beyond it, mine as the reference does
+    rng = random.Random(4343)
+    for _ in range(10):
+        seq = label_order_stream(rng)
+        span = seq.ticks[-1] - seq.ticks[0] if len(seq) else 0
+        windows = (Interval(0, 2), Interval(2, 10**12), Interval(10**12, 10**12 + 5))
+        cfg = MiningConfig(max_size=3, candidate_intervals=windows, expiry=10**12 + span,
+                           track_occurrences=rng.random() < 0.5)
+        for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
+            assert plain(mine(seq, cfg)) == reference_levels(seq, cfg, kind), (kind, cfg)
+
+
 def test_levels_1_and_2_run_no_counting_pass(monkeypatch):
     # level 1 is the label counts and level 2 the pair sweep, so the
     # counting passes first run at level 3, on the level-3 candidates
