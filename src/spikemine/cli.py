@@ -4,7 +4,7 @@ Every run writes a flat key=value manifest next to its output with the
 full parameter snapshot, seeds, and sha256 checksums, so the output file
 can be regenerated byte-identically from the manifest alone.
 
-Exit codes: 0 success, 1 usage error, 2 I/O error, 3 config error.
+Exit codes: 0 success, 1 usage error or out of memory, 2 I/O error, 3 config error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+
+# what sizes each command's work, named when a run exhausts memory
+SIZE_OPTIONS = {"simulate": "a shorter --duration", "significance": "a lower --max-size",
+                "mine": "a higher --threshold or --min-count, or a lower --max-size"}
 
 
 class UsageError(ValueError):
@@ -327,6 +331,8 @@ def main(argv=None) -> int:
         return _fail(EXIT_CONFIG, str(exc))
     except (SpikeFileError, OSError) as exc:
         return _fail(EXIT_IO, str(exc))
+    except MemoryError:
+        return _fail(EXIT_USAGE, f"out of memory; retry with {SIZE_OPTIONS[args.command]}")
 
 
 if __name__ == "__main__":

@@ -237,7 +237,8 @@ def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) ->
     return levels
 
 
-def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), expiry: int = 0):
+def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), expiry: int = 0,
+                  floor: int = 1):
     """The counter ``mine_levels`` gets: ``count`` runs from level 3 on.
 
     Level 1 is the label counts; tracked, a type's occurrences are
@@ -259,7 +260,8 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
     ``{a x}``, keyed by the sorted pair (for ``{x x}``, ``i`` is the other
     ``x``): every gap in the walk is within ``expiry``, and the walk goes
     forward, so an occurrence takes the earliest usable ``a``, as
-    ``parallel._count`` does. Level 2 gives only the candidates that occur.
+    ``parallel._count`` does. Level 2 gives only the candidates counted
+    ``floor`` times or more, the floor ``mine_levels`` keeps.
     """
     labels, ticks = seq.labels, seq.ticks
     spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
@@ -291,7 +293,8 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
                             slot[2].append((i, j))
         rows = dict(zip(spans, rows))
         found = [(ep, slot) for ep in candidates
-                 if (slot := rows[ep.intervals[0] if windows else spans[0]].get(ep.etypes))]
+                 if (slot := rows[ep.intervals[0] if windows else spans[0]].get(ep.etypes))
+                 and slot[0] >= floor]
         results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
         return [ep for ep, _ in found], results
 

@@ -8,7 +8,8 @@ This module owns the one rule between decimal text and ticks, in integer
 arithmetic:
 
 * a spike-CSV stamp is quantized to the nearest tick, ties up (half_up,
-  which also places a synfire composite at the mean of its members);
+  which also places a synfire composite at the mean of its members); a
+  plain stamp is ticked from its digits, any other through decimal_ratio;
 * a duration given in milliseconds (``mine --intervals``/``--expiry``, a
   config ``DELAY_MS``, a pattern delay) must be a whole number of ticks,
   else it is refused (ms_to_ticks; the CLI exits 1, or 3 for a config);
@@ -210,13 +211,19 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
 
     Each data line is ``label,seconds``. Times are quantized to the
     nearest tick, ties up (half_up), and the result is re-sorted stably
-    by tick. An empty file yields an empty sequence.
+    by tick. A plain stamp, ASCII ``digits[.digits]`` of at most 18 digits,
+    is ticked from its digits in integer arithmetic, any other through
+    decimal_ratio, to the same tick. An empty file yields an empty sequence.
 
     Raises SpikeFileError with a line number on malformed lines, times
     that are negative, not finite or out of decimal range (see
     decimal_ratio), and bytes that are not UTF-8.
     """
     tick = as_tick_seconds(tick_seconds)
+    # a plain stamp is inside every bound of decimal_ratio, and its tick with k
+    # fraction digits is half_up(digits * den, 10**k * num)
+    two_den = 2 * tick.denominator
+    scales = [(10**k * tick.numerator, 2 * 10**k * tick.numerator) for k in range(18)]
     labels, ticks = [], []
     # undecodable bytes become lone surrogates, so the line that holds one is known
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
@@ -227,20 +234,26 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
                 except UnicodeEncodeError:
                     raise SpikeFileError(path, lineno, "not UTF-8 text") from None
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line or line[0] == "#":
                 continue
             label, sep, stamp = line.partition(",")
             label, stamp = label.strip(), stamp.strip()
             if not sep or not label or not stamp:
                 raise SpikeFileError(path, lineno, f"expected 'label,seconds', got {line!r}")
-            try:
-                num, den = decimal_ratio(stamp)
-            except ValueError as exc:
-                raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
-            if num < 0:
-                raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
+            whole, _, frac = stamp.partition(".")
+            digits = whole + frac
+            if whole and digits.isdigit() and len(digits) <= 18 and digits.isascii():
+                half, den = scales[len(frac)]
+                ticks.append((int(digits) * two_den + half) // den)
+            else:
+                try:
+                    num, den = decimal_ratio(stamp)
+                except ValueError as exc:
+                    raise SpikeFileError(path, lineno, f"bad time value: {exc}") from None
+                if num < 0:
+                    raise SpikeFileError(path, lineno, f"negative time {stamp!r}")
+                ticks.append(half_up(num * tick.denominator, den * tick.numerator))
             labels.append(label)
-            ticks.append(half_up(num * tick.denominator, den * tick.numerator))
     return EventSequence._from_columns(labels, ticks, tick, labels)
 
 

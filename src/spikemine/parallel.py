@@ -116,8 +116,8 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
     """
     if cfg.expiry <= 0:
         raise ValueError("parallel mining needs expiry > 0")
-    track = cfg.track_occurrences
+    track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
     count = level_counter(seq, track, lambda eps: _count(eps, seq, track, cfg.expiry),
-                          expiry=cfg.expiry)
+                          expiry=cfg.expiry, floor=floor)
     return mine_levels([ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg,
-                       cfg.count_floor(len(seq)), count, generate_parallel_candidates)
+                       floor, count, generate_parallel_candidates)

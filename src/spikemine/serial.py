@@ -204,9 +204,9 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
     windows = cfg.candidate_intervals
-    track = cfg.track_occurrences
+    track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
     return mine_levels(
-        bootstrap_serial(seq.alphabet), cfg, cfg.count_floor(len(seq)),
-        level_counter(seq, track, lambda eps: _count(eps, seq, track), windows=windows),
+        bootstrap_serial(seq.alphabet), cfg, floor,
+        level_counter(seq, track, lambda eps: _count(eps, seq, track), windows, floor=floor),
         lambda seeds: generate_serial_candidates(seeds, windows),
     )

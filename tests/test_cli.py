@@ -175,6 +175,32 @@ def test_min_count_0_exits_1(tmp_path, tiny_csv, capsys):
     assert not out.exists()
 
 
+def exhausts_memory(*_, **__):
+    raise MemoryError
+
+
+@pytest.mark.parametrize(
+    "name,argv,options",
+    [("mine_synfire", ["mine", "synfire", "{csv}", "--out", "{out}", "--intervals", "4-6",
+                       "--expiry", "1"],
+      ["--threshold", "--min-count", "--max-size"]),
+     ("simulate", ["simulate", "{out}"], ["--duration"])],
+    ids=["mine", "simulate"],
+)
+def test_a_run_out_of_memory_exits_1_naming_its_size_options(
+    tmp_path, synfire_csv, capsys, monkeypatch, name, argv, options
+):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, name, exhausts_memory)
+    out = tmp_path / "out.txt"
+    assert main([a.format(csv=synfire_csv, out=out) for a in argv]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: out of memory")
+    assert all(option in err[0] for option in options)
+    assert not out.exists() and not Path(f"{out}.manifest").exists()
+
+
 def test_missing_input_exits_2(tmp_path):
     missing = tmp_path / "nope.csv"
     assert main(["mine", "serial", str(missing), "--intervals", "4-6"]) == 2

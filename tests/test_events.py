@@ -240,6 +240,67 @@ def test_quantizer_matches_fraction_reference(tmp_path_factory, case):
     assert got == sorted(quantize_oracle(s, tick) for s in stamps)
 
 
+# ASCII digits[.digits] with at most 18 digits: the stamps ticked by integer arithmetic
+PLAIN_STAMPS = ["0", "007.250", "5.", "0.00000000000000001", "123456789.123456789",
+                "999999999999999999"]
+# every other form goes through decimal_ratio: no whole part, a sign, 19 and 20
+# digits, an underscore, an exponent, and Unicode digits that Decimal reads
+OTHER_STAMPS = [".5", "-0", "+1", "0000000000000000000.5", "1234567890.123456789",
+                "12345678901234567890", "1_000", "1e3", "١٢.٥", "１２"]
+
+
+def test_edge_stamps_parse_to_the_fraction_reference(tmp_path, monkeypatch):
+    import spikemine.events as events
+
+    routed = []
+    decimal_ratio = events.decimal_ratio
+    monkeypatch.setattr(events, "decimal_ratio", lambda text: routed.append(text) or decimal_ratio(text))
+    stamps = PLAIN_STAMPS + OTHER_STAMPS
+    path = tmp_path / "s.csv"
+    path.write_text("".join(f"L{i},{s}\n" for i, s in enumerate(stamps)), encoding="utf-8")
+    for tick in TICKS:
+        routed.clear()
+        seq = parse_spike_file(path, tick)
+        expected = [(f"L{i}", quantize_oracle(s, tick)) for i, s in enumerate(stamps)]
+        assert list(zip(seq.labels, seq.ticks)) == sorted(expected, key=lambda row: row[1])
+        assert routed == OTHER_STAMPS
+
+
+@settings(max_examples=100)
+@given(stamps=st.lists(st.from_regex(r"[0-9]{1,20}(\.[0-9]{0,20})?", fullmatch=True),
+                       min_size=1, max_size=20),
+       tick=st.sampled_from(TICKS))
+def test_stamps_near_the_digit_cap_match_the_fraction_reference(tmp_path_factory, stamps, tick):
+    path = tmp_path_factory.mktemp("cap") / "s.csv"
+    path.write_text("".join(f"A,{s}\n" for s in stamps))
+    got = [ev.time for ev in parse_spike_file(path, tick)]
+    assert got == sorted(quantize_oracle(s, tick) for s in stamps)
+
+
+BEYOND_EXPONENT = "1" + "0" * 401  # 402 digits: a decimal exponent of 401
+OVER_DIGITS = "1." + "0" * 1000  # 1001 significant digits
+
+
+@pytest.mark.parametrize(
+    "stamp,reason",
+    [
+        ("²", "bad time value: '²' is not a finite decimal number"),
+        ("1.2.3", "bad time value: '1.2.3' is not a finite decimal number"),
+        (".", "bad time value: '.' is not a finite decimal number"),
+        ("-1", "negative time '-1'"),
+        (BEYOND_EXPONENT, f"bad time value: {BEYOND_EXPONENT!r} has a decimal exponent beyond +-400"),
+        (OVER_DIGITS, f"bad time value: {OVER_DIGITS[:20]!r}... has more than 1000 significant digits"),
+    ],
+    ids=["superscript", "two-points", "point", "negative", "402-digits", "1001-digits"],
+)
+def test_refused_stamps_keep_their_message_and_line(tmp_path, stamp, reason):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"A,0.001\n# comment\nB,{stamp}\nC,0.002\n", encoding="utf-8")
+    with pytest.raises(SpikeFileError) as err:
+        parse_spike_file(path, 0.001)
+    assert (err.value.lineno, err.value.reason) == (3, reason)
+
+
 @given(num=st.integers(-10**30, 10**30), den=st.integers(1, 10**12))
 def test_half_up_matches_fraction_reference(num, den):
     assert half_up(num, den) == round_half_up(Fraction(num, den))

@@ -279,3 +279,6 @@ def test_pair_sweep_equals_the_parallel_oracles():
         found, counts = level_counter(seq, False, None, expiry=expiry)(pairs)
         assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
         assert 0 not in counts
+        for floor in (2, 4):
+            found, _ = level_counter(seq, True, None, expiry=expiry, floor=floor)(pairs)
+            assert found == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]

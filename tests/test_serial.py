@@ -360,9 +360,10 @@ def test_exact_level_2_keeps_levels_of_full_count():
     assert absent > 0  # the sweep leaves out candidates that never occur
 
 
-def pair_sweep(seq, windows, pairs, track=True):
-    """The level-2 sweep of ``mine_serial``: the ``pairs`` that occur, and their results."""
-    return level_counter(seq, track, None, windows=windows)(pairs)
+def pair_sweep(seq, windows, pairs, track=True, floor=1):
+    """The level-2 sweep of ``mine_serial``: the ``pairs`` counted ``floor`` times or more,
+    and their results."""
+    return level_counter(seq, track, None, windows=windows, floor=floor)(pairs)
 
 
 def test_pair_sweep_equals_the_oracles_under_every_window():
@@ -385,6 +386,9 @@ def test_pair_sweep_equals_the_oracles_under_every_window():
         found, counts = pair_sweep(seq, windows, pairs, track=False)
         assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
         assert 0 not in counts
+        for floor in (2, 4):
+            found, _ = pair_sweep(seq, windows, pairs, floor=floor)
+            assert found == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]
     assert 0 in lows
 
 
