@@ -24,13 +24,19 @@ expiry-constrained non-overlapped frequency is monotone under
 sub-multisets. The join of valid episodes is valid, so the joins build
 their results with ``tuple.__new__`` and skip the checks.
 
-One level loop, ``mine_levels``, mines both kinds from their size-1
-episodes, counter and join (``generate_serial_candidates``,
-``generate_parallel_candidates``). The counter (``level_counter``) takes
-level 1 from the label counts and level 2 from one sweep over the type
-pairs. Every pass reads the stream's columns (``EventSequence.labels``
-and ``ticks``) in order, in the calling process; a pass from level 3 on
-reads only the events whose type some candidate uses.
+One level loop, ``mine_levels``, mines both kinds. It hands the counter
+each level's seeds, the best ``beam_width`` episodes of the last level,
+and gets back the next level's counted episodes and the size of the
+seeds' join, which ``MiningLevel.n_candidates`` (the CLI's
+``candidates=N``) reports. The counter (``level_counter``) takes level 1
+from the label counts and level 2 from one sweep over the seeds' type
+pairs. From level 3 on, serial mining grows the seeds' extensions in its
+trie pass with no join list (see ``serial``); parallel mining joins with
+``generate_parallel_candidates`` and counts the join.
+``generate_serial_candidates`` stays the public serial join. Every pass
+reads the stream's columns (``EventSequence.labels`` and ``ticks``) in
+order, in the calling process; a pass from level 3 on reads only the
+events whose type some candidate uses.
 """
 
 from __future__ import annotations
@@ -208,46 +214,50 @@ def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
     return [_new(EpisodeCount, (ep, r, None)) for ep, r in zip(episodes, results)]
 
 
-def mine_levels(candidates: list, cfg: MiningConfig, floor: int, count, join) -> list[MiningLevel]:
-    """Level-wise search from the size-1 episodes ``candidates``: count, filter, rank, join.
+def mine_levels(cfg: MiningConfig, floor: int, count) -> list[MiningLevel]:
+    """Level-wise search: count each level from the last one's seeds, filter, rank.
 
-    ``count(episodes)`` gives the episodes it counted, in the order given,
-    and a result each, the count or ``(count, occurrences)`` if tracked;
-    its time is the level's ``seconds``. Episodes counted ``floor`` times
-    or more rank by count, highest first, in one stable sort. Every level's
-    candidates must come sorted, as the bootstraps and joins give them, so
-    ties keep episode order and the ranking is ``rank_key``'s. ``join(seeds)``
-    makes the next level's candidates from the best ``beam_width``. Stops
-    at a level with no frequent episode or at ``max_size``.
+    ``count(seeds)`` grows the next level from ``seeds``, the best
+    ``beam_width`` episodes of the last level (none for level 1). It gives
+    the episodes it counted, sorted, with a result each, the count or
+    ``(count, occurrences)`` if tracked, and the size of the join of the
+    seeds, the level's ``n_candidates``; its time is the level's
+    ``seconds``. Episodes counted ``floor`` times or more rank by count,
+    highest first, in one stable sort, so ties keep episode order and the
+    ranking is ``rank_key``'s. Stops at an empty join, at a level with no
+    frequent episode or at ``max_size``.
     """
     levels: list[MiningLevel] = []
-    size = 1
-    while candidates and size <= cfg.max_size:
+    seeds: list = []
+    for size in range(1, cfg.max_size + 1):
         t0 = _time.perf_counter()
-        eps, results = count(candidates)
+        eps, results, n_candidates = count(seeds)
+        if not n_candidates:
+            break
         ranked = sorted(
             (c for c in counted(eps, results, cfg.track_occurrences) if c.freq >= floor),
             key=itemgetter(1), reverse=True,
         )
-        levels.append(MiningLevel(size, len(candidates), tuple(ranked), _time.perf_counter() - t0))
-        if not ranked or size == cfg.max_size:
+        levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
+        if not ranked:
             break
-        candidates = join([c.episode for c in ranked[: cfg.beam_width]])
-        size += 1
+        seeds = [c.episode for c in ranked[: cfg.beam_width]]
     return levels
 
 
 def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), expiry: int = 0,
                   floor: int = 1):
-    """The counter ``mine_levels`` gets: ``count`` runs from level 3 on.
+    """The counter ``mine_levels`` gets: ``count(seeds)`` runs from level 3 on.
 
-    Level 1 is the label counts; tracked, a type's occurrences are
-    ``(i,)`` for each of its events. Level 2 is one sweep over the
-    tick-sorted columns: of serial pairs under the sorted, disjoint gap
-    ``windows``, or, with none, of parallel pairs under ``expiry``. For
+    Level 1 is the label counts of the alphabet's types; tracked, a type's
+    occurrences are ``(i,)`` for each of its events. Level 2 grows from
+    the level-1 seeds' types by one sweep over the tick-sorted columns: of
+    serial pairs under the sorted, disjoint gap ``windows``, or, with
+    none, of parallel pairs under ``expiry``. For
     event ``j`` of type ``x`` at tick ``t`` it walks the earlier events
     ``i`` in ``[t - reach, t]``, ``reach`` being the highest ``high`` or
-    ``expiry``. Each pair has a slot ``[count, watermark, occurrences]``
+    ``expiry``. Each pair has a slot ``[count, watermark, occurrences]``,
+    made when it first completes,
     and completes at ``j`` with ``i`` iff ``i > watermark``; the
     watermark becomes ``j``, so no other ``i`` completes it at ``j``. This
     is the earliest-completion rule of the counting passes, so counts and
@@ -260,15 +270,17 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
     ``{a x}``, keyed by the sorted pair (for ``{x x}``, ``i`` is the other
     ``x``): every gap in the walk is within ``expiry``, and the walk goes
     forward, so an occurrence takes the earliest usable ``a``, as
-    ``parallel._count`` does. Level 2 gives only the candidates counted
-    ``floor`` times or more, the floor ``mine_levels`` keeps.
+    ``parallel._count`` does. Level 2 gives only the pairs of seed types
+    counted ``floor`` times or more, the floor ``mine_levels`` keeps, and
+    the size of the seeds' join: ``m * m`` pairs per window, or
+    ``m * (m + 1) / 2`` multisets, for ``m`` seeds.
     """
     labels, ticks = seq.labels, seq.ticks
     spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
     lows, highs = [low for low, _ in spans], [high for _, high in spans]
     reach = highs[-1]
 
-    def count_pairs(candidates):
+    def count_pairs(seeds):
         rows = [{} for _ in spans]  # per window: {pair: slot}
         lo = 0
         for j, (x, t) in enumerate(zip(labels, ticks)):
@@ -291,26 +303,30 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
                         slot[1] = j
                         if track:
                             slot[2].append((i, j))
-        rows = dict(zip(spans, rows))
-        found = [(ep, slot) for ep in candidates
-                 if (slot := rows[ep.intervals[0] if windows else spans[0]].get(ep.etypes))
-                 and slot[0] >= floor]
+        types = {ep.etypes[0] for ep in seeds}
+        m = len(types)
+        found = sorted(
+            ((_new(SerialEpisode, (key, (w,))) if windows else _new(ParallelEpisode, (key,)), slot)
+             for w, row in zip(spans, rows) for key, slot in row.items()
+             if slot[0] >= floor and key[0] in types and key[1] in types),
+            key=itemgetter(0),
+        )
         results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
-        return [ep for ep, _ in found], results
+        return [ep for ep, _ in found], results, m * m * len(windows) if windows else m * (m + 1) // 2
 
-    def count_level(candidates):
-        size = len(candidates[0].etypes)
-        if size == 1 and not track:
-            n = Counter(seq.labels)
-            return candidates, [n[ep.etypes[0]] for ep in candidates]
-        if size == 1:
+    def count_level(seeds):
+        if not seeds:
+            eps = [SerialEpisode((x,)) if windows else ParallelEpisode((x,)) for x in sorted(seq.alphabet)]
+            if not track:
+                n = Counter(labels)
+                return eps, [n[ep.etypes[0]] for ep in eps], len(eps)
             at = defaultdict(list)
-            for i, x in enumerate(seq.labels):
+            for i, x in enumerate(labels):
                 at[x].append((i,))
-            return candidates, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in candidates)]
-        if size == 2:
-            return count_pairs(candidates)
-        return candidates, count(candidates)
+            return eps, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in eps)], len(eps)
+        if len(seeds[0].etypes) == 1:
+            return count_pairs(seeds)
+        return count(seeds)
 
     return count_level
 

@@ -34,8 +34,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 
-from .episodes import (EpisodeCount, MiningConfig, MiningLevel, ParallelEpisode, counted,
-                       generate_parallel_candidates, level_counter, mine_levels)
+from .episodes import (EpisodeCount, MiningConfig, MiningLevel, counted, generate_parallel_candidates,
+                       level_counter, mine_levels)
 from .events import EventSequence
 
 
@@ -117,7 +117,9 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
     if cfg.expiry <= 0:
         raise ValueError("parallel mining needs expiry > 0")
     track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
-    count = level_counter(seq, track, lambda eps: _count(eps, seq, track, cfg.expiry),
-                          expiry=cfg.expiry, floor=floor)
-    return mine_levels([ParallelEpisode((x,)) for x in sorted(seq.alphabet)], cfg,
-                       floor, count, generate_parallel_candidates)
+
+    def grow(seeds):
+        candidates = generate_parallel_candidates(seeds)
+        return candidates, _count(candidates, seq, track, cfg.expiry), len(candidates)
+
+    return mine_levels(cfg, floor, level_counter(seq, track, grow, expiry=cfg.expiry, floor=floor))

@@ -4,12 +4,13 @@ Candidates are ``SerialEpisode``s, named tuples ``(etypes, intervals)``,
 counted over the stream's columns of labels and ticks, so trie roots are
 a dict keyed by label.
 
-One counting pass holds all candidates in a prefix trie of steps
-``[node, slot]``: one root per first type, and under a node one step per
-next type and window ``(low, high)``. A node stands for one prefix, its
-event types and its gap windows. Roots always have one; any other step
-has one only where a longer candidate goes on, and a slot only where a
-candidate ends. Candidates that share a prefix share its node, which
+One counting pass holds all candidates in a prefix trie: one root per
+first type, and under a node one step per next type and window
+``(low, high)``. A node stands for one prefix, its event types and its
+gap windows. Roots always have one; any other step leads to one only
+where a longer candidate goes on, and holds an index into its node's
+slots only where a candidate ends. Candidates that share a prefix share
+its node, which
 keeps one time list of entries ``(time, index, start, back)``, one per
 event of its last type that ends a gap-valid chain of the prefix:
 
@@ -27,6 +28,8 @@ therefore carries the largest ``start`` of all entries in it.
 
 Each distinct candidate has the slot of the step it ends at: its count,
 its watermark (the index of its last completion) and its occurrences.
+A slot that does not exist yet is one whose candidate has not completed:
+it is made at the first completion.
 Counted occurrences must not overlap, so only chains that start after the
 watermark may complete; an event completes the candidate iff the latest
 entry in its last window has ``start > watermark``. That is exact: by the
@@ -52,40 +55,80 @@ would only prune, and the next visit prunes by a later cut anyway, so no
 count, watermark or occurrence changes, and the lists stay bounded by
 the window population of the events read.
 
-``mine_serial`` runs ``episodes.mine_levels`` from ``bootstrap_serial``
-with the join ``generate_serial_candidates`` and the counter of
+``mine_serial`` runs ``episodes.mine_levels`` with the counter of
 ``episodes.level_counter``, whose level 1 is the label counts and level 2
-one sweep over the type pairs, so this pass runs from level 3 on.
-``MiningLevel.n_candidates``, and with it the CLI's ``candidates=N``,
-reports the full join.
+one sweep over the type pairs, so this pass runs from level 3 on. There
+it grows each level from its seeds, the best episodes of the last level,
+with no join list: the trie holds only the seeds that the suffix-prefix
+join extends, and a seed's node has as children the steps its extensions
+add, the last steps of the seeds whose prefix is its suffix. Those steps
+are shared by every seed with that suffix, and only the slots are the
+seed's own, each made at its extension's first completion. So the pass
+makes a slot only for an extension that occurs, and only those that
+reach the floor become ``EpisodeCount``s. ``MiningLevel.n_candidates``,
+and with it the CLI's ``candidates=N``, still reports the full join:
+the sum of the seeds' extension counts. ``count_serial_constrained``
+builds the same trie from explicit candidates of any sizes, for the same
+pass.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from operator import itemgetter
 
 from .episodes import (
     EpisodeCount,
     MiningConfig,
     MiningLevel,
-    bootstrap_serial,
+    SerialEpisode,
     counted,
-    generate_serial_candidates,
     level_counter,
     mine_levels,
 )
 from .events import EventSequence
 
+_new = tuple.__new__  # builds a named tuple without its checks
+
 
 class _Node:
-    """One candidate prefix: its time list and the steps to its children."""
+    """One prefix: its time list and the steps to its children."""
 
-    __slots__ = ("tlist", "reach", "kids")
+    __slots__ = ("tlist", "reach", "kids", "slots")
 
     def __init__(self):
         self.tlist = deque()  # oldest first; a node with children is live iff this is non-empty
         self.reach = 0      # largest high among the children's windows; prune cut t - reach
-        self.kids = {}      # event type -> {(low, high): [child node or None, slot or None]}
+        self.kids = {}      # event type -> {(low, high): (child node or None, index into slots or None)}
+        self.slots = []     # the slots of the candidates that end at a step, or None before one completes
+
+
+def _step(node: _Node, x, window) -> tuple:
+    """``node``'s step ``-window-> x``, ``(child, e)``: the node of the longer
+    prefix, if any, and the index into ``node.slots`` of the candidate that
+    ends there, if any."""
+    return node.kids.get(x, {}).get(window, (None, None))
+
+
+def _put(node: _Node, x, window, step: tuple) -> None:
+    # a plain pair: the scan unpacks exact tuples faster than Intervals
+    node.kids.setdefault(x, {})[tuple(window)] = step
+    node.reach = max(node.reach, window[1])
+
+
+def _node(roots: dict, types, windows) -> _Node:
+    """The node of the prefix ``(types, windows)``, made with every node on its path."""
+    step = roots.get(types[0])
+    if step is None:
+        step = roots[types[0]] = [_Node(), None]
+    node = step[0]
+    for x, window in zip(types[1:], windows):
+        child, e = _step(node, x, window)
+        if child is None:
+            child = _Node()
+            _put(node, x, window, (child, e))
+        node = child
+    return node
 
 
 def count_serial_constrained(
@@ -108,39 +151,81 @@ def count_serial_constrained(
     """
     candidates = list(candidates)
     track = bool(cfg and cfg.track_occurrences)
-    return counted(candidates, _count(candidates, seq, track), track)
-
-
-def _count(candidates: list, seq: EventSequence, track: bool) -> list:
-    """The counting pass over ``(etypes, windows)`` pairs on the stream's
-    columns ``seq.labels`` and ``seq.ticks``.
-
-    One result per candidate, in order: its count, or ``(count,
-    occurrences)`` when ``track``.
-    """
     roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
     slots = []
     for types, windows in candidates:
-        step = roots.get(types[0])
-        if step is None:
-            step = roots[types[0]] = [_Node(), None]
-        for x, window in zip(types[1:], windows):
-            node = step[0]
-            if node is None:
-                node = step[0] = _Node()
-            by_window = node.kids.setdefault(x, {})
-            step = by_window.get(window)
-            if step is None:
-                # a plain pair: the scan unpacks exact tuples faster than Intervals
-                step = by_window[tuple(window)] = [None, None]
-                if window[1] > node.reach:
-                    node.reach = window[1]
-        if step[1] is None:
-            step[1] = [0, -1, []]
-        slots.append(step[1])
+        node = _node(roots, types[:-1] or types, windows[:-1])
+        if len(types) == 1:
+            holder, e = roots[types[0]], 1
+        else:
+            x, window = types[-1], windows[-1]
+            child, e = _step(node, x, window)
+            if e is None:
+                e = len(node.slots)
+                node.slots.append(None)
+                _put(node, x, window, (child, e))
+            holder = node.slots
+        if holder[e] is None:
+            holder[e] = [0, -1, []]
+        slots.append(holder[e])
+    _scan(roots, {x for types, _ in candidates for x in types}, seq, track)
+    results = [(slot[0], tuple(slot[2])) for slot in slots] if track else [slot[0] for slot in slots]
+    return counted(candidates, results, track)
+
+
+def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
+    """One level of ``mine_serial`` from level 3 on, grown from ``seeds``,
+    the best episodes of the last level.
+
+    A seed's extensions are the steps ``(type, window)`` that the
+    suffix-prefix join allows it: the last steps of the seeds whose
+    prefix is its suffix. The trie holds only the seeds with one, and a
+    seed's node gets the steps of its suffix as its children, shared by
+    every seed with that suffix; a slot is made when its extension first
+    completes. Gives the extensions counted ``floor`` times or more,
+    sorted, with their results, and the join's size.
+    """
+    seeds = sorted(seeds)  # so each seed's steps, and the extensions found, come nearly sorted
+    steps_of: dict[tuple, list] = {}  # a seed's prefix -> the last steps of its seeds
+    for types, windows in seeds:
+        steps_of.setdefault((types[:-1], windows[:-1]), []).append((types[-1], windows[-1]))
+    roots = dict.fromkeys(seq.alphabet)
+    shared: dict[tuple, tuple] = {}  # a suffix -> (the children of its seeds' nodes, their reach)
+    used, ends, n_candidates = set(), [], 0
+    for seed in seeds:
+        types, windows = seed
+        suffix = (types[1:], windows[1:])
+        steps = steps_of.get(suffix)
+        if steps is None:
+            continue
+        n_candidates += len(steps)
+        kids = shared.get(suffix)
+        if kids is None:
+            kids = {}
+            for e, (x, window) in enumerate(steps):
+                kids.setdefault(x, {})[tuple(window)] = (None, e)
+            kids = shared[suffix] = (kids, max(window[1] for _, window in steps))
+            used.update(kids[0])
+        node = _node(roots, types, windows)
+        (node.kids, node.reach), node.slots = kids, [None] * len(steps)
+        used.update(types)
+        ends.append((seed, steps, node.slots))
+    if ends:
+        _scan(roots, used, seq, track)
+    found = [(_new(SerialEpisode, (types + (x,), windows + (window,))), slot)
+             for (types, windows), steps, slots in ends
+             for (x, window), slot in zip(steps, slots) if slot is not None and slot[0] >= floor]
+    found.sort(key=itemgetter(0))
+    results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
+    return [ep for ep, _ in found], results, n_candidates
+
+
+def _scan(roots: dict, used: set, seq: EventSequence, track: bool) -> None:
+    """The counting pass over the trie ``roots`` on the stream's columns
+    ``seq.labels`` and ``seq.ticks``, reading only the events of the
+    ``used`` types; it fills the slots."""
     live: dict[_Node, None] = {}  # nodes with children and a non-empty time list
     labels, ticks = seq.labels, seq.ticks
-    used = {x for types, _ in candidates for x in types}
 
     for idx in [i for i, x in enumerate(labels) if x in used]:
         x, t = labels[idx], ticks[idx]
@@ -167,46 +252,45 @@ def _count(candidates: list, seq: EventSequence, track: bool) -> list:
             by_window = node.kids.get(x)
             if by_window is None:
                 continue
-            for (low, high), (child, slot) in by_window.items():
+            for (low, high), (child, e) in by_window.items():
                 limit = t - low
                 for prev in reversed(tl):
                     if prev[0] < limit:
                         if prev[0] >= t - high:
-                            if slot is not None and prev[2] > slot[1]:
-                                slot[0] += 1
-                                slot[1] = idx
-                                if track:
-                                    chain, link = [idx], prev
-                                    while link is not None:
-                                        chain.append(link[1])
-                                        link = link[3]
-                                    slot[2].append(tuple(reversed(chain)))
+                            if e is not None:  # a candidate ends here
+                                slots = node.slots
+                                slot = slots[e]
+                                if slot is None:  # its first completion
+                                    slot = slots[e] = [0, -1, []]
+                                if prev[2] > slot[1]:
+                                    slot[0] += 1
+                                    slot[1] = idx
+                                    if track:
+                                        chain, link = [idx], prev
+                                        while link is not None:
+                                            chain.append(link[1])
+                                            link = link[3]
+                                        slot[2].append(tuple(reversed(chain)))
                             if child is not None:
                                 if not child.tlist:
                                     live[child] = None
                                 child.tlist.append((t, idx, prev[2], prev if track else None))
                         break
 
-    if track:
-        return [(slot[0], tuple(slot[2])) for slot in slots]
-    return [slot[0] for slot in slots]
-
 
 def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
     Level 1 is the label counts and level 2 one sweep over the type pairs
-    (``episodes.level_counter``); the trie pass counts from level 3. Every
-    pass reads the same columns, ``seq.labels`` and ``seq.ticks``. ``jobs``
-    starts no process, as each pass is one sequential scan; the keyword
-    stays so that callers passing it keep working.
+    (``episodes.level_counter``); from level 3 the trie pass counts the
+    extensions of the last level's seeds (``_count``). Every pass reads
+    the same columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts
+    no process, as each pass is one sequential scan; the keyword stays so
+    that callers passing it keep working.
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
-    windows = cfg.candidate_intervals
     track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
-    return mine_levels(
-        bootstrap_serial(seq.alphabet), cfg, floor,
-        level_counter(seq, track, lambda eps: _count(eps, seq, track), windows, floor=floor),
-        lambda seeds: generate_serial_candidates(seeds, windows),
-    )
+    return mine_levels(cfg, floor, level_counter(
+        seq, track, lambda seeds: _count(seeds, seq, track, floor), cfg.candidate_intervals, floor=floor,
+    ))

@@ -169,11 +169,10 @@ def test_levels_1_and_2_run_no_counting_pass(monkeypatch):
     assert received == []
     deeper = replace(cfg, max_size=3, min_count=20)
     serial_levels, parallel_levels = mine_serial(seq, deeper), mine_parallel(seq, deeper)
-    assert received == [
-        generate_serial_candidates([c.episode for c in serial_levels[1].counts], windows),
-        generate_parallel_candidates([c.episode for c in parallel_levels[1].counts]),
-    ]
-    assert [len(eps) for eps in received] == [24, 8]
+    seeds = [c.episode for c in serial_levels[1].counts]  # serial joins inside its pass
+    assert received == [seeds, generate_parallel_candidates([c.episode for c in parallel_levels[1].counts])]
+    assert [serial_levels[2].n_candidates, len(received[1])] == [24, 8]
+    assert len(generate_serial_candidates(seeds, windows)) == 24
 
 
 class ReadTicks(tuple):

@@ -269,16 +269,19 @@ def test_pair_sweep_equals_the_parallel_oracles():
         if not seq.alphabet:
             continue
         expiry = rng.randint(1, 4)
-        pairs = generate_parallel_candidates([ParallelEpisode((x,)) for x in seq.alphabet])
-        found, results = level_counter(seq, True, None, expiry=expiry)(pairs)
+        # the sweep grows the pairs of the seeds' types, as a beam may leave some out
+        seeds = [ParallelEpisode((x,)) for x in rng.sample(sorted(seq.alphabet), rng.randint(1, len(seq.alphabet)))]
+        pairs = generate_parallel_candidates(seeds)
+        found, results, n_candidates = level_counter(seq, True, None, expiry=expiry)(seeds)
+        assert n_candidates == len(pairs) and set(found) <= set(pairs)
         swept = dict(zip(found, results))
         for ep in pairs:
             freq, occurrences = swept.get(ep, (0, ()))
             assert freq == parallel_oracle_count(ep, seq, expiry), (ep, expiry)
             assert occurrences == parallel_oracle_occurrences(ep, seq, expiry), (ep, expiry)
-        found, counts = level_counter(seq, False, None, expiry=expiry)(pairs)
+        found, counts, _ = level_counter(seq, False, None, expiry=expiry)(seeds)
         assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
         assert 0 not in counts
         for floor in (2, 4):
-            found, _ = level_counter(seq, True, None, expiry=expiry, floor=floor)(pairs)
+            found, _, _ = level_counter(seq, True, None, expiry=expiry, floor=floor)(seeds)
             assert found == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]

@@ -8,6 +8,7 @@ from oracles import (
     dense_stream,
     parallel_oracle_occurrences,
     random_sequence,
+    reference_levels,
     random_serial_episode,
     serial_oracle_count,
     serial_oracle_occurrences,
@@ -25,7 +26,8 @@ from spikemine import (
     generate_serial_candidates,
     mine_serial,
 )
-from spikemine.episodes import level_counter
+from spikemine import serial
+from spikemine.episodes import counted, level_counter
 
 
 TRACK = MiningConfig(track_occurrences=True)
@@ -355,15 +357,19 @@ def test_exact_level_2_keeps_levels_of_full_count():
         if len(levels) > 1:
             seeds = [c.episode for c in levels[0].counts]
             pairs = generate_serial_candidates(seeds, cfg.candidate_intervals)
-            found, _ = pair_sweep(seq, cfg.candidate_intervals, pairs)
+            found, _ = pair_sweep(seq, cfg.candidate_intervals, seeds)
             absent += len(pairs) - len(found)
     assert absent > 0  # the sweep leaves out candidates that never occur
 
 
-def pair_sweep(seq, windows, pairs, track=True, floor=1):
-    """The level-2 sweep of ``mine_serial``: the ``pairs`` counted ``floor`` times or more,
-    and their results."""
-    return level_counter(seq, track, None, windows=windows, floor=floor)(pairs)
+def pair_sweep(seq, windows, seeds, track=True, floor=1):
+    """The level-2 sweep of ``mine_serial`` from the size-1 ``seeds``: the pairs
+    counted ``floor`` times or more, and their results. It checks that the
+    sweep reports the size of the seeds' join and grows no other pair."""
+    found, results, n_candidates = level_counter(seq, track, None, windows=windows, floor=floor)(seeds)
+    pairs = generate_serial_candidates(seeds, windows)
+    assert n_candidates == len(pairs) and set(found) <= set(pairs)
+    return found, results
 
 
 def test_pair_sweep_equals_the_oracles_under_every_window():
@@ -376,20 +382,107 @@ def test_pair_sweep_equals_the_oracles_under_every_window():
             continue
         windows = random_windows(rng, first_low=rng.choice((0, 0, 1)))
         lows.add(windows[0].low)
-        pairs = generate_serial_candidates(bootstrap_serial(seq.alphabet), windows)
-        found, results = pair_sweep(seq, windows, pairs)
+        # the seeds' types only, as a beam may leave some out
+        seeds = rng.sample(bootstrap_serial(seq.alphabet), rng.randint(1, len(seq.alphabet)))
+        pairs = generate_serial_candidates(seeds, windows)
+        found, results = pair_sweep(seq, windows, seeds)
         swept = dict(zip(found, results))
         for ep in pairs:
             freq, occurrences = swept.get(ep, (0, ()))
             assert freq == serial_oracle_count(ep, seq), ep
             assert occurrences == serial_oracle_occurrences(ep, seq), ep
-        found, counts = pair_sweep(seq, windows, pairs, track=False)
+        found, counts = pair_sweep(seq, windows, seeds, track=False)
         assert dict(zip(found, counts)) == {ep: freq for ep, (freq, _) in swept.items()}
         assert 0 not in counts
         for floor in (2, 4):
-            found, _ = pair_sweep(seq, windows, pairs, floor=floor)
+            found, _ = pair_sweep(seq, windows, seeds, floor=floor)
             assert found == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]
     assert 0 in lows
+
+
+def random_seeds(rng, seq, windows, size):
+    """1-30 distinct serial episodes of ``size`` 2 or 3 over ``seq``'s types,
+    in no sorted order, as a level's best episodes come ranked by count."""
+    pool = generate_serial_candidates(bootstrap_serial(seq.alphabet), windows)
+    if size == 3:
+        pool = generate_serial_candidates(rng.sample(pool, max(1, len(pool) // 3)), windows) or pool
+    return rng.sample(pool, rng.randint(1, min(len(pool), 30)))
+
+
+def test_seed_pass_equals_the_counted_join():
+    # a level from its seeds: the join's size, and the join's candidates
+    # counted floor times or more, tracked or not; some seeds have no extension
+    rng = random.Random(6161)
+    no_extension = empty_join = 0
+    for case in range(60):
+        seq = random_sequence(rng, max_events=120, max_types=4)
+        if not seq.alphabet:
+            continue
+        windows = random_windows(rng)
+        seeds = random_seeds(rng, seq, windows, size=2 + case % 2)
+        join = generate_serial_candidates(seeds, windows)
+        floor, track = rng.randint(1, 3), rng.random() < 0.5
+        eps, results, n_candidates = serial._count(seeds, seq, track, floor)
+        assert n_candidates == len(join), seeds
+        want = [c for c in count_serial_constrained(join, seq, TRACK if track else None) if c.freq >= floor]
+        assert counted(eps, results, track) == want
+        for count in want[:5]:
+            assert count.freq == serial_oracle_count(count.episode, seq)
+        prefixes = {(ep.etypes[:-1], ep.intervals[:-1]) for ep in seeds}
+        no_extension += sum((ep.etypes[1:], ep.intervals[1:]) not in prefixes for ep in seeds)
+        empty_join += not join
+    assert no_extension > 0 and empty_join > 0
+
+
+def test_seed_levels_equal_reference_levels():
+    # few types, so episodes repeat types; several windows, floors 1-3,
+    # beams, tracked and untracked, to size 4
+    rng = random.Random(7171)
+    deepest = 0
+    for case in range(36):
+        seq = random_sequence(rng, max_events=80, max_types=3)
+        cfg = MiningConfig(
+            max_size=4, candidate_intervals=random_windows(rng), min_count=1 + case % 3,
+            beam_width=rng.choice((None, 2, 6)), track_occurrences=case % 2 == 1,
+        )
+        levels = mine_serial(seq, cfg)
+        assert level_tuples(levels) == reference_levels(seq, cfg, "serial"), cfg
+        deepest = max([deepest] + [lv.size for lv in levels if lv.counts])
+    assert deepest == 4
+
+
+def test_seed_pass_makes_a_slot_only_for_an_extension_that_occurs(monkeypatch):
+    # every slot the pass makes is recorded: one per extension that occurs,
+    # none for the others
+    made = []
+
+    class RecordedSlots(list):
+        def __setitem__(self, i, value):
+            made.append(value)
+            super().__setitem__(i, value)
+
+    class RecordedNode(serial._Node):
+        __slots__ = ()
+
+        def __setattr__(self, name, value):
+            super().__setattr__(name, RecordedSlots(value) if name == "slots" else value)
+
+    monkeypatch.setattr(serial, "_Node", RecordedNode)
+    rng = random.Random(8181)
+    never = 0
+    for case in range(30):
+        seq = random_sequence(rng, max_events=100, max_types=4)
+        if not seq.alphabet:
+            continue
+        windows = random_windows(rng)
+        seeds = random_seeds(rng, seq, windows, size=2 + case % 2)
+        join = generate_serial_candidates(seeds, windows)
+        occurs = [ep for ep in join if serial_oracle_count(ep, seq)]
+        made.clear()
+        eps, _, _ = serial._count(seeds, seq, rng.random() < 0.5, 1)
+        assert len(made) == len(occurs) and eps == occurs
+        never += len(join) - len(occurs)
+    assert never > 0
 
 
 def churn_windows(rng):
