@@ -24,19 +24,16 @@ expiry-constrained non-overlapped frequency is monotone under
 sub-multisets. The join of valid episodes is valid, so the joins build
 their results with ``tuple.__new__`` and skip the checks.
 
-One level loop, ``mine_levels``, mines both kinds. It hands the counter
-each level's seeds, the best ``beam_width`` episodes of the last level,
-and gets back the next level's counted episodes and the size of the
-seeds' join, which ``MiningLevel.n_candidates`` (the CLI's
-``candidates=N``) reports. The counter (``level_counter``) takes level 1
-from the label counts and level 2 from one sweep over the seeds' type
+One level loop, ``mine_levels``, mines both kinds: it hands the counter
+(``level_counter``) each level's seeds and gets back the next level's
+counts and the size of the seeds' join, ``MiningLevel.n_candidates``.
+Level 1 is the label counts and level 2 one sweep over the seeds' type
 pairs. From level 3 on, serial mining grows the seeds' extensions in its
-trie pass with no join list (see ``serial``); parallel mining joins with
-``generate_parallel_candidates`` and counts the join.
-``generate_serial_candidates`` stays the public serial join. Every pass
-reads the stream's columns (``EventSequence.labels`` and ``ticks``) in
-order, in the calling process; a pass from level 3 on reads only the
-events whose type some candidate uses.
+trie pass with no join list (``serial``), and parallel mining counts the
+join ``generate_parallel_candidates``. Every pass reads the stream's
+columns (``EventSequence.labels`` and ``ticks``) in order, in the calling
+process; a pass from level 3 on reads only the events whose type some
+candidate uses.
 """
 
 from __future__ import annotations
@@ -207,11 +204,12 @@ def rank_key(count: EpisodeCount):
     return (-count.freq, count.episode)
 
 
-def counted(episodes: list, results: list, track: bool) -> list[EpisodeCount]:
-    """One ``EpisodeCount`` per episode, from its counting result."""
+def counted(found, track: bool) -> list[EpisodeCount]:
+    """One ``EpisodeCount`` per ``(episode, slot)``, from the slot ``(count,
+    watermark, occurrences)``; the occurrences only if ``track``."""
     if track:
-        return [_new(EpisodeCount, (ep, *r)) for ep, r in zip(episodes, results)]
-    return [_new(EpisodeCount, (ep, r, None)) for ep, r in zip(episodes, results)]
+        return [_new(EpisodeCount, (ep, slot[0], tuple(slot[2]))) for ep, slot in found]
+    return [_new(EpisodeCount, (ep, slot[0], None)) for ep, slot in found]
 
 
 def mine_levels(cfg: MiningConfig, floor: int, count) -> list[MiningLevel]:
@@ -219,23 +217,22 @@ def mine_levels(cfg: MiningConfig, floor: int, count) -> list[MiningLevel]:
 
     ``count(seeds)`` grows the next level from ``seeds``, the best
     ``beam_width`` episodes of the last level (none for level 1). It gives
-    the episodes it counted, sorted, with a result each, the count or
-    ``(count, occurrences)`` if tracked, and the size of the join of the
-    seeds, the level's ``n_candidates``; its time is the level's
-    ``seconds``. Episodes counted ``floor`` times or more rank by count,
-    highest first, in one stable sort, so ties keep episode order and the
-    ranking is ``rank_key``'s. Stops at an empty join, at a level with no
-    frequent episode or at ``max_size``.
+    the pairs ``(episode, slot)`` it counted, sorted by episode, and the
+    size of the seeds' join, the level's ``n_candidates``; its time is the
+    level's ``seconds``. Episodes counted ``floor`` times or more rank by
+    count, highest first, in one stable sort, so ties keep episode order
+    and the ranking is ``rank_key``'s. Stops at an empty join, at a level
+    with no frequent episode or at ``max_size``.
     """
     levels: list[MiningLevel] = []
     seeds: list = []
     for size in range(1, cfg.max_size + 1):
         t0 = _time.perf_counter()
-        eps, results, n_candidates = count(seeds)
+        found, n_candidates = count(seeds)
         if not n_candidates:
             break
         ranked = sorted(
-            (c for c in counted(eps, results, cfg.track_occurrences) if c.freq >= floor),
+            (c for c in counted(found, cfg.track_occurrences) if c.freq >= floor),
             key=itemgetter(1), reverse=True,
         )
         levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
@@ -311,19 +308,16 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
              if slot[0] >= floor and key[0] in types and key[1] in types),
             key=itemgetter(0),
         )
-        results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
-        return [ep for ep, _ in found], results, m * m * len(windows) if windows else m * (m + 1) // 2
+        return found, m * m * len(windows) if windows else m * (m + 1) // 2
 
     def count_level(seeds):
         if not seeds:
-            eps = [SerialEpisode((x,)) if windows else ParallelEpisode((x,)) for x in sorted(seq.alphabet)]
-            if not track:
-                n = Counter(labels)
-                return eps, [n[ep.etypes[0]] for ep in eps], len(eps)
-            at = defaultdict(list)
-            for i, x in enumerate(labels):
-                at[x].append((i,))
-            return eps, [(len(o), tuple(o)) for o in (at[ep.etypes[0]] for ep in eps)], len(eps)
+            n, at = Counter(labels), defaultdict(list)
+            if track:
+                for i, x in enumerate(labels):
+                    at[x].append((i,))
+            kind = SerialEpisode if windows else ParallelEpisode
+            return [(kind((x,)), (n[x], None, at[x])) for x in sorted(seq.alphabet)], len(seq.alphabet)
         if len(seeds[0].etypes) == 1:
             return count_pairs(seeds)
         return count(seeds)

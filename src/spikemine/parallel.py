@@ -48,14 +48,13 @@ def count_parallel_expiry(candidates, seq: EventSequence, cfg: MiningConfig, *,
     the keyword stays so that callers passing it keep working.
     """
     candidates = list(candidates)
-    results = _count(candidates, seq, cfg.track_occurrences, cfg.expiry)
-    return counted(candidates, results, cfg.track_occurrences)
+    return counted(zip(candidates, _count(candidates, seq, cfg.track_occurrences, cfg.expiry)),
+                   cfg.track_occurrences)
 
 
 def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> list:
-    """The counting pass over parallel episodes; one result per candidate, in
-    order: its count, or ``(count, occurrences)`` when ``track``.
-    ValueError unless ``expiry > 0``.
+    """The counting pass over parallel episodes; the slot of each candidate,
+    in order (see the module docstring). ValueError unless ``expiry > 0``.
     """
     if expiry <= 0:
         raise ValueError("parallel counting needs expiry > 0")
@@ -99,9 +98,7 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
                                 chosen.extend(q[i][1] for i in range(k, k + m))
                             slot[2].append(tuple(sorted(chosen)))
 
-    if track:
-        return [(slot_of[ep][0], tuple(slot_of[ep][2])) for ep in candidates]
-    return [slot_of[ep][0] for ep in candidates]
+    return [slot_of[ep] for ep in candidates]
 
 
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
@@ -120,6 +117,6 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
 
     def grow(seeds):
         candidates = generate_parallel_candidates(seeds)
-        return candidates, _count(candidates, seq, track, cfg.expiry), len(candidates)
+        return list(zip(candidates, _count(candidates, seq, track, cfg.expiry))), len(candidates)
 
     return mine_levels(cfg, floor, level_counter(seq, track, grow, expiry=cfg.expiry, floor=floor))

@@ -56,20 +56,17 @@ count, watermark or occurrence changes, and the lists stay bounded by
 the window population of the events read.
 
 ``mine_serial`` runs ``episodes.mine_levels`` with the counter of
-``episodes.level_counter``, whose level 1 is the label counts and level 2
-one sweep over the type pairs, so this pass runs from level 3 on. There
-it grows each level from its seeds, the best episodes of the last level,
-with no join list: the trie holds only the seeds that the suffix-prefix
-join extends, and a seed's node has as children the steps its extensions
-add, the last steps of the seeds whose prefix is its suffix. Those steps
-are shared by every seed with that suffix, and only the slots are the
-seed's own, each made at its extension's first completion. So the pass
-makes a slot only for an extension that occurs, and only those that
-reach the floor become ``EpisodeCount``s. ``MiningLevel.n_candidates``,
-and with it the CLI's ``candidates=N``, still reports the full join:
-the sum of the seeds' extension counts. ``count_serial_constrained``
-builds the same trie from explicit candidates of any sizes, for the same
-pass.
+``episodes.level_counter`` (level 1 the label counts, level 2 one sweep
+over the type pairs), so this pass runs from level 3 on, where it grows
+each level from its seeds, the best episodes of the last level, with no
+join list. The trie holds only the seeds that the suffix-prefix join
+extends. A seed's node gets as children the last steps of the seeds
+whose prefix is its suffix, shared by every seed with that suffix, and a
+slot of its own for each at the extension's first completion; only the
+slots at the floor become ``EpisodeCount``s. ``MiningLevel.n_candidates``
+(the CLI's ``candidates=N``) still reports the join's size, the sum of
+the seeds' extension counts. ``count_serial_constrained`` builds the
+trie from explicit candidates of any sizes, for the same pass.
 """
 
 from __future__ import annotations
@@ -169,22 +166,13 @@ def count_serial_constrained(
             holder[e] = [0, -1, []]
         slots.append(holder[e])
     _scan(roots, {x for types, _ in candidates for x in types}, seq, track)
-    results = [(slot[0], tuple(slot[2])) for slot in slots] if track else [slot[0] for slot in slots]
-    return counted(candidates, results, track)
+    return counted(zip(candidates, slots), track)
 
 
 def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
-    """One level of ``mine_serial`` from level 3 on, grown from ``seeds``,
-    the best episodes of the last level.
-
-    A seed's extensions are the steps ``(type, window)`` that the
-    suffix-prefix join allows it: the last steps of the seeds whose
-    prefix is its suffix. The trie holds only the seeds with one, and a
-    seed's node gets the steps of its suffix as its children, shared by
-    every seed with that suffix; a slot is made when its extension first
-    completes. Gives the extensions counted ``floor`` times or more,
-    sorted, with their results, and the join's size.
-    """
+    """A level of ``mine_serial`` from level 3 on, grown from ``seeds`` (see
+    the module docstring): the pairs ``(extension, slot)`` counted
+    ``floor`` times or more, sorted, and the join's size."""
     seeds = sorted(seeds)  # so each seed's steps, and the extensions found, come nearly sorted
     steps_of: dict[tuple, list] = {}  # a seed's prefix -> the last steps of its seeds
     for types, windows in seeds:
@@ -216,8 +204,7 @@ def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
              for (types, windows), steps, slots in ends
              for (x, window), slot in zip(steps, slots) if slot is not None and slot[0] >= floor]
     found.sort(key=itemgetter(0))
-    results = [(n, tuple(occ)) if track else n for _, (n, _, occ) in found]
-    return [ep for ep, _ in found], results, n_candidates
+    return found, n_candidates
 
 
 def _scan(roots: dict, used: set, seq: EventSequence, track: bool) -> None:

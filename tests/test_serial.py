@@ -366,10 +366,11 @@ def pair_sweep(seq, windows, seeds, track=True, floor=1):
     """The level-2 sweep of ``mine_serial`` from the size-1 ``seeds``: the pairs
     counted ``floor`` times or more, and their results. It checks that the
     sweep reports the size of the seeds' join and grows no other pair."""
-    found, results, n_candidates = level_counter(seq, track, None, windows=windows, floor=floor)(seeds)
+    found, n_candidates = level_counter(seq, track, None, windows=windows, floor=floor)(seeds)
+    counts = counted(found, track)
     pairs = generate_serial_candidates(seeds, windows)
-    assert n_candidates == len(pairs) and set(found) <= set(pairs)
-    return found, results
+    assert n_candidates == len(pairs) and {c.episode for c in counts} <= set(pairs)
+    return [c.episode for c in counts], [c[1:] if track else c.freq for c in counts]
 
 
 def test_pair_sweep_equals_the_oracles_under_every_window():
@@ -422,10 +423,10 @@ def test_seed_pass_equals_the_counted_join():
         seeds = random_seeds(rng, seq, windows, size=2 + case % 2)
         join = generate_serial_candidates(seeds, windows)
         floor, track = rng.randint(1, 3), rng.random() < 0.5
-        eps, results, n_candidates = serial._count(seeds, seq, track, floor)
+        found, n_candidates = serial._count(seeds, seq, track, floor)
         assert n_candidates == len(join), seeds
         want = [c for c in count_serial_constrained(join, seq, TRACK if track else None) if c.freq >= floor]
-        assert counted(eps, results, track) == want
+        assert counted(found, track) == want
         for count in want[:5]:
             assert count.freq == serial_oracle_count(count.episode, seq)
         prefixes = {(ep.etypes[:-1], ep.intervals[:-1]) for ep in seeds}
@@ -479,8 +480,8 @@ def test_seed_pass_makes_a_slot_only_for_an_extension_that_occurs(monkeypatch):
         join = generate_serial_candidates(seeds, windows)
         occurs = [ep for ep in join if serial_oracle_count(ep, seq)]
         made.clear()
-        eps, _, _ = serial._count(seeds, seq, rng.random() < 0.5, 1)
-        assert len(made) == len(occurs) and eps == occurs
+        found, _ = serial._count(seeds, seq, rng.random() < 0.5, 1)
+        assert len(made) == len(occurs) and [ep for ep, _ in found] == occurs
         never += len(join) - len(occurs)
     assert never > 0
 
