@@ -187,15 +187,15 @@ def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
         if steps is None:
             continue
         n_candidates += len(steps)
-        kids = shared.get(suffix)
-        if kids is None:
+        children = shared.get(suffix)
+        if children is None:
             kids = {}
             for e, (x, window) in enumerate(steps):
                 kids.setdefault(x, {})[tuple(window)] = (None, e)
-            kids = shared[suffix] = (kids, max(window[1] for _, window in steps))
-            used.update(kids[0])
+            children = shared[suffix] = (kids, max(window[1] for _, window in steps))
+            used.update(kids)
         node = _node(roots, types, windows)
-        (node.kids, node.reach), node.slots = kids, [None] * len(steps)
+        (node.kids, node.reach), node.slots = children, [None] * len(steps)
         used.update(types)
         ends.append((seed, steps, node.slots))
     if ends:
