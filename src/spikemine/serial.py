@@ -100,14 +100,8 @@ class _Node:
         self.slots = []     # the slots of the candidates that end at a step, or None before one completes
 
 
-def _step(node: _Node, x, window) -> tuple:
-    """``node``'s step ``-window-> x``, ``(child, e)``: the node of the longer
-    prefix, if any, and the index into ``node.slots`` of the candidate that
-    ends there, if any."""
-    return node.kids.get(x, {}).get(window, (None, None))
-
-
 def _put(node: _Node, x, window, step: tuple) -> None:
+    """Set ``node``'s step ``-window-> x`` to ``(child, e)``."""
     # a plain pair: the scan unpacks exact tuples faster than Intervals
     node.kids.setdefault(x, {})[tuple(window)] = step
     node.reach = max(node.reach, window[1])
@@ -120,7 +114,7 @@ def _node(roots: dict, types, windows) -> _Node:
         step = roots[types[0]] = [_Node(), None]
     node = step[0]
     for x, window in zip(types[1:], windows):
-        child, e = _step(node, x, window)
+        child, e = node.kids.get(x, {}).get(window, (None, None))
         if child is None:
             child = _Node()
             _put(node, x, window, (child, e))
@@ -156,7 +150,7 @@ def count_serial_constrained(
             holder, e = roots[types[0]], 1
         else:
             x, window = types[-1], windows[-1]
-            child, e = _step(node, x, window)
+            child, e = node.kids.get(x, {}).get(window, (None, None))
             if e is None:
                 e = len(node.slots)
                 node.slots.append(None)
