@@ -28,8 +28,7 @@ therefore carries the largest ``start`` of all entries in it.
 
 Each distinct candidate has the slot of the step it ends at: its count,
 its watermark (the index of its last completion) and its occurrences.
-A slot that does not exist yet is one whose candidate has not completed:
-it is made at the first completion.
+When mining, a slot is made only at its candidate's first completion.
 Counted occurrences must not overlap, so only chains that start after the
 watermark may complete; an event completes the candidate iff the latest
 entry in its last window has ``start > watermark``. That is exact: by the
