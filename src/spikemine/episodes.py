@@ -38,6 +38,7 @@ candidate uses.
 
 from __future__ import annotations
 
+import gc
 import math
 import time as _time
 from collections import Counter, defaultdict, namedtuple
@@ -223,22 +224,36 @@ def mine_levels(cfg: MiningConfig, floor: int, count) -> list[MiningLevel]:
     count, highest first, in one stable sort, so ties keep episode order
     and the ranking is ``rank_key``'s. Stops at an empty join, at a level
     with no frequent episode or at ``max_size``.
+
+    The loop pauses the cyclic garbage collector and, on return or raise,
+    turns it back on only if it was on at entry. Mining makes no reference
+    cycles (a trie node points only to its children, a time-list entry's
+    ``back`` only to an earlier entry, slots hold lists of tuples), so a
+    collection would only walk the live trie, slots and results again.
+    The pause is process-wide: a thread running beside the call finds the
+    collector off until the call returns.
     """
     levels: list[MiningLevel] = []
     seeds: list = []
-    for size in range(1, cfg.max_size + 1):
-        t0 = _time.perf_counter()
-        found, n_candidates = count(seeds)
-        if not n_candidates:
-            break
-        ranked = sorted(
-            (c for c in counted(found, cfg.track_occurrences) if c.freq >= floor),
-            key=itemgetter(1), reverse=True,
-        )
-        levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
-        if not ranked:
-            break
-        seeds = [c.episode for c in ranked[: cfg.beam_width]]
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for size in range(1, cfg.max_size + 1):
+            t0 = _time.perf_counter()
+            found, n_candidates = count(seeds)
+            if not n_candidates:
+                break
+            ranked = sorted(
+                (c for c in counted(found, cfg.track_occurrences) if c.freq >= floor),
+                key=itemgetter(1), reverse=True,
+            )
+            levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
+            if not ranked:
+                break
+            seeds = [c.episode for c in ranked[: cfg.beam_width]]
+    finally:
+        if was_enabled:
+            gc.enable()
     return levels
 
 

@@ -3,10 +3,12 @@ loop and joins of ``oracles``, over alphabets whose sorted order differs
 from any other plausible one (numeric suffixes, lower case, composite
 labels)."""
 
+import gc
 import random
 from dataclasses import replace
 from types import SimpleNamespace
 
+import pytest
 from oracles import (
     parallel_join_oracle,
     parallel_oracle_count,
@@ -231,3 +233,57 @@ def test_ties_rank_by_episode_through_the_beam():
                 counts, k = lv.counts, cfg.beam_width
                 cut_among_ties += len(counts) > k and counts[k - 1].freq == counts[k].freq
     assert cut_among_ties >= 10
+
+
+def test_mining_leaves_no_cyclic_garbage():
+    # mine_levels pauses the cyclic collector, which is sound only because
+    # mining makes no reference cycles: with the collector off, a
+    # collection after each call finds nothing unreachable
+    rng = random.Random(5151)
+    cases = [(label_order_stream(rng), replace(deep_config(rng), track_occurrences=track))
+             for track in (False, True) for _ in range(12)]
+    deepest = 0
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for seq, cfg in cases:
+            for mine in (mine_serial, mine_parallel, mine_synfire):
+                gc.collect()
+                result = mine(seq, cfg)
+                assert gc.collect() == 0, (mine.__name__, cfg)
+            # the trie passes run: synfire's serial phase reaches size 4
+            deepest = max([deepest] + [lv.size for lv in result.serial_levels if lv.counts])
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert deepest >= 4
+
+
+def test_mining_restores_the_collector_on_return_and_raise(monkeypatch):
+    # a level counts with the collector off; afterwards it is as the
+    # caller had it, also when a counter raises
+    seq = EventSequence([Event(x, 10 * k + j) for k in range(5) for j, x in enumerate("ABC")])
+    cfg = MiningConfig(max_size=3, candidate_intervals=(Interval(0, 2),), expiry=2)
+    seen = []
+    count = serial._count
+    monkeypatch.setattr(serial, "_count", lambda *args: seen.append(gc.isenabled()) or count(*args))
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for mine in (mine_serial, mine_parallel, mine_synfire):
+                mine(seq, cfg)
+                assert gc.isenabled() == enabled, mine.__name__
+
+        def failing(*args):
+            seen.append(gc.isenabled())
+            raise RuntimeError("counter failed")
+
+        monkeypatch.setattr(serial, "_count", failing)
+        gc.enable()
+        with pytest.raises(RuntimeError, match="counter failed"):
+            mine_serial(seq, cfg)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert len(seen) >= 3 and not any(seen)  # serial level 3 counted in each run
