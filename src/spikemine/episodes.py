@@ -24,16 +24,15 @@ expiry-constrained non-overlapped frequency is monotone under
 sub-multisets. The join of valid episodes is valid, so the joins build
 their results with ``tuple.__new__`` and skip the checks.
 
-One level loop, ``mine_levels``, mines both kinds: it hands the counter
-(``level_counter``) each level's seeds and gets back the next level's
-counts and the size of the seeds' join, ``MiningLevel.n_candidates``.
-Level 1 is the label counts and level 2 one sweep over the seeds' type
-pairs. From level 3 on, serial mining grows the seeds' extensions in its
-trie pass with no join list (``serial``), and parallel mining counts the
-join ``generate_parallel_candidates``. Every pass reads the stream's
-columns (``EventSequence.labels`` and ``ticks``) in order, in the calling
-process; a pass from level 3 on reads only the events whose type some
-candidate uses.
+One level loop, ``mine_levels``, mines both kinds. It works out the
+count floor, takes level 1 from the label counts and level 2 from one
+sweep over the seeds' type pairs, and from level 3 on hands the miner's
+``grow`` each level's seeds. Serial mining grows the seeds' extensions
+(``serial_extensions``) in its trie pass with no join list (``serial``),
+and parallel mining counts the join ``generate_parallel_candidates``.
+Every pass reads the stream's columns (``EventSequence.labels`` and
+``ticks``) in order, in the calling process; a pass from level 3 on
+reads only the events whose type some candidate uses.
 """
 
 from __future__ import annotations
@@ -213,60 +212,24 @@ def counted(found, track: bool) -> list[EpisodeCount]:
     return [_new(EpisodeCount, (ep, slot[0], None)) for ep, slot in found]
 
 
-def mine_levels(cfg: MiningConfig, floor: int, count) -> list[MiningLevel]:
-    """Level-wise search: count each level from the last one's seeds, filter, rank.
-
-    ``count(seeds)`` grows the next level from ``seeds``, the best
-    ``beam_width`` episodes of the last level (none for level 1). It gives
-    the pairs ``(episode, slot)`` it counted, sorted by episode, and the
-    size of the seeds' join, the level's ``n_candidates``; its time is the
-    level's ``seconds``. Episodes counted ``floor`` times or more rank by
-    count, highest first, in one stable sort, so ties keep episode order
-    and the ranking is ``rank_key``'s. Stops at an empty join, at a level
-    with no frequent episode or at ``max_size``.
-
-    The loop pauses the cyclic garbage collector and, on return or raise,
-    turns it back on only if it was on at entry. Mining makes no reference
-    cycles (a trie node points only to its children, a time-list entry's
-    ``back`` only to an earlier entry, slots hold lists of tuples), so a
-    collection would only walk the live trie, slots and results again.
-    The pause is process-wide: a thread running beside the call finds the
-    collector off until the call returns.
-    """
-    levels: list[MiningLevel] = []
-    seeds: list = []
-    was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for size in range(1, cfg.max_size + 1):
-            t0 = _time.perf_counter()
-            found, n_candidates = count(seeds)
-            if not n_candidates:
-                break
-            ranked = sorted(
-                (c for c in counted(found, cfg.track_occurrences) if c.freq >= floor),
-                key=itemgetter(1), reverse=True,
-            )
-            levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
-            if not ranked:
-                break
-            seeds = [c.episode for c in ranked[: cfg.beam_width]]
-    finally:
-        if was_enabled:
-            gc.enable()
-    return levels
+def label_counts(seq, track: bool) -> dict[str, list]:
+    """Each alphabet type's 1-node episode slot ``[count, watermark,
+    occurrences]``, in type order: every event ``i`` completes the episode
+    of its type, tracked as the occurrence ``(i,)``."""
+    n, at = Counter(seq.labels), defaultdict(list)
+    if track:
+        for i, x in enumerate(seq.labels):
+            at[x].append((i,))
+    return {x: [n[x], None, at[x]] for x in sorted(seq.alphabet)}
 
 
-def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), expiry: int = 0,
-                  floor: int = 1):
-    """The counter ``mine_levels`` gets: ``count(seeds)`` runs from level 3 on.
+def count_pairs(seq, seeds, track: bool, floor: int, windows: Sequence[Interval] = (),
+                expiry: int = 0):
+    """Level 2, grown from the 1-node ``seeds``' types by one sweep over the
+    tick-sorted columns: of serial pairs under the sorted, disjoint gap
+    ``windows``, or, with none, of parallel pairs under ``expiry``.
 
-    Level 1 is the label counts of the alphabet's types; tracked, a type's
-    occurrences are ``(i,)`` for each of its events. Level 2 grows from
-    the level-1 seeds' types by one sweep over the tick-sorted columns: of
-    serial pairs under the sorted, disjoint gap ``windows``, or, with
-    none, of parallel pairs under ``expiry``. For
-    event ``j`` of type ``x`` at tick ``t`` it walks the earlier events
+    For event ``j`` of type ``x`` at tick ``t`` it walks the earlier events
     ``i`` in ``[t - reach, t]``, ``reach`` being the highest ``high`` or
     ``expiry``. Each pair has a slot ``[count, watermark, occurrences]``,
     made when it first completes,
@@ -282,62 +245,100 @@ def level_counter(seq, track: bool, count, windows: Sequence[Interval] = (), exp
     ``{a x}``, keyed by the sorted pair (for ``{x x}``, ``i`` is the other
     ``x``): every gap in the walk is within ``expiry``, and the walk goes
     forward, so an occurrence takes the earliest usable ``a``, as
-    ``parallel._count`` does. Level 2 gives only the pairs of seed types
-    counted ``floor`` times or more, the floor ``mine_levels`` keeps, and
-    the size of the seeds' join: ``m * m`` pairs per window, or
-    ``m * (m + 1) / 2`` multisets, for ``m`` seeds.
+    ``parallel._count`` does. It gives the pairs ``(episode, slot)`` of
+    seed types counted ``floor`` times or more, sorted, and the size of
+    the seeds' join: ``m * m`` pairs per window, or ``m * (m + 1) / 2``
+    multisets, for ``m`` seeds.
     """
     labels, ticks = seq.labels, seq.ticks
     spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
     lows, highs = [low for low, _ in spans], [high for _, high in spans]
     reach = highs[-1]
+    rows = [{} for _ in spans]  # per window: {pair: slot}
+    lo = 0
+    for j, (x, t) in enumerate(zip(labels, ticks)):
+        while ticks[lo] < t - reach:
+            lo += 1
+        k = 0  # the first window whose high is not below the gap
+        for i in range(j - 1, lo - 1, -1) if windows else range(lo, j):
+            gap = t - ticks[i]
+            while gap > highs[k]:
+                k += 1
+            if gap > lows[k]:
+                row = rows[k]
+                a = labels[i]
+                key = (a, x) if windows or a <= x else (x, a)
+                slot = row.get(key)
+                if slot is None:
+                    slot = row[key] = [0, -1, []]
+                if i > slot[1]:
+                    slot[0] += 1
+                    slot[1] = j
+                    if track:
+                        slot[2].append((i, j))
+    types = {ep.etypes[0] for ep in seeds}
+    m = len(types)
+    found = sorted(
+        ((_new(SerialEpisode, (key, (w,))) if windows else _new(ParallelEpisode, (key,)), slot)
+         for w, row in zip(spans, rows) for key, slot in row.items()
+         if slot[0] >= floor and key[0] in types and key[1] in types),
+        key=itemgetter(0),
+    )
+    return found, m * m * len(windows) if windows else m * (m + 1) // 2
 
-    def count_pairs(seeds):
-        rows = [{} for _ in spans]  # per window: {pair: slot}
-        lo = 0
-        for j, (x, t) in enumerate(zip(labels, ticks)):
-            while ticks[lo] < t - reach:
-                lo += 1
-            k = 0  # the first window whose high is not below the gap
-            for i in range(j - 1, lo - 1, -1) if windows else range(lo, j):
-                gap = t - ticks[i]
-                while gap > highs[k]:
-                    k += 1
-                if gap > lows[k]:
-                    row = rows[k]
-                    a = labels[i]
-                    key = (a, x) if windows or a <= x else (x, a)
-                    slot = row.get(key)
-                    if slot is None:
-                        slot = row[key] = [0, -1, []]
-                    if i > slot[1]:
-                        slot[0] += 1
-                        slot[1] = j
-                        if track:
-                            slot[2].append((i, j))
-        types = {ep.etypes[0] for ep in seeds}
-        m = len(types)
-        found = sorted(
-            ((_new(SerialEpisode, (key, (w,))) if windows else _new(ParallelEpisode, (key,)), slot)
-             for w, row in zip(spans, rows) for key, slot in row.items()
-             if slot[0] >= floor and key[0] in types and key[1] in types),
-            key=itemgetter(0),
-        )
-        return found, m * m * len(windows) if windows else m * (m + 1) // 2
 
-    def count_level(seeds):
-        if not seeds:
-            n, at = Counter(labels), defaultdict(list)
-            if track:
-                for i, x in enumerate(labels):
-                    at[x].append((i,))
-            kind = SerialEpisode if windows else ParallelEpisode
-            return [(kind((x,)), (n[x], None, at[x])) for x in sorted(seq.alphabet)], len(seq.alphabet)
-        if len(seeds[0].etypes) == 1:
-            return count_pairs(seeds)
-        return count(seeds)
+def mine_levels(seq, cfg: MiningConfig, grow, windows: Sequence[Interval] = (),
+                expiry: int = 0) -> list[MiningLevel]:
+    """Level-wise search: count each level from the last one's seeds, keep
+    those at the count floor ``cfg.count_floor(len(seq))``, rank.
 
-    return count_level
+    A level's seeds are the best ``beam_width`` episodes of the last
+    level. Level 1 is ``label_counts``, level 2 ``count_pairs`` under the
+    gap ``windows`` (serial) or, with none, under ``expiry`` (parallel),
+    and from level 3 on ``grow(seeds, seq, track, floor)``. Each gives the
+    pairs ``(episode, slot)`` counted ``floor`` times or more, sorted by
+    episode, and the size of the seeds' join, the level's
+    ``n_candidates``; its time is the level's ``seconds``. The episodes
+    rank by count, highest first, in one stable sort, so ties keep episode
+    order and the ranking is ``rank_key``'s. Stops at an empty join, at a
+    level with no frequent episode or at ``max_size``.
+
+    The loop pauses the cyclic garbage collector and, on return or raise,
+    turns it back on only if it was on at entry. Mining makes no reference
+    cycles (a trie node points only to its children, a time-list entry's
+    ``back`` only to an earlier entry, slots hold lists of tuples), so a
+    collection would only walk the live trie, slots and results again.
+    The pause is process-wide: a thread running beside the call finds the
+    collector off until the call returns.
+    """
+    floor, track = cfg.count_floor(len(seq)), cfg.track_occurrences
+    kind = SerialEpisode if windows else ParallelEpisode
+    levels: list[MiningLevel] = []
+    seeds: list = []
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for size in range(1, cfg.max_size + 1):
+            t0 = _time.perf_counter()
+            if size == 1:
+                slots = label_counts(seq, track)
+                found = [(kind((x,)), slot) for x, slot in slots.items() if slot[0] >= floor]
+                n_candidates = len(slots)
+            elif size == 2:
+                found, n_candidates = count_pairs(seq, seeds, track, floor, windows, expiry)
+            else:
+                found, n_candidates = grow(seeds, seq, track, floor)
+            if not n_candidates:
+                break
+            ranked = sorted(counted(found, track), key=itemgetter(1), reverse=True)
+            levels.append(MiningLevel(size, n_candidates, tuple(ranked), _time.perf_counter() - t0))
+            if not ranked:
+                break
+            seeds = [c.episode for c in ranked[: cfg.beam_width]]
+    finally:
+        if was_enabled:
+            gc.enable()
+    return levels
 
 
 def is_subepisode(beta: Episode, alpha: Episode) -> bool:
@@ -395,15 +396,23 @@ def generate_serial_candidates(
         firsts = sorted(ep.etypes[0] for ep in pool)
         windows = [(w,) for w in sorted({Interval(*iv) for iv in intervals})]
         return [_new(SerialEpisode, ((a, b), w)) for a in firsts for b in firsts for w in windows]
-    by_prefix: dict[tuple, list] = {}
-    for types, wins in pool:
-        by_prefix.setdefault((types[:-1], wins[:-1]), []).append((types[-1], wins[-1]))
     # a pair (left, right) determines its candidate, so a duplicate-free pool gives no duplicates
     return sorted(
         _new(SerialEpisode, (types + (last,), wins + (win,)))
-        for types, wins in pool
-        for last, win in by_prefix.get((types[1:], wins[1:]), ())
+        for (types, wins), steps in serial_extensions(pool)
+        for last, win in steps
     )
+
+
+def serial_extensions(pool: Sequence[SerialEpisode]) -> list[tuple]:
+    """The suffix-prefix join of distinct serial episodes of one size k >= 2:
+    each left side in ``pool`` order, with the last steps ``(type, window)``
+    of the episodes whose (k-1)-prefix is its (k-1)-suffix, one list per
+    suffix."""
+    steps_of: dict[tuple, list] = {}  # a prefix -> the last steps of the episodes with it
+    for types, windows in pool:
+        steps_of.setdefault((types[:-1], windows[:-1]), []).append((types[-1], windows[-1]))
+    return [(ep, steps) for ep in pool if (steps := steps_of.get((ep.etypes[1:], ep.intervals[1:])))]
 
 
 def generate_parallel_candidates(frequent: Iterable[ParallelEpisode]) -> list[ParallelEpisode]:

@@ -25,17 +25,19 @@ filing type's last entry is not before the cut. This is exact: a candidate
 completing at ``t`` has a usable entry of each type, so its filing type has
 one too.
 
-In ``mine_parallel`` this pass runs from level 3 on, as level 1 is the
-label counts and level 2 one sweep over the type pairs
-(``episodes.level_counter``).
+In ``mine_parallel`` this pass counts the join
+``generate_parallel_candidates`` of each level's seeds from level 3 on, as
+``episodes.mine_levels`` takes level 1 from the label counts and level 2
+from one sweep over the type pairs.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from functools import partial
 
 from .episodes import (EpisodeCount, MiningConfig, MiningLevel, counted, generate_parallel_candidates,
-                       level_counter, mine_levels)
+                       mine_levels)
 from .events import EventSequence
 
 
@@ -101,11 +103,21 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
     return [slot_of[ep] for ep in candidates]
 
 
+def _grow(seeds: list, seq: EventSequence, track: bool, floor: int, *, expiry: int):
+    """A level of ``mine_parallel`` from level 3 on: the pairs ``(candidate,
+    slot)`` of the seeds' join counted ``floor`` times or more, sorted, and
+    the join's size."""
+    candidates = generate_parallel_candidates(seeds)
+    slots = _count(candidates, seq, track, expiry)
+    return [(ep, slot) for ep, slot in zip(candidates, slots) if slot[0] >= floor], len(candidates)
+
+
 def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list[MiningLevel]:
     """Level-wise parallel mining (``mine_levels``); returns frequent episodes per size.
 
     Level 1 is the label counts and level 2 one sweep over the type pairs
-    (``episodes.level_counter``); the expiry pass counts from level 3.
+    (``episodes.mine_levels``); from level 3 the expiry pass counts the
+    join of the last level's seeds (``_grow``).
     Every level reads the same columns, ``seq.labels`` and ``seq.ticks``.
     ``jobs`` starts no process, as each pass is one sequential scan; the
     keyword stays so that callers passing it keep working. ValueError
@@ -113,10 +125,4 @@ def mine_parallel(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> li
     """
     if cfg.expiry <= 0:
         raise ValueError("parallel mining needs expiry > 0")
-    track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
-
-    def grow(seeds):
-        candidates = generate_parallel_candidates(seeds)
-        return list(zip(candidates, _count(candidates, seq, track, cfg.expiry))), len(candidates)
-
-    return mine_levels(cfg, floor, level_counter(seq, track, grow, expiry=cfg.expiry, floor=floor))
+    return mine_levels(seq, cfg, partial(_grow, expiry=cfg.expiry), expiry=cfg.expiry)

@@ -4,13 +4,12 @@ Candidates are ``SerialEpisode``s, named tuples ``(etypes, intervals)``,
 counted over the stream's columns of labels and ticks, so trie roots are
 a dict keyed by label.
 
-One counting pass holds all candidates in a prefix trie: one root per
-first type, and under a node one step per next type and window
-``(low, high)``. A node stands for one prefix, its event types and its
-gap windows. Roots always have one; any other step leads to one only
-where a longer candidate goes on, and holds an index into its node's
-slots only where a candidate ends. Candidates that share a prefix share
-its node, which
+One counting pass holds all candidates of 2 or more nodes in a prefix
+trie: one root node per first type, and under a node one step per next
+type and window ``(low, high)``. A node stands for one prefix, its event
+types and its gap windows. A step leads to a node only where a longer
+candidate goes on, and holds an index into its node's slots only where a
+candidate ends. Candidates that share a prefix share its node, which
 keeps one time list of entries ``(time, index, start, back)``, one per
 event of its last type that ends a gap-valid chain of the prefix:
 
@@ -54,18 +53,18 @@ would only prune, and the next visit prunes by a later cut anyway, so no
 count, watermark or occurrence changes, and the lists stay bounded by
 the window population of the events read.
 
-``mine_serial`` runs ``episodes.mine_levels`` with the counter of
-``episodes.level_counter`` (level 1 the label counts, level 2 one sweep
-over the type pairs), so this pass runs from level 3 on, where it grows
-each level from its seeds, the best episodes of the last level, with no
-join list. The trie holds only the seeds that the suffix-prefix join
-extends. A seed's node gets as children the last steps of the seeds
-whose prefix is its suffix, shared by every seed with that suffix, and a
-slot of its own for each at the extension's first completion; only the
-slots at the floor become ``EpisodeCount``s. ``MiningLevel.n_candidates``
-(the CLI's ``candidates=N``) still reports the join's size, the sum of
-the seeds' extension counts. ``count_serial_constrained`` builds the
-trie from explicit candidates of any sizes, for the same pass.
+``mine_serial`` runs ``episodes.mine_levels``, which takes level 1 from
+the label counts and level 2 from one sweep over the type pairs, so this
+pass runs from level 3 on (``_count``), where it grows each level from
+its seeds, the best episodes of the last level, with no join list. The
+trie holds only the seeds that the suffix-prefix join extends
+(``episodes.serial_extensions``). A seed's node gets as children the
+last steps of the seeds whose prefix is its suffix, shared by every seed
+with that suffix, and a slot of its own for each at the extension's
+first completion; only the slots at the floor become ``EpisodeCount``s.
+``MiningLevel.n_candidates`` (the CLI's ``candidates=N``) still reports
+the join's size, the sum of the seeds' extension counts. ``count_serial_constrained`` builds the
+trie from explicit candidates of 2 or more nodes, for the same pass.
 """
 
 from __future__ import annotations
@@ -79,8 +78,9 @@ from .episodes import (
     MiningLevel,
     SerialEpisode,
     counted,
-    level_counter,
+    label_counts,
     mine_levels,
+    serial_extensions,
 )
 from .events import EventSequence
 
@@ -108,10 +108,9 @@ def _put(node: _Node, x, window, step: tuple) -> None:
 
 def _node(roots: dict, types, windows) -> _Node:
     """The node of the prefix ``(types, windows)``, made with every node on its path."""
-    step = roots.get(types[0])
-    if step is None:
-        step = roots[types[0]] = [_Node(), None]
-    node = step[0]
+    node = roots.get(types[0])
+    if node is None:
+        node = roots[types[0]] = _Node()
     for x, window in zip(types[1:], windows):
         child, e = node.kids.get(x, {}).get(window, (None, None))
         if child is None:
@@ -135,30 +134,30 @@ def count_serial_constrained(
     ``start`` never decreases along a list, so the latest entry in a
     window carries the largest ``start`` there, and the candidate
     completes exactly when some chain in the window starts after its last
-    completion (see the module docstring). ``jobs`` starts no process: the
-    pass reads the stream once, in order; the keyword stays so that
-    callers passing it keep working.
+    completion (see the module docstring). A 1-node candidate takes its
+    label count (``episodes.label_counts``) and stays out of the pass.
+    ``jobs`` starts no process: the pass reads the stream once, in order;
+    the keyword stays so that callers passing it keep working.
     """
     candidates = list(candidates)
     track = bool(cfg and cfg.track_occurrences)
     roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
-    slots = []
+    slots, ones, used = [], None, set()
     for types, windows in candidates:
-        node = _node(roots, types[:-1] or types, windows[:-1])
         if len(types) == 1:
-            holder, e = roots[types[0]], 1
-        else:
-            x, window = types[-1], windows[-1]
-            child, e = node.kids.get(x, {}).get(window, (None, None))
-            if e is None:
-                e = len(node.slots)
-                node.slots.append(None)
-                _put(node, x, window, (child, e))
-            holder = node.slots
-        if holder[e] is None:
-            holder[e] = [0, -1, []]
-        slots.append(holder[e])
-    _scan(roots, {x for types, _ in candidates for x in types}, seq, track)
+            ones = ones or label_counts(seq, track)
+            slots.append(ones.get(types[0]) or [0, -1, []])
+            continue
+        node = _node(roots, types[:-1], windows[:-1])
+        x, window = types[-1], windows[-1]
+        child, e = node.kids.get(x, {}).get(window, (None, None))
+        if e is None:
+            e = len(node.slots)
+            node.slots.append([0, -1, []])
+            _put(node, x, window, (child, e))
+        slots.append(node.slots[e])
+        used.update(types)
+    _scan(roots, used, seq, track)
     return counted(zip(candidates, slots), track)
 
 
@@ -166,26 +165,19 @@ def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
     """A level of ``mine_serial`` from level 3 on, grown from ``seeds`` (see
     the module docstring): the pairs ``(extension, slot)`` counted
     ``floor`` times or more, sorted, and the join's size."""
-    seeds = sorted(seeds)  # so each seed's steps, and the extensions found, come nearly sorted
-    steps_of: dict[tuple, list] = {}  # a seed's prefix -> the last steps of its seeds
-    for types, windows in seeds:
-        steps_of.setdefault((types[:-1], windows[:-1]), []).append((types[-1], windows[-1]))
     roots = dict.fromkeys(seq.alphabet)
-    shared: dict[tuple, tuple] = {}  # a suffix -> (the children of its seeds' nodes, their reach)
+    shared: dict[int, tuple] = {}  # id of a suffix's steps -> (its seeds' nodes' children, their reach)
     used, ends, n_candidates = set(), [], 0
-    for seed in seeds:
+    # sorted, so each seed's steps, and the extensions found, come nearly sorted
+    for seed, steps in serial_extensions(sorted(seeds)):
         types, windows = seed
-        suffix = (types[1:], windows[1:])
-        steps = steps_of.get(suffix)
-        if steps is None:
-            continue
         n_candidates += len(steps)
-        children = shared.get(suffix)
+        children = shared.get(id(steps))
         if children is None:
             kids = {}
             for e, (x, window) in enumerate(steps):
                 kids.setdefault(x, {})[tuple(window)] = (None, e)
-            children = shared[suffix] = (kids, max(window[1] for _, window in steps))
+            children = shared[id(steps)] = (kids, max(window[1] for _, window in steps))
             used.update(kids)
         node = _node(roots, types, windows)
         (node.kids, node.reach), node.slots = children, [None] * len(steps)
@@ -209,18 +201,11 @@ def _scan(roots: dict, used: set, seq: EventSequence, track: bool) -> None:
 
     for idx in [i for i, x in enumerate(labels) if x in used]:
         x, t = labels[idx], ticks[idx]
-        step = roots[x]
-        if step is not None:
-            root, slot = step
-            if slot is not None:  # every event completes its 1-node candidate
-                slot[0] += 1
-                slot[1] = idx
-                if track:
-                    slot[2].append((idx,))
-            if root.kids:
-                if not root.tlist:
-                    live[root] = None
-                root.tlist.append((t, idx, idx, None))
+        root = roots[x]
+        if root is not None:
+            if not root.tlist:
+                live[root] = None
+            root.tlist.append((t, idx, idx, None))
         for node in tuple(live):  # the scan may add and drop live nodes
             tl = node.tlist
             cut = t - node.reach
@@ -262,7 +247,7 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """Level-wise serial mining (``mine_levels``); returns frequent episodes per size.
 
     Level 1 is the label counts and level 2 one sweep over the type pairs
-    (``episodes.level_counter``); from level 3 the trie pass counts the
+    (``episodes.mine_levels``); from level 3 the trie pass counts the
     extensions of the last level's seeds (``_count``). Every pass reads
     the same columns, ``seq.labels`` and ``seq.ticks``. ``jobs`` starts
     no process, as each pass is one sequential scan; the keyword stays so
@@ -270,7 +255,4 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
-    track, floor = cfg.track_occurrences, cfg.count_floor(len(seq))
-    return mine_levels(cfg, floor, level_counter(
-        seq, track, lambda seeds: _count(seeds, seq, track, floor), cfg.candidate_intervals, floor=floor,
-    ))
+    return mine_levels(seq, cfg, _count, cfg.candidate_intervals)

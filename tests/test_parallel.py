@@ -22,7 +22,7 @@ from spikemine import (
     mine_parallel,
 )
 from spikemine import parallel
-from spikemine.episodes import counted, level_counter
+from spikemine.episodes import count_pairs, counted
 
 
 def cfg_for(expiry, track=False):
@@ -272,17 +272,17 @@ def test_pair_sweep_equals_the_parallel_oracles():
         # the sweep grows the pairs of the seeds' types, as a beam may leave some out
         seeds = [ParallelEpisode((x,)) for x in rng.sample(sorted(seq.alphabet), rng.randint(1, len(seq.alphabet)))]
         pairs = generate_parallel_candidates(seeds)
-        found, n_candidates = level_counter(seq, True, None, expiry=expiry)(seeds)
+        found, n_candidates = count_pairs(seq, seeds, True, 1, expiry=expiry)
         swept = {c.episode: c[1:] for c in counted(found, True)}
         assert n_candidates == len(pairs) and set(swept) <= set(pairs)
         for ep in pairs:
             freq, occurrences = swept.get(ep, (0, ()))
             assert freq == parallel_oracle_count(ep, seq, expiry), (ep, expiry)
             assert occurrences == parallel_oracle_occurrences(ep, seq, expiry), (ep, expiry)
-        found, _ = level_counter(seq, False, None, expiry=expiry)(seeds)
+        found, _ = count_pairs(seq, seeds, False, 1, expiry=expiry)
         counts = {c.episode: c.freq for c in counted(found, False)}
         assert counts == {ep: freq for ep, (freq, _) in swept.items()}
         assert 0 not in counts.values()
         for floor in (2, 4):
-            found, _ = level_counter(seq, True, None, expiry=expiry, floor=floor)(seeds)
+            found, _ = count_pairs(seq, seeds, True, floor, expiry=expiry)
             assert [ep for ep, _ in found] == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]

@@ -27,7 +27,7 @@ from spikemine import (
     mine_serial,
 )
 from spikemine import serial
-from spikemine.episodes import counted, level_counter
+from spikemine.episodes import count_pairs, counted
 
 
 TRACK = MiningConfig(track_occurrences=True)
@@ -245,7 +245,7 @@ def test_trie_builds_no_node_for_a_last_step(monkeypatch):
     monkeypatch.setattr(serial, "_Node", CountedNode)
 
     def nodes_for(eps):
-        roots = {ep.etypes[0] for ep in eps}
+        roots = {ep.etypes[0] for ep in eps if ep.size > 1}
         inner = {(ep.etypes[:k], ep.intervals[: k - 1]) for ep in eps for k in range(2, ep.size)}
         return len(roots) + len(inner)
 
@@ -366,7 +366,7 @@ def pair_sweep(seq, windows, seeds, track=True, floor=1):
     """The level-2 sweep of ``mine_serial`` from the size-1 ``seeds``: the pairs
     counted ``floor`` times or more, and their results. It checks that the
     sweep reports the size of the seeds' join and grows no other pair."""
-    found, n_candidates = level_counter(seq, track, None, windows=windows, floor=floor)(seeds)
+    found, n_candidates = count_pairs(seq, seeds, track, floor, windows)
     counts = counted(found, track)
     pairs = generate_serial_candidates(seeds, windows)
     assert n_candidates == len(pairs) and {c.episode for c in counts} <= set(pairs)
@@ -512,9 +512,9 @@ def churn_stream(rng, types):
 
 def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch):
     # wide alphabets, so every root has many child types and goes live and
-    # empty many times. Every pass also counts the 1-node episode z, so it
-    # reads the late last event, whose visit must prune every list: no
-    # window reaches back to any entry, so every list must be empty again.
+    # empty many times. Every pass also counts A -(0,1]-> z, so it reads the
+    # late last event, whose visit must prune every list: no window reaches
+    # back to any entry, so every list must be empty again.
     import spikemine.serial as serial
 
     lists = []
@@ -527,8 +527,9 @@ def test_churn_regime_matches_solo_counts_and_oracles(monkeypatch):
     monkeypatch.setattr(serial, "deque", RecordedDeque)
 
     def one_pass(eps, seq):
-        *results, late = count_serial_constrained(eps + [SerialEpisode(("z",))], seq, TRACK)
-        assert late.freq == 1
+        late_pair = SerialEpisode(("A", "z"), ((0, 1),))
+        *results, late = count_serial_constrained(eps + [late_pair], seq, TRACK)
+        assert late.freq == 0
         assert lists and not any(lists), "entries outlived every window"
         lists.clear()
         return results
