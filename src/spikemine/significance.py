@@ -34,17 +34,17 @@ from .simulator import NetworkConfig, embed_pattern, neuron_labels, simulate
 
 RATE_MODEL_LAMBDA_MAX = 14.0  # iid-rate datasets then average ~7 Hz, the network's resting scale
 CHAIN_LENGTH = 10  # neurons in the embedded chain; no segment is longer
+GAP_WINDOW = Interval(0, 5)  # ticks between successive events of every episode counted
+_BEAM = 500
 
 
 @dataclass(frozen=True)
 class SignificanceReport:
-    interval: Interval
     sizes: tuple[int, ...]
     random_avg_max: tuple[float, ...]
     patterned_avg_min: tuple[float, ...]
     random_samples: int
     patterned_samples: int
-    chain_length: int
 
     def __post_init__(self):
         profile = self.random_avg_max
@@ -59,9 +59,9 @@ class SignificanceReport:
 
     def to_text(self) -> str:
         lines = [
-            f"# serial episode frequency profile, gap window {self.interval} ticks",
+            f"# serial episode frequency profile, gap window {GAP_WINDOW} ticks",
             f"# random datasets: {self.random_samples}   patterned datasets: {self.patterned_samples}"
-            f" (embedded chain of {self.chain_length})",
+            f" (embedded chain of {CHAIN_LENGTH})",
             f"{'Size':>6} {'RandomAvgMax':>14} {'PatternedAvgMin':>16}",
         ]
         for size, rmax, pmin in zip(self.sizes, self.random_avg_max, self.patterned_avg_min):
@@ -83,9 +83,9 @@ def pool_size(jobs: int, tasks: int) -> int:
 
 def _max_profile(args) -> list[int]:
     """Simulate one random dataset and return max frequency per size."""
-    config, max_size, interval, beam = args
+    config, max_size = args
     seq = simulate(config).sequence
-    cfg = MiningConfig(max_size=max_size, candidate_intervals=(interval,), beam_width=beam)
+    cfg = MiningConfig(max_size=max_size, candidate_intervals=(GAP_WINDOW,), beam_width=_BEAM)
     levels = mine_serial(seq, cfg)
     maxima = [0] * max_size
     for level in levels:
@@ -100,13 +100,13 @@ def _min_profile(args) -> list[int]:
     One pass counts the segments of every size; they share prefixes in
     its trie.
     """
-    config, max_size, interval, chain_length = args
+    config, max_size = args
     seq = simulate(config).sequence
-    labels = neuron_labels(config.num_neurons)[:chain_length]
+    labels = neuron_labels(config.num_neurons)[:CHAIN_LENGTH]
     segments = [
-        SerialEpisode(labels[i : i + size], (interval,) * (size - 1))
+        SerialEpisode(labels[i : i + size], (GAP_WINDOW,) * (size - 1))
         for size in range(1, max_size + 1)
-        for i in range(chain_length - size + 1)
+        for i in range(CHAIN_LENGTH - size + 1)
     ]
     freqs: list[list[int]] = [[] for _ in range(max_size)]
     for count in count_serial_constrained(segments, seq):
@@ -140,20 +140,17 @@ def run_significance(
     random_rate_runs: int = 5,
     patterned_runs: int = 5,
     max_size: int = 6,
-    interval: Interval = Interval(0, 5),
-    beam_width: int = 500,
-    chain_length: int = CHAIN_LENGTH,
     jobs: int = 1,
     seed0: int = 1,
 ) -> SignificanceReport:
     """Generate both dataset families, mine them, and aggregate profiles.
 
     ValueError, before anything is simulated, when ``max_size`` exceeds
-    ``chain_length`` (the chain has no segment of that size) or when a
+    ``CHAIN_LENGTH`` (the chain has no segment of that size) or when a
     family has no dataset to average.
     """
-    if max_size > chain_length:
-        raise ValueError(f"max_size {max_size} exceeds the embedded chain length {chain_length}")
+    if max_size > CHAIN_LENGTH:
+        raise ValueError(f"max_size {max_size} exceeds the embedded chain length {CHAIN_LENGTH}")
     base = base if base is not None else NetworkConfig()
     base = replace(base, strong_edges=())
 
@@ -161,17 +158,15 @@ def run_significance(
     for w in range(weight_seeds):
         for r in range(noise_runs_per_seed):
             cfg = replace(base, weight_seed=seed0 + 100 + w, seed=seed0 + 1000 * (w + 1) + r)
-            random_specs.append((cfg, max_size, interval, beam_width))
+            random_specs.append((cfg, max_size))
     for r in range(random_rate_runs):
         cfg = replace(base, rate_mode="uniform", lambda_max=RATE_MODEL_LAMBDA_MAX,
                       seed=seed0 + 500_000 + r)
-        random_specs.append((cfg, max_size, interval, beam_width))
+        random_specs.append((cfg, max_size))
 
-    chain = embed_pattern(base, f"chain-{chain_length}")
-    patterned_specs = [
-        (replace(chain, seed=seed0 + 900_000 + r), max_size, interval, chain_length)
-        for r in range(patterned_runs)
-    ]
+    chain = embed_pattern(base, f"chain-{CHAIN_LENGTH}")
+    patterned_specs = [(replace(chain, seed=seed0 + 900_000 + r), max_size)
+                       for r in range(patterned_runs)]
     if not random_specs or not patterned_specs:
         raise ValueError("each family needs at least one dataset")
 
@@ -188,11 +183,9 @@ def run_significance(
     avg_max, avg_min = (tuple(sum(p[i] for p in ps) / len(ps) for i in range(max_size))
                         for ps in (profiles["random"], profiles["patterned"]))
     return SignificanceReport(
-        interval=interval,
         sizes=tuple(range(1, max_size + 1)),
         random_avg_max=avg_max,
         patterned_avg_min=avg_min,
         random_samples=len(random_specs),
         patterned_samples=len(patterned_specs),
-        chain_length=chain_length,
     )

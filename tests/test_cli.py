@@ -410,14 +410,13 @@ def test_significance_max_size_beyond_chain_exits_1(tmp_path, monkeypatch, capsy
 )
 def test_significance_max_size_applies_at_both_scales(tmp_path, monkeypatch, scale_argv, max_size):
     import spikemine.cli as cli_mod
-    from spikemine import Interval
     from spikemine.significance import SignificanceReport
 
     received = []
 
     def record(**params):  # simulates nothing
         received.append(params["max_size"])
-        return SignificanceReport(Interval(0, 5), (1,), (1.0,), (1.0,), 1, 1, 10)
+        return SignificanceReport((1,), (1.0,), (1.0,), 1, 1)
 
     monkeypatch.setattr(cli_mod, "run_significance", record)
     out_dir = tmp_path / "sig"
@@ -566,8 +565,7 @@ def test_significance_desk_tiny(tmp_path, monkeypatch):
         params.update(weight_seeds=1, noise_runs_per_seed=1, random_rate_runs=1,
                       patterned_runs=1, max_size=2)
         from spikemine import NetworkConfig
-        return real(NetworkConfig(duration=3.0), jobs=jobs, seed0=seed0,
-                    beam_width=40, chain_length=4, **params)
+        return real(NetworkConfig(duration=3.0), jobs=jobs, seed0=seed0, **params)
 
     monkeypatch.setattr(cli_mod, "run_significance", tiny)
     out_dir = tmp_path / "sig"

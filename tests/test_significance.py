@@ -28,8 +28,6 @@ def tiny_report():
         random_rate_runs=1,
         patterned_runs=2,
         max_size=3,
-        beam_width=60,
-        chain_length=5,
     )
 
 
@@ -64,13 +62,11 @@ def test_patterned_chain_dominates_random(tiny_report):
 def test_profile_invariant_enforced():
     with pytest.raises(ValueError):
         SignificanceReport(
-            interval=Interval(0, 5),
             sizes=(1, 2),
             random_avg_max=(1.0, 2.0),
             patterned_avg_min=(5.0, 5.0),
             random_samples=1,
             patterned_samples=1,
-            chain_length=3,
         )
 
 
@@ -88,7 +84,7 @@ def test_jobs_do_not_change_results():
     base = NetworkConfig(duration=4.0)
     kwargs = dict(
         weight_seeds=1, noise_runs_per_seed=1, random_rate_runs=1,
-        patterned_runs=1, max_size=2, beam_width=40, chain_length=4,
+        patterned_runs=1, max_size=2,
     )
     solo = run_significance(base, **kwargs)
     multi = run_significance(base, jobs=2, **kwargs)
@@ -100,7 +96,7 @@ def test_significance_workers_bounded(cpus, inline_pools):
     cpus(8)
     kwargs = dict(
         weight_seeds=1, noise_runs_per_seed=2, random_rate_runs=1,
-        patterned_runs=1, max_size=2, beam_width=40, chain_length=4,
+        patterned_runs=1, max_size=2,
     )
     multi = run_significance(NetworkConfig(duration=2.0), jobs=10**6, **kwargs)
     assert inline_pools == [3]  # three random datasets, one patterned
@@ -116,7 +112,7 @@ def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
     cpus(2)  # two workers start a process pool; one counts in this process
     run_significance(
         NetworkConfig(duration=2.0), weight_seeds=1, noise_runs_per_seed=2, random_rate_runs=0,
-        patterned_runs=1, max_size=2, beam_width=40, chain_length=4, jobs=jobs,
+        patterned_runs=1, max_size=2, jobs=jobs,
     )
     out, err = capfd.readouterr()
     assert out == ""
@@ -137,7 +133,7 @@ class FloorZero(MiningConfig):
 
 
 @pytest.mark.parametrize("beam", (3, 40))
-def test_max_profile_equals_a_floor_0_mine(beam):
+def test_max_profile_equals_a_floor_0_mine(beam, monkeypatch):
     # the study mines at floor 1. A candidate counts at most as often as
     # either seed it joins, and nonzero seeds rank ahead of zero-count ones
     # in the beam, so zero-count episodes would only fill the deep levels
@@ -149,29 +145,27 @@ def test_max_profile_equals_a_floor_0_mine(beam):
         levels = reference_levels(simulate(config).sequence, cfg, "serial")
         maxima = [max(c.freq for c in counts) for _, _, counts in levels]
         assert maxima[-1] == 0  # floor 0 mines levels that floor 1 stops before
-        assert significance._max_profile((config, 6, interval, beam)) == maxima + [0] * (6 - len(maxima))
+        monkeypatch.setattr(significance, "_BEAM", beam)
+        assert significance._max_profile((config, 6)) == maxima + [0] * (6 - len(maxima))
 
 
 def test_min_profile_one_pass_equals_one_pass_per_size():
-    chain = embed_pattern(NetworkConfig(duration=4.0, seed=11), "chain-6")
-    interval = Interval(0, 5)
+    chain = embed_pattern(NetworkConfig(duration=4.0, seed=11), "chain-10")
     seq = simulate(chain).sequence
-    labels = neuron_labels(chain.num_neurons)[:6]
+    labels = neuron_labels(chain.num_neurons)[:10]
     per_size = [
         min(c.freq for c in count_serial_constrained(
-            [SerialEpisode(labels[i : i + size], (interval,) * (size - 1))
-             for i in range(6 - size + 1)], seq))
+            [SerialEpisode(labels[i : i + size], (Interval(0, 5),) * (size - 1))
+             for i in range(10 - size + 1)], seq))
         for size in range(1, 6)
     ]
-    assert significance._min_profile((chain, 5, interval, 6)) == per_size
+    assert significance._min_profile((chain, 5)) == per_size
     assert per_size[-1] > 0  # the chain fires, so no minimum is trivially 0
 
 
 def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
     monkeypatch.setattr(significance, "simulate", lambda config: pytest.fail("simulated"))
-    with pytest.raises(ValueError, match="exceeds the embedded chain length 5"):
-        run_significance(NetworkConfig(duration=1.0), max_size=6, chain_length=5)
-    with pytest.raises(ValueError, match="chain length 10"):
+    with pytest.raises(ValueError, match="exceeds the embedded chain length 10"):
         run_significance(max_size=11)
 
 
@@ -183,4 +177,4 @@ def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
 def test_family_without_datasets_refused_before_simulating(monkeypatch, empty):
     monkeypatch.setattr(significance, "simulate", lambda config: pytest.fail("simulated"))
     with pytest.raises(ValueError, match="each family needs at least one dataset"):
-        run_significance(NetworkConfig(duration=1.0), max_size=2, chain_length=4, **empty)
+        run_significance(NetworkConfig(duration=1.0), max_size=2, **empty)
