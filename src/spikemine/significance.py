@@ -11,11 +11,14 @@ The study contrasts two dataset families:
   contiguous segments of that size (the embedded subepisodes that the
   gap window can actually match).
 
-Random-data maxima are found level-wise; growth beyond size 2 is seeded
-from the top-scoring episodes of the previous level (beam), which
-preserves the maximum profile because a level's best episode never
-outscores its own parent. Patterned minima are counted directly on the
-known segment candidates, which is exact and cheap.
+Random-data maxima are exact. Mining at a count floor of 2, with no
+beam, finds every episode that occurs twice or more: a non-overlapped
+count never exceeds the count of the episode's prefix or of its suffix,
+and the level-wise join keeps an episode only when both are frequent. A
+size at which no episode occurs twice has maximum 1 if some chain of
+that many events has every gap in the window, else 0; one pass over the
+ticks finds the longest chain. Patterned minima are counted directly on
+the known segment candidates, which is exact and cheap.
 
 Averaged over datasets, the patterned minima sit far above the random
 maxima from size 3 on; the report states both profiles side by side.
@@ -35,7 +38,6 @@ from .simulator import NetworkConfig, embed_pattern, neuron_labels, simulate
 RATE_MODEL_LAMBDA_MAX = 14.0  # iid-rate datasets then average ~7 Hz, the network's resting scale
 CHAIN_LENGTH = 10  # neurons in the embedded chain; no segment is longer
 GAP_WINDOW = Interval(0, 5)  # ticks between successive events of every episode counted
-_BEAM = 500
 
 
 @dataclass(frozen=True)
@@ -81,17 +83,39 @@ def pool_size(jobs: int, tasks: int) -> int:
     return max(1, min(jobs, cpus or 1, tasks))
 
 
+def _longest_chain(ticks, cap: int) -> int:
+    """The most events, at most ``cap``, in one chain of the sorted
+    ``ticks`` whose every gap is in ``GAP_WINDOW``.
+
+    The window starts at 0 and is open there, so events at one tick never
+    chain. Any
+    chain's ticks lie in one run of distinct ticks whose steps are each at
+    most ``GAP_WINDOW.high``, and such a run's ticks are a chain, so the
+    answer is the longest run. The pass stops once a run reaches ``cap``.
+    """
+    longest = run = 0
+    prev = float("-inf")
+    for t in ticks:
+        if t != prev:
+            run = run + 1 if t - prev <= GAP_WINDOW.high else 1
+            if run >= cap:
+                return cap
+            longest = max(longest, run)
+            prev = t
+    return longest
+
+
 def _max_profile(args) -> list[int]:
     """Simulate one random dataset and return max frequency per size."""
     config, max_size = args
     seq = simulate(config).sequence
-    cfg = MiningConfig(max_size=max_size, candidate_intervals=(GAP_WINDOW,), beam_width=_BEAM)
-    levels = mine_serial(seq, cfg)
+    cfg = MiningConfig(max_size=max_size, candidate_intervals=(GAP_WINDOW,), min_count=2)
     maxima = [0] * max_size
-    for level in levels:
+    for level in mine_serial(seq, cfg):
         if level.counts:
             maxima[level.size - 1] = max(c.freq for c in level.counts)
-    return maxima
+    chain = _longest_chain(seq.ticks, max_size)
+    return [m or int(size <= chain) for size, m in enumerate(maxima, 1)]
 
 
 def _min_profile(args) -> list[int]:

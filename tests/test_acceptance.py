@@ -290,8 +290,8 @@ def test_criterion_7_property_suites(tmp_path):
 # -- criterion 8: paper-scale significance ----------------------------------
 
 PAPER_SCALE_SHA256 = {
-    "significance.txt": "c780b93fb16d0cd8289a55967e2b6aa8cdc5a89d3989eef67b2e8a4a68c89065",
-    "significance.csv": "75488c06ac1a940ebd75154695f124aaefcf5ad59167fe1d2628d76fe6eb43ca",
+    "significance.txt": "3e54ef1df70b773062cc574a04a615fcbb60813ff16539ca8ca0ae82692a0f40",
+    "significance.csv": "cd2358245af3901d6310f3c4eab899302e210b751cb134340522d0fd57fd1eed",
 }
 
 
@@ -304,9 +304,10 @@ def test_criterion_8_paper_scale_study(tmp_path, capsys):
     assert main(argv) == 0
     elapsed = time.perf_counter() - t0
     capsys.readouterr()
+    csv = (tmp_path / "significance.csv").read_text()
     for name, digest in PAPER_SCALE_SHA256.items():
-        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
-    rows = [line.split(",") for line in (tmp_path / "significance.csv").read_text().splitlines()[1:]]
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, f"{name}\n{csv}"
+    rows = [line.split(",") for line in csv.splitlines()[1:]]
     assert [int(size) for size, _, _ in rows] == list(range(1, 11))
     worst = min(float(pmin) / float(rmax) for size, rmax, pmin in rows[2:])
     assert worst >= 20.0, f"weakest patterned/random ratio {worst:.1f}"

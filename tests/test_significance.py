@@ -2,7 +2,6 @@ import re
 
 import pytest
 
-from oracles import reference_levels
 import spikemine.significance as significance
 from spikemine import (
     Interval,
@@ -11,6 +10,7 @@ from spikemine import (
     SerialEpisode,
     count_serial_constrained,
     embed_pattern,
+    mine_serial,
     run_significance,
     simulate,
 )
@@ -125,28 +125,34 @@ def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
     assert all(re.fullmatch(r".* in \d+\.\d\d s", line) for line in lines)
 
 
-class FloorZero(MiningConfig):
-    """Keeps every counted candidate, as no mining run does."""
+@pytest.mark.parametrize("config, max_size", [
+    (NetworkConfig(duration=3.0, weight_seed=101, seed=1001), 8),
+    (NetworkConfig(duration=3.0, weight_seed=102, seed=2001), 8),
+    (NetworkConfig(duration=3.0, rate_mode="uniform", lambda_max=14.0, seed=500_001), 8),
+    (NetworkConfig(duration=0.5, weight_seed=101, seed=1001), 10),  # no chain of 8
+    # a beam of the 500 best seeds per level reads 1 at size 5 here
+    (NetworkConfig(weight_seed=102, seed=2002), 5),
+], ids=["weights-3s-a", "weights-3s-b", "uniform-3s", "weights-0.5s", "weights-50s"])
+def test_max_profile_equals_an_unbeamed_floor_1_mine(config, max_size):
+    cfg = MiningConfig(max_size=max_size, candidate_intervals=(Interval(0, 5),))
+    levels = mine_serial(simulate(config).sequence, cfg)
+    maxima = [max((c.freq for c in level.counts), default=0) for level in levels]
+    assert significance._max_profile((config, max_size)) == maxima + [0] * (max_size - len(maxima))
 
-    def count_floor(self, n_events):
-        return 0
 
+def test_longest_chain_counts_distinct_ticks_within_the_window():
+    chain = significance._longest_chain
+    assert chain((), 10) == 0
+    assert chain((0, 5), 10) == 2  # a gap of exactly 5 ticks chains
+    assert chain((0, 6), 10) == 1  # a gap of 6 breaks the chain
+    assert chain((3, 3, 3), 10) == 1  # events at one tick never chain
+    assert chain((0, 5, 5, 11, 12, 17), 10) == 3
 
-@pytest.mark.parametrize("beam", (3, 40))
-def test_max_profile_equals_a_floor_0_mine(beam, monkeypatch):
-    # the study mines at floor 1. A candidate counts at most as often as
-    # either seed it joins, and nonzero seeds rank ahead of zero-count ones
-    # in the beam, so zero-count episodes would only fill the deep levels
-    interval = Interval(0, 5)
-    for config in (NetworkConfig(duration=3.0, weight_seed=101, seed=1001),
-                   NetworkConfig(duration=3.0, weight_seed=102, seed=2001),
-                   NetworkConfig(duration=3.0, rate_mode="uniform", lambda_max=14.0, seed=500_001)):
-        cfg = FloorZero(max_size=6, candidate_intervals=(interval,), beam_width=beam)
-        levels = reference_levels(simulate(config).sequence, cfg, "serial")
-        maxima = [max(c.freq for c in counts) for _, _, counts in levels]
-        assert maxima[-1] == 0  # floor 0 mines levels that floor 1 stops before
-        monkeypatch.setattr(significance, "_BEAM", beam)
-        assert significance._max_profile((config, 6)) == maxima + [0] * (6 - len(maxima))
+    def ticks():
+        yield from (0, 1, 2)
+        pytest.fail("read past the cap")
+
+    assert chain(ticks(), 3) == 3
 
 
 def test_min_profile_one_pass_equals_one_pass_per_size():
