@@ -246,7 +246,7 @@ def cmd_significance(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.scale == "paper":
-        # full-scale run: about 8.7-12.4 s wall, 17.0-23.2 s CPU at --jobs 2 on a 2-core
+        # full-scale run: about 9.8-13.7 s wall, 19.1-26.8 s CPU at --jobs 2 on a 2-core
         # box (Python 3.11); acceptance criterion 8 runs it at --seed 1
         params = dict(weight_seeds=10, noise_runs_per_seed=10, random_rate_runs=50,
                       patterned_runs=20, max_size=args.max_size)

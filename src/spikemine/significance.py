@@ -88,10 +88,10 @@ def _longest_chain(ticks, cap: int) -> int:
     ``ticks`` whose every gap is in ``GAP_WINDOW``.
 
     The window starts at 0 and is open there, so events at one tick never
-    chain. Any
-    chain's ticks lie in one run of distinct ticks whose steps are each at
-    most ``GAP_WINDOW.high``, and such a run's ticks are a chain, so the
-    answer is the longest run. The pass stops once a run reaches ``cap``.
+    chain. Any chain's ticks lie in one run of distinct ticks whose steps
+    are each at most ``GAP_WINDOW.high``, and such a run's ticks are a
+    chain, so the answer is the longest run. The pass stops once a run
+    reaches ``cap``.
     """
     longest = run = 0
     prev = float("-inf")

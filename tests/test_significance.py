@@ -130,7 +130,7 @@ def test_each_finished_dataset_reports_progress(capfd, cpus, jobs):
     (NetworkConfig(duration=3.0, weight_seed=102, seed=2001), 8),
     (NetworkConfig(duration=3.0, rate_mode="uniform", lambda_max=14.0, seed=500_001), 8),
     (NetworkConfig(duration=0.5, weight_seed=101, seed=1001), 10),  # no chain of 8
-    # a beam of the 500 best seeds per level reads 1 at size 5 here
+    # a beam of the 500 best seeds per level misses the size-5 maximum of 2 here
     (NetworkConfig(weight_seed=102, seed=2002), 5),
 ], ids=["weights-3s-a", "weights-3s-b", "uniform-3s", "weights-0.5s", "weights-50s"])
 def test_max_profile_equals_an_unbeamed_floor_1_mine(config, max_size):
