@@ -5,8 +5,7 @@ Two pattern kinds are mined:
 * serial episodes: an ordered tuple of event types with one gap window
   per consecutive pair. The window is left-open right-closed, so a gap
   ``g`` matches ``(low, high]`` iff ``low < g <= high``. Windows are part
-  of episode identity: the same type chain under two different windows is
-  two distinct episodes, counted independently.
+  of episode identity: one type chain under two windows is two episodes.
 * parallel episodes: a multiset of event types (multiplicity matters),
   matched within an expiry span regardless of order.
 
@@ -16,23 +15,24 @@ so an episode sorts, hashes and compares as its tuple and is itself the
 key the counters file and the joins match on.
 
 Candidate growth is level-wise. Serial candidates join a size-k episode's
-(k-1)-suffix against another's (k-1)-prefix, types and windows both;
-no subset pruning is applied beyond the join because gap windows do not
-project onto skipping subepisodes. Parallel candidates use the classic
-sorted-prefix join plus full sub-multiset pruning, which is sound because
-expiry-constrained non-overlapped frequency is monotone under
-sub-multisets. The join of valid episodes is valid, so the joins build
-their results with ``tuple.__new__`` and skip the checks.
+(k-1)-suffix against another's (k-1)-prefix, types and windows both,
+with no subset pruning, as gap windows do not project onto skipping
+subepisodes. Parallel candidates use the sorted-prefix join plus full
+sub-multiset pruning, sound because expiry-constrained non-overlapped
+frequency is monotone under sub-multisets. The join of valid episodes is
+valid, so the joins build with ``tuple.__new__`` and skip the checks.
 
 One level loop, ``mine_levels``, mines both kinds. It works out the
 count floor, takes level 1 from the label counts and level 2 from one
-sweep over the seeds' type pairs, and from level 3 on hands the miner's
-``grow`` each level's seeds. Serial mining grows the seeds' extensions
-(``serial_extensions``) in its trie pass with no join list (``serial``),
-and parallel mining counts the join ``generate_parallel_candidates``.
-Every pass reads the stream's columns (``EventSequence.labels`` and
-``ticks``) in order, in the calling process; a pass from level 3 on
-reads only the events whose type some candidate uses.
+sweep over the type pairs (``count_pairs``: integer type codes, an index
+row of pair slots per type, flat counters, or dicts for wide alphabets,
+and no walk for an event with nothing in reach). From level 3 on it
+hands the miner's ``grow`` each level's seeds: serial mining grows their
+extensions (``serial_extensions``) in its trie pass (``serial``), and
+parallel mining counts the join ``generate_parallel_candidates``. Every
+pass reads the stream's columns (``EventSequence.labels`` and ``ticks``)
+in order, in the calling process; from level 3 on, only the events whose
+type some candidate uses.
 """
 
 from __future__ import annotations
@@ -223,68 +223,83 @@ def label_counts(seq, track: bool) -> dict[str, list]:
     return {x: [n[x], None, at[x]] for x in sorted(seq.alphabet)}
 
 
+class _Row(dict):
+    """Type ``a``'s sparse index row: its slot for code ``x``, made at first use."""
+
+    def __init__(self, a, m, w, ordered):
+        self.a, self.m, self.w, self.ordered = a, m, w, ordered
+
+    def __missing__(self, x):
+        a, m = self.a, self.m
+        s = self[x] = (a * m + x) * self.w if self.ordered else x * m + a if x < a else a * m + x
+        return s
+
+
 def count_pairs(seq, seeds, track: bool, floor: int, windows: Sequence[Interval] = (),
                 expiry: int = 0):
-    """Level 2, grown from the 1-node ``seeds``' types by one sweep over the
-    tick-sorted columns: of serial pairs under the sorted, disjoint gap
-    ``windows``, or, with none, of parallel pairs under ``expiry``.
+    """Level 2 of the 1-node ``seeds``' types in one sweep: serial pairs
+    under the sorted, disjoint ``windows``, or, with none, parallel ones.
 
-    For event ``j`` of type ``x`` at tick ``t`` it walks the earlier events
-    ``i`` in ``[t - reach, t]``, ``reach`` being the highest ``high`` or
-    ``expiry``. Each pair has a slot ``[count, watermark, occurrences]``,
-    made when it first completes,
-    and completes at ``j`` with ``i`` iff ``i > watermark``; the
-    watermark becomes ``j``, so no other ``i`` completes it at ``j``. This
-    is the earliest-completion rule of the counting passes, so counts and
-    occurrences equal theirs. Serial ``a -(w)-> x``: the gap
-    ``t - ticks[i]`` picks the window ``w``, and the walk goes backward,
-    so an occurrence takes the latest ``a`` in ``w``, as the trie's
-    ``back`` chain does. The gaps only grow as it goes, so the window is
-    found by a pointer that only moves forward, and no table of gaps is
-    kept: the memory is the slots', whatever the windows' widths. Parallel
-    ``{a x}``, keyed by the sorted pair (for ``{x x}``, ``i`` is the other
-    ``x``): every gap in the walk is within ``expiry``, and the walk goes
-    forward, so an occurrence takes the earliest usable ``a``, as
-    ``parallel._count`` does. It gives the pairs ``(episode, slot)`` of
-    seed types counted ``floor`` times or more, sorted, and the size of
-    the seeds' join: ``m * m`` pairs per window, or ``m * (m + 1) / 2``
-    multisets, for ``m`` seeds.
+    Types are coded ``0..m-1`` in label order, and each pair of codes has a
+    slot per window, numbered in episode order: ``(a * m + x) * w + k`` for
+    serial ``a -(k)-> x`` under ``w`` windows, ``min * m + max`` for
+    parallel ``{a x}``. Each event carries its type's index row, so
+    ``row[x] + k`` is a slot. For event ``j`` of type ``x`` at tick ``t``
+    the sweep walks the earlier events ``i`` at ticks from ``t - reach``
+    (the highest ``high``, or ``expiry``), if any. A slot completes at
+    ``j`` with ``i`` iff ``i`` is past its watermark, which becomes ``j``:
+    the counting passes' earliest-completion rule. A serial walk goes
+    backward, so an occurrence takes the latest ``a`` in the gap's window
+    (a pointer that only moves forward), as the trie's ``back`` chain does;
+    a parallel one forward (for ``{x x}``, ``i`` is the other ``x``), so it
+    takes the earliest usable ``a`` within ``expiry``, as
+    ``parallel._count`` does. Counts, watermarks and occurrences are flat
+    lists while the slots number at most 4 per event, else dicts with
+    ``_Row`` rows, holding only the pairs that occur; nothing is kept per
+    tick of gap. It gives the pairs ``(episode, slot)`` of seed types
+    counted ``floor`` times or more, sorted, and the join size for ``n``
+    seeds: ``n * n * w`` or ``n * (n + 1) / 2``.
     """
-    labels, ticks = seq.labels, seq.ticks
-    spans = windows or ((-1, expiry),)  # integer ticks: the span is the gaps (-1, expiry]
+    ticks, spans = seq.ticks, windows or ((-1, expiry),)  # integer ticks: gaps (-1, expiry]
     lows, highs = [low for low, _ in spans], [high for _, high in spans]
-    reach = highs[-1]
-    rows = [{} for _ in spans]  # per window: {pair: slot}
+    types, w, reach = sorted(seq.alphabet), len(spans), highs[-1]
+    m, code = len(types), {x: c for c, x in enumerate(types)}
+    if flat := m * m * w <= 4 * len(ticks):
+        rows = [list(range(a * m * w, (a + 1) * m * w, w)) if windows
+                else [*range(a, a * m, m), *range(a * m + a, a * m + m)] for a in range(m)]
+        counts, free = [0] * (m * m * w), [0] * (m * m * w)
+        occs = [[] for _ in counts] if track else None
+    else:
+        rows = [_Row(a, m, w, bool(windows)) for a in range(m)]
+        counts, free, occs = defaultdict(int), defaultdict(int), defaultdict(list)
+    codes = list(map(code.__getitem__, seq.labels))
+    row_at = list(map(rows.__getitem__, codes))
     lo = 0
-    for j, (x, t) in enumerate(zip(labels, ticks)):
+    for j, t in enumerate(ticks):
         while ticks[lo] < t - reach:
             lo += 1
-        k = 0  # the first window whose high is not below the gap
+        if lo == j:
+            continue
+        x, k, after = codes[j], 0, j + 1
         for i in range(j - 1, lo - 1, -1) if windows else range(lo, j):
             gap = t - ticks[i]
             while gap > highs[k]:
                 k += 1
             if gap > lows[k]:
-                row = rows[k]
-                a = labels[i]
-                key = (a, x) if windows or a <= x else (x, a)
-                slot = row.get(key)
-                if slot is None:
-                    slot = row[key] = [0, -1, []]
-                if i > slot[1]:
-                    slot[0] += 1
-                    slot[1] = j
+                s = row_at[i][x] + k
+                if i >= free[s]:  # i is past the watermark, free[s] - 1
+                    counts[s] += 1
+                    free[s] = after
                     if track:
-                        slot[2].append((i, j))
-    types = {ep.etypes[0] for ep in seeds}
-    m = len(types)
-    found = sorted(
-        ((_new(SerialEpisode, (key, (w,))) if windows else _new(ParallelEpisode, (key,)), slot)
-         for w, row in zip(spans, rows) for key, slot in row.items()
-         if slot[0] >= floor and key[0] in types and key[1] in types),
-        key=itemgetter(0),
-    )
-    return found, m * m * len(windows) if windows else m * (m + 1) // 2
+                        occs[s].append((i, j))
+    seeded, found = {code[ep.etypes[0]] for ep in seeds}, []
+    for s in sorted(s for s, n in (enumerate(counts) if flat else counts.items()) if n >= floor):
+        (a, x), k = divmod(s // w, m), s % w
+        if a in seeded and x in seeded:
+            key = (types[a], types[x])
+            ep = _new(SerialEpisode, (key, (spans[k],))) if windows else _new(ParallelEpisode, (key,))
+            found.append((ep, (counts[s], None, occs[s] if track else None)))
+    return found, len(seeded) ** 2 * w if windows else math.comb(len(seeded) + 1, 2)
 
 
 def mine_levels(seq, cfg: MiningConfig, grow, windows: Sequence[Interval] = (),

@@ -289,6 +289,20 @@ def dense_stream(rng: random.Random, types, alphabet) -> EventSequence:
     return EventSequence(events, alphabet=alphabet)
 
 
+def coded_stream(rng: random.Random, n_types: int, max_events=120) -> EventSequence:
+    """A stream of up to ``n_types`` types whose sorted order is not their
+    order of first appearance ("10" sorts before "9", composite labels like
+    "[A B]"), over an alphabet with 1-3 more labels that no event carries."""
+    pool = [str(k) for k in range(1, 40)] + ["[A B]", "[9 10]", "A", "a b"]
+    labels = ["9", "10", "[A B]"] + rng.sample([x for x in pool if x not in ("9", "10", "[A B]")], n_types)
+    types, unused = labels[:n_types], labels[n_types : n_types + rng.randint(1, 3)]
+    t, events = 0, []
+    for x in ["9", "[A B]", "10"] + [rng.choice(types) for _ in range(rng.randint(n_types, max_events))]:
+        t += rng.choice((0, 0, 1, 1, 2, 3))
+        events.append(Event(x, t))
+    return EventSequence(events, alphabet=types + unused)
+
+
 def random_serial_episode(rng: random.Random, seq, min_nodes=2, max_nodes=4) -> SerialEpisode:
     types = sorted(seq.alphabet) or ["A"]
     size = rng.randint(min_nodes, max_nodes)

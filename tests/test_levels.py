@@ -5,6 +5,7 @@ labels)."""
 
 import gc
 import random
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -34,6 +35,7 @@ from spikemine import (
     parallel,
     serial,
 )
+from spikemine.episodes import count_pairs, counted
 
 # sorted: "N1" < "N10" < "N2" < "Z" < "[A B]" < "a" < "b"
 LABELS = ("N2", "N10", "N1", "a", "Z", "b", "[A B]")
@@ -138,6 +140,47 @@ def test_windows_of_any_width_mine_without_a_table_of_gaps():
                            track_occurrences=rng.random() < 0.5)
         for kind, mine in (("serial", mine_serial), ("parallel", mine_parallel)):
             assert plain(mine(seq, cfg)) == reference_levels(seq, cfg, kind), (kind, cfg)
+
+
+def test_wide_alphabets_keep_the_pair_sweep_small():
+    # 10k events over 1000 labels at floor 1: a slot for every pair of type
+    # codes would make a million, so the sweep keeps entries only for the
+    # pairs that occur. The dict-keyed sweep it replaced peaked at 7.4 MiB
+    # (serial) and 6.3 MiB (parallel) under tracemalloc on these streams;
+    # the bound is 16 MiB, about twice that
+    rng = random.Random(1)
+    names = [f"n{k}" for k in range(1000)]
+    t, events = 0, []
+    for _ in range(10_000):
+        t += rng.choice((1, 2, 3, 4))
+        events.append(Event(rng.choice(names), t))
+    seq = EventSequence(events)
+    window = Interval(0, 5)
+    for kind, spec in ((SerialEpisode, {"windows": (window,)}), (ParallelEpisode, {"expiry": 5})):
+        seeds = [kind((x,)) for x in sorted(seq.alphabet)]
+        tracemalloc.start()
+        try:
+            found, _ = count_pairs(seq, seeds, False, 1, **spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20, (kind.__name__, peak)
+        occurring = set()
+        for j in range(len(seq)):
+            i = j - 1
+            while i >= 0 and seq.ticks[j] - seq.ticks[i] <= 5:
+                pair = (seq.labels[i], seq.labels[j])
+                if kind is ParallelEpisode:
+                    occurring.add(ParallelEpisode(pair))
+                elif window.contains(seq.ticks[j] - seq.ticks[i]):
+                    occurring.add(SerialEpisode(pair, (window,)))
+                i -= 1
+        counts = counted(found, False)
+        assert [c.episode for c in counts] == sorted(occurring)
+        for c in rng.sample(counts, 25):
+            oracle = (serial_oracle_count(c.episode, seq) if kind is SerialEpisode
+                      else parallel_oracle_count(c.episode, seq, 5))
+            assert c.freq == oracle, c
 
 
 def test_levels_1_and_2_run_no_counting_pass(monkeypatch):

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from oracles import (
+    coded_stream,
     dense_stream,
     parallel_oracle_count,
     parallel_oracle_occurrences,
@@ -286,3 +287,35 @@ def test_pair_sweep_equals_the_parallel_oracles():
         for floor in (2, 4):
             found, _ = count_pairs(seq, seeds, True, floor, expiry=expiry)
             assert [ep for ep, _ in found] == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]
+
+
+def test_pair_sweep_codes_types_in_label_order():
+    # 8-30 types coded in label order, not by first appearance, alphabet
+    # labels that no event carries, and seeds a strict subset of the types;
+    # a few types over many events keep flat counters, many over few dicts
+    rng = random.Random(919)
+    layouts = set()
+    for _ in range(24):
+        n_types, expiry = rng.randint(8, 30), rng.randint(0, 4)
+        seq = coded_stream(rng, n_types, max_events=4000 // n_types)
+        layouts.add(len(seq.alphabet) ** 2 <= 4 * len(seq))
+        types = sorted(seq.alphabet)
+        seeds = [ParallelEpisode((x,)) for x in rng.sample(types, rng.randint(len(types) // 2, len(types) - 1))]
+        seeded = {ep.etypes[0] for ep in seeds}
+        occurring = {
+            ParallelEpisode((seq.labels[i], seq.labels[j]))
+            for j in range(len(seq)) for i in range(j) if seq.ticks[j] - seq.ticks[i] <= expiry
+        }
+        found, n_candidates = count_pairs(seq, seeds, True, 1, expiry=expiry)
+        assert n_candidates == len(generate_parallel_candidates(seeds))
+        assert [ep for ep, _ in found] == sorted(ep for ep in occurring if set(ep.etypes) <= seeded)
+        results = [c[1:] for c in counted(found, True)]
+        for (ep, _), (freq, occurrences) in zip(found, results):
+            assert occurrences == parallel_oracle_occurrences(ep, seq, expiry) and freq == len(occurrences), ep
+        untracked, _ = count_pairs(seq, seeds, False, 1, expiry=expiry)
+        assert [c.freq for c in counted(untracked, False)] == [freq for freq, _ in results]
+        for floor in (2, 4):
+            kept = [(ep, r) for (ep, _), r in zip(found, results) if r[0] >= floor]
+            found_at, _ = count_pairs(seq, seeds, True, floor, expiry=expiry)
+            assert [(c.episode, c[1:]) for c in counted(found_at, True)] == kept
+    assert layouts == {True, False}

@@ -5,6 +5,7 @@ from collections import deque
 import pytest
 
 from oracles import (
+    coded_stream,
     dense_stream,
     parallel_oracle_occurrences,
     random_sequence,
@@ -399,6 +400,36 @@ def test_pair_sweep_equals_the_oracles_under_every_window():
             found, _ = pair_sweep(seq, windows, seeds, floor=floor)
             assert found == [ep for ep in pairs if swept.get(ep, (0,))[0] >= floor]
     assert 0 in lows
+
+
+def test_pair_sweep_codes_types_in_label_order():
+    # 8-30 types coded in label order, not by first appearance, alphabet
+    # labels that no event carries, and seeds a strict subset of the types;
+    # a few types over many events keep flat counters, many over few dicts
+    rng = random.Random(909)
+    layouts = set()
+    for _ in range(24):
+        n_types = rng.randint(8, 30)
+        seq = coded_stream(rng, n_types, max_events=4000 // n_types)
+        windows = random_windows(rng, first_low=rng.choice((0, 1)))
+        layouts.add(len(seq.alphabet) ** 2 * len(windows) <= 4 * len(seq))
+        ones = bootstrap_serial(seq.alphabet)
+        seeds = rng.sample(ones, rng.randint(len(ones) // 2, len(ones) - 1))
+        seeded = {ep.etypes[0] for ep in seeds}
+        occurring = {
+            SerialEpisode((seq.labels[i], seq.labels[j]), (w,))
+            for j in range(len(seq)) for i in range(j)
+            for w in windows if w.contains(seq.ticks[j] - seq.ticks[i])
+        }
+        found, results = pair_sweep(seq, windows, seeds)
+        assert found == sorted(ep for ep in occurring if set(ep.etypes) <= seeded)
+        for ep, (freq, occurrences) in zip(found, results):
+            assert occurrences == serial_oracle_occurrences(ep, seq) and freq == len(occurrences), ep
+        assert pair_sweep(seq, windows, seeds, track=False)[1] == [freq for freq, _ in results]
+        for floor in (2, 4):
+            kept = [(ep, r) for ep, r in zip(found, results) if r[0] >= floor]
+            assert list(zip(*pair_sweep(seq, windows, seeds, floor=floor))) == kept
+    assert layouts == {True, False}
 
 
 def random_seeds(rng, seq, windows, size):
