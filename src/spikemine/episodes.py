@@ -320,9 +320,9 @@ def mine_levels(seq, cfg: MiningConfig, grow, windows: Sequence[Interval] = (),
 
     The loop pauses the cyclic garbage collector and, on return or raise,
     turns it back on only if it was on at entry. Mining makes no reference
-    cycles (a trie node points only to its children, a time-list entry's
-    ``back`` only to an earlier entry, slots hold lists of tuples), so a
-    collection would only walk the live trie, slots and results again.
+    cycles (a trie node points only to its children, an entry only to its
+    node and by ``back`` to an earlier entry, slots hold lists of tuples),
+    so a collection would only walk the trie, entries and results again.
     The pause is process-wide: a thread running beside the call finds the
     collector off until the call returns.
     """

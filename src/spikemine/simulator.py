@@ -138,8 +138,8 @@ class NetworkConfig:
                 raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.num_neurons < 1:
             raise ConfigError("num_neurons must be >= 1")
-        if self.weight_bound < 0:
-            raise ConfigError("weight_bound must be >= 0")
+        if math.copysign(1, self.weight_bound) < 0 or not math.isfinite(2 * self.weight_bound):
+            raise ConfigError("weight_bound must be >= 0, not -0, with 2 * weight_bound finite")
         if self.lambda_max <= 0 or self.delta_t <= 0 or self.duration <= 0:
             raise ConfigError("lambda_max, delta_t and duration must be positive")
         span = self.duration / self.delta_t  # inf if the quotient overflows
@@ -403,8 +403,12 @@ def parse_network_config(path) -> NetworkConfig:
     values: dict[str, object] = {}
     too_large = None  # a grid-size error that a later field line may still lift
     edge_specs: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikemine.cli import main
+from spikemine.simulator import NetworkConfig
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -532,6 +534,57 @@ def test_non_finite_config_exits_3_with_line(tmp_path, capsys, line):
     assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 3
     assert f"{cfg}:2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["weight_bound = 1e308", "weight_bound = -0", "weight_bound = -0.5"])
+def test_bad_weight_bound_exits_3_with_line(tmp_path, capsys, line):
+    # 1e308 would overflow numpy's draw from (-bound, bound), and -0 passes
+    # a plain ``< 0`` check yet makes that range negative
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(f"num_neurons = 3\n{line}\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg), "--duration", "1"]) == 3
+    assert f"{cfg}:2: weight_bound must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", ["0", "8.9e307"])
+def test_weight_bound_edges_simulate(tmp_path, bound):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text(f"num_neurons = 3\nweight_bound = {bound}\n")
+    assert main(["simulate", str(tmp_path / "o.csv"), "--config", str(cfg), "--duration", "0.1"]) == 0
+
+
+def test_config_that_is_not_utf8_exits_3_with_line(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_bytes(b"num_neurons = 3\nrate_mode = \xff\n")
+    assert main(["simulate", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
+    assert f"{cfg}:2: not UTF-8 text" in capsys.readouterr().err
+
+
+config_keys = [f.name for f in fields(NetworkConfig) if f.name != "strong_edges"] + ["edge"]
+# no negative exponent: with the closing ``duration`` line below, delta_t >= 1e-4
+# keeps a run to 100 steps, and num_neurons stays below 1000
+config_value = st.sampled_from(["-0", "nan", "inf", "1e308", "network", "uniform", "A,B,11,5", "B,C,1,7.5"]) | (
+    st.from_regex(r"[0-9]{1,2}(\.[0-9]{1,3})?", fullmatch=True)
+) | st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,4})?(e[0-9]{1,3})?", fullmatch=True)
+config_lines = st.tuples(
+    st.sampled_from(config_keys + ["", "#", " bogus "]), st.sampled_from([" = ", " = ", "=", " ", "=="]),
+    config_value,
+).map("".join)
+config_text = st.binary(max_size=200) | st.lists(config_lines, max_size=6).map(
+    lambda lines: "\n".join(lines).encode()
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(content=config_text, pattern=st.sampled_from([None, "none", "example1", "example3", "chain-4", "ring"]))
+def test_fuzz_config_exits_0_or_3(fuzz_dir, content, pattern):
+    path = fuzz_dir / "fuzz.cfg"
+    # later lines win, so every run is short, far below MAX_GRID_CELLS
+    path.write_bytes(content + b"\nduration = 0.01\n")
+    argv = ["simulate", str(fuzz_dir / "fuzz.sim.csv"), "--config", str(path)]
+    assert exit_code(argv + (["--pattern", pattern] if pattern else [])) in (0, 3)
 
 
 @pytest.mark.parametrize("value", ["1e300", "1e7"])

@@ -115,6 +115,68 @@ def test_tracking_picks_latest_valid_predecessor():
     assert res.occurrences == ((1, 2),)
 
 
+@pytest.mark.parametrize("cfg", [None, TRACK])
+def test_root_events_in_one_window_make_one_child_entry_each(monkeypatch, cfg):
+    # every entry the pass makes is recorded. A -(w)-> B's node gets one entry
+    # per B event with an A inside w, never more however many As are there,
+    # and it starts at the latest of those As, its ``back`` when tracked
+    made = []
+
+    class RecordedDeque(deque):
+        def append(self, entry):
+            made.append(entry)
+            super().append(entry)
+
+    monkeypatch.setattr(serial, "deque", RecordedDeque)
+    rng = random.Random(4141)
+    bursts = 0
+    for _ in range(40):
+        seq = random_sequence(rng, max_events=80, max_types=2)
+        low = rng.randint(0, 2)
+        w = Interval(low, low + rng.randint(1, 4))
+        ep = SerialEpisode(("A", "B", "A"), (w, Interval(0, 3)))
+        made.clear()
+        (res,) = count_serial_constrained([ep], seq, cfg)
+        assert res.freq == serial_oracle_count(ep, seq)
+        if cfg:
+            assert res.occurrences == serial_oracle_occurrences(ep, seq)
+        latest = {}  # B event -> the latest A inside w before it
+        for i, ev in enumerate(seq):
+            inside = [j for j in range(i) if seq[j].etype == "A" and w.low < ev.time - seq[j].time <= w.high]
+            if ev.etype == "B" and inside:
+                latest[i] = inside[-1]
+                bursts += len(inside) > 1
+        children = [entry for entry in made if entry[2] != entry[1]]  # a root entry starts at itself
+        assert {entry[1]: entry[2] for entry in children} == latest
+        assert len(children) == len(latest)
+        for entry in children:
+            assert entry[3] is None if cfg is None else entry[3][1] == entry[2]
+    assert bursts > 0
+
+
+def test_repeated_type_multi_window_chains_count_as_alone():
+    # chains of one type over touching windows, on streams with same-tick
+    # bursts: an event may sit in several windows of one entry and at
+    # several nodes of one chain, yet each candidate counts as it does alone
+    rng = random.Random(5151)
+    windows = (Interval(0, 2), Interval(2, 4))
+    for case in range(12):
+        events, t = [], 0
+        for _ in range(rng.randint(20, 70)):
+            t += rng.choice((0, 0, 0, 1, 2, 3, 5))
+            events.append(Event(rng.choice("AAB"), t))
+        seq = EventSequence(events)
+        eps = generate_serial_candidates(bootstrap_serial("A"), windows)
+        eps += generate_serial_candidates(eps, windows)
+        eps += [SerialEpisode(("A", "B", "A"), windows), SerialEpisode(("A", "A", "B"), windows[::-1])]
+        rng.shuffle(eps)
+        shared = check_shared_pass(eps, seq)
+        for ep, res, plain in zip(eps, shared, count_serial_constrained(eps, seq)):
+            assert res.occurrences == serial_oracle_occurrences(ep, seq), ep
+            assert plain.freq == res.freq, ep
+    assert SerialEpisode(("A", "A", "A"), windows) in eps
+
+
 def oracle_sweep(cases, seed):
     rng = random.Random(seed)
     for _ in range(cases):
