@@ -90,15 +90,20 @@ def _manifest_path(out: Path) -> Path:
 
 
 def _parse_intervals_ms(spec: str, tick_seconds: Fraction) -> tuple[Interval, ...]:
-    """'a-b,c-d' in milliseconds -> tick intervals (a,b],(c,d]; ValueError if malformed."""
+    """'a-b,c-d' in milliseconds -> sorted tick intervals (a,b],(c,d]; ValueError if
+    malformed, naming the text, as a tick count may run to hundreds of digits."""
     intervals = []
     for part in spec.split(","):
         lo_txt, sep, hi_txt = part.strip().partition("-")
         if not sep:
             raise ValueError(f"bad interval {part!r}, expected LOW-HIGH in ms")
-        intervals.append(
-            Interval(ms_to_ticks(lo_txt, tick_seconds), ms_to_ticks(hi_txt, tick_seconds))
-        )
+        lo, hi = ms_to_ticks(lo_txt, tick_seconds), ms_to_ticks(hi_txt, tick_seconds)
+        if lo >= hi:
+            raise ValueError(f"bad interval {part!r}, LOW must be below HIGH")
+        intervals.append(Interval(lo, hi))
+    intervals.sort()
+    if any(b.low < a.high for a, b in zip(intervals, intervals[1:])):
+        raise ValueError(f"intervals {spec!r} overlap")
     return tuple(intervals)
 
 
@@ -180,7 +185,7 @@ def cmd_mine(args) -> int:
         cfg = MiningConfig(
             freq_threshold=args.threshold,
             max_size=args.max_size,
-            candidate_intervals=tuple(sorted(intervals)),
+            candidate_intervals=intervals,
             expiry=expiry,
             min_count=args.min_count,
         )

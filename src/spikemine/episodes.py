@@ -64,9 +64,6 @@ class Interval(namedtuple("Interval", "low high")):
             raise ValueError(f"require 0 <= low < high, got ({low}, {high}]")
         return _new(cls, (low, high))
 
-    def contains(self, gap: int) -> bool:
-        return self.low < gap <= self.high
-
     def __str__(self) -> str:
         return f"({self.low},{self.high}]"
 
@@ -115,9 +112,6 @@ class ParallelEpisode(namedtuple("ParallelEpisode", "etypes")):
     @property
     def size(self) -> int:
         return len(self.etypes)
-
-    def multiplicities(self) -> Counter:
-        return Counter(self.etypes)
 
     def __str__(self) -> str:
         return "{" + " ".join(self.etypes) + "}"
@@ -366,9 +360,7 @@ def is_subepisode(beta: Episode, alpha: Episode) -> bool:
         it = iter(alpha.etypes)
         return all(t in it for t in beta.etypes)
     if isinstance(beta, ParallelEpisode) and isinstance(alpha, ParallelEpisode):
-        need = beta.multiplicities()
-        have = alpha.multiplicities()
-        return all(have[t] >= m for t, m in need.items())
+        return Counter(beta.etypes) <= Counter(alpha.etypes)
     raise TypeError(
         f"cannot compare {type(beta).__name__} against {type(alpha).__name__}"
     )

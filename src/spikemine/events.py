@@ -76,6 +76,11 @@ def decimal_ratio(text: str) -> tuple[int, int]:
     return value.as_integer_ratio()
 
 
+def _short(value: Fraction) -> str:
+    """``value`` to six significant digits, for a message: 1e+400, not 401 digits."""
+    return f"{(Decimal(value.numerator) / value.denominator).normalize():.6g}"
+
+
 def as_tick_seconds(value: TickSeconds) -> Fraction:
     """Coerce a tick duration to an exact positive Fraction.
 
@@ -91,7 +96,7 @@ def as_tick_seconds(value: TickSeconds) -> Fraction:
     else:
         raise TypeError(f"unsupported tick_seconds type: {type(value)!r}")
     if tick <= 0:
-        raise ValueError(f"tick_seconds must be positive, got {tick}")
+        raise ValueError(f"tick_seconds must be positive, got {_short(tick)}")
     return tick
 
 
@@ -108,7 +113,8 @@ def ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
         raise ValueError(f"bad millisecond value {text!r}") from None
     ticks, rest = divmod(num * tick_seconds.denominator, den * 1000 * tick_seconds.numerator)
     if rest:
-        raise ValueError(f"{text} ms is not a whole number of ticks at {tick_seconds}s/tick")
+        raise ValueError(f"{text} ms is not a whole number of ticks "
+                         f"at {_short(tick_seconds)} s/tick")
     return ticks
 
 

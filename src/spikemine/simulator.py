@@ -67,7 +67,7 @@ import re
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
-from .events import EventSequence, as_tick_seconds, ms_to_ticks, seconds_formatter
+from .events import EventSequence, as_tick_seconds, ms_to_ticks
 
 _LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -87,8 +87,8 @@ class ConfigError(ValueError):
     """Bad simulator configuration, from file or from field validation."""
 
 
-class _GridTooLarge(ConfigError):
-    """A grid-size error, which a later line of a config file may lift."""
+class _GridSize(ConfigError):
+    """A grid too large or of no step, which a later line of a config file may lift."""
 
 
 def neuron_labels(n: int) -> tuple[str, ...]:
@@ -145,8 +145,10 @@ class NetworkConfig:
         span = self.duration / self.delta_t  # inf if the quotient overflows
         if (self.num_neurons ** 2 > MAX_GRID_CELLS or span == math.inf
                 or self.steps * self.num_neurons > MAX_GRID_CELLS):
-            raise _GridTooLarge(f"{span:g} steps x {self.num_neurons} neurons exceeds "
-                                f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+            raise _GridSize(f"{span:g} steps x {self.num_neurons} neurons exceeds "
+                            f"MAX_GRID_CELLS = {MAX_GRID_CELLS}")
+        if self.steps < 1:
+            raise _GridSize(f"duration / delta_t = {span:g} rounds to 0 steps")
         if self.synaptic_delay_steps < 1:
             raise ConfigError("synaptic_delay_steps must be >= 1")
         if self.refractory_steps < 1:
@@ -166,10 +168,6 @@ class NetworkConfig:
     @property
     def labels(self) -> tuple[str, ...]:
         return neuron_labels(self.num_neurons)
-
-    @property
-    def resting_rate(self) -> float:
-        return float(update_rates([0.0], self)[0])
 
 
 @dataclass(frozen=True)
@@ -325,13 +323,8 @@ def _fan_chain(stages: list[str], delay_ms: float):
     fires; fan-in edges out of a group use the coincidence-detector class
     so only synchronous group firing propagates, not background singles.
     """
-    hops = []
-    for src_stage, dst_stage in zip(stages, stages[1:]):
-        kind = "group" if len(src_stage) > 1 else "strong"
-        for s in src_stage:
-            for d in dst_stage:
-                hops.append((s, d, delay_ms, kind))
-    return hops
+    return [(s, d, delay_ms, "group" if len(src) > 1 else "strong")
+            for src, dst in zip(stages, stages[1:]) for s in src for d in dst]
 
 
 def _pattern_edges(name: str, config: NetworkConfig):
@@ -369,22 +362,11 @@ def embed_pattern(config: NetworkConfig, pattern: str) -> NetworkConfig:
     """Return a copy of ``config`` with the named topology as strong edges."""
     if pattern in ("", "none"):
         return replace(config, strong_edges=())
-    weight_of = {
-        "strong": config.strong_weight,
-        "relay": config.relay_weight,
-        "group": config.group_weight,
-    }
-    tick = as_tick_seconds(config.delta_t)
-    edges = []
-    for src, dst, delay_ms, kind in _pattern_edges(pattern, config):
-        edges.append(
-            StrongEdge(
-                _idx(src, config.num_neurons),
-                _idx(dst, config.num_neurons),
-                weight_of[kind],
-                _delay_steps(str(delay_ms), tick),
-            )
-        )
+    tick, n = as_tick_seconds(config.delta_t), config.num_neurons
+    # an edge's kind, strong, relay or group, names its weight field
+    edges = [StrongEdge(_idx(src, n), _idx(dst, n), getattr(config, f"{kind}_weight"),
+                        _delay_steps(str(delay_ms), tick))
+             for src, dst, delay_ms, kind in _pattern_edges(pattern, config)]
     return replace(config, strong_edges=tuple(sorted(edges)))
 
 
@@ -401,7 +383,7 @@ def parse_network_config(path) -> NetworkConfig:
     """Read a key=value config file; errors carry the line number."""
     config = NetworkConfig()
     values: dict[str, object] = {}
-    too_large = None  # a grid-size error that a later field line may still lift
+    bad_grid = None  # a grid-size error that a later field line may still lift
     edge_specs: list[tuple[int, str]] = []
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -422,17 +404,17 @@ def parse_network_config(path) -> NetworkConfig:
             elif key in _FIELD_PARSERS:
                 try:
                     values[key] = _FIELD_PARSERS[key](value)
-                    config, too_large = NetworkConfig(**values), None
-                except _GridTooLarge as exc:
-                    too_large = too_large or ConfigError(f"{path}:{lineno}: {exc}")
+                    config, bad_grid = NetworkConfig(**values), None
+                except _GridSize as exc:
+                    bad_grid = bad_grid or ConfigError(f"{path}:{lineno}: {exc}")
                 except ConfigError as exc:
                     raise ConfigError(f"{path}:{lineno}: {exc}") from None
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
             else:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-    if too_large:
-        raise too_large
+    if bad_grid:
+        raise bad_grid
     tick = as_tick_seconds(config.delta_t)
     edges = []
     for lineno, spec in edge_specs:
@@ -450,16 +432,3 @@ def parse_network_config(path) -> NetworkConfig:
     if edges:
         config = replace(config, strong_edges=tuple(sorted(edges)))
     return config
-
-
-def write_network_config(config: NetworkConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# network configuration\n")
-        for key in _FIELD_PARSERS:
-            if getattr(config, key) is not None:
-                fh.write(f"{key} = {getattr(config, key)}\n")
-        labels = config.labels
-        delay_ms = seconds_formatter(as_tick_seconds(config.delta_t) * 1000)
-        for edge in config.strong_edges:
-            src, dst = labels[edge.src], labels[edge.dst]
-            fh.write(f"edge = {src},{dst},{edge.weight},{delay_ms(edge.delay_steps)}\n")

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -7,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spikemine.cli import main
@@ -340,12 +342,23 @@ spike_csv = st.binary(max_size=200) | st.lists(csv_lines, max_size=12).map(
 )
 
 
-def exit_code(argv):
-    """``main``'s return value, or the code of the SystemExit argparse raises."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
+def run(argv):
+    """``main``'s return value, or the code of the SystemExit argparse raises,
+    and the ``error:`` lines the run printed."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+
+
+def one_short_error(code, errors, *echoed):
+    """A refused run prints one ``error:`` line: a short message that may echo
+    one of ``echoed`` (an input text), and no number built from it."""
+    limit = 100 + max(len(repr(text)) for text in echoed)
+    return len(errors) == (code != 0) and all(len(line) <= limit for line in errors)
 
 
 @settings(max_examples=150, deadline=None)
@@ -355,7 +368,7 @@ def test_fuzz_spike_csv_exits_0_or_2(fuzz_dir, content):
     path.write_bytes(content)
     argv = ["mine", "serial", str(path), "--out", str(fuzz_dir / "fuzz.out"),
             "--intervals", "0-4,4-6", "--min-count", "1", "--max-size", "3"]
-    assert exit_code(argv) in (0, 2)
+    assert run(argv)[0] in (0, 2)
 
 
 ms_value = st.from_regex(r"-?[0-9]{0,3}(\.[0-9]{0,3})?(e-?[0-9]{1,3})?", fullmatch=True)
@@ -380,7 +393,9 @@ def test_fuzz_option_text_exits_0_or_1(fuzz_dir, tick, intervals, expiry):
     argv = ["mine", "synfire", str(fuzz_dir / "tiny.csv"), "--out", str(fuzz_dir / "opt.out"),
             "--min-count", "1", "--max-size", "3",
             f"--tick={tick}", f"--intervals={intervals}", f"--expiry={expiry}"]
-    assert exit_code(argv) in (0, 1)
+    code, errors = run(argv)
+    assert code in (0, 1)
+    assert one_short_error(code, errors, tick, intervals, expiry), errors
 
 
 def test_significance_max_size_below_1_exits_1(tmp_path, monkeypatch):
@@ -579,12 +594,20 @@ config_text = st.binary(max_size=200) | st.lists(config_lines, max_size=6).map(
 
 @settings(max_examples=150, deadline=None)
 @given(content=config_text, pattern=st.sampled_from([None, "none", "example1", "example3", "chain-4", "ring"]))
+@example(content=b"delta_t = 50", pattern=None)  # 0.01 s is no step of 50 s
 def test_fuzz_config_exits_0_or_3(fuzz_dir, content, pattern):
     path = fuzz_dir / "fuzz.cfg"
     # later lines win, so every run is short, far below MAX_GRID_CELLS
     path.write_bytes(content + b"\nduration = 0.01\n")
-    argv = ["simulate", str(fuzz_dir / "fuzz.sim.csv"), "--config", str(path)]
-    assert exit_code(argv + (["--pattern", pattern] if pattern else [])) in (0, 3)
+    out = fuzz_dir / "fuzz.sim.csv"
+    code, errors = run(["simulate", str(out), "--config", str(path)]
+                       + (["--pattern", pattern] if pattern else []))
+    assert code in (0, 3)
+    assert one_short_error(code, errors, str(path), *content.splitlines()), errors
+    if code == 0:  # a run of no step is refused
+        manifest = dict(line.split(" = ", 1) for line in
+                        Path(f"{out}.manifest").read_text().splitlines()[1:])
+        assert round(float(manifest["config.duration"]) / float(manifest["config.delta_t"])) >= 1
 
 
 @pytest.mark.parametrize("value", ["1e300", "1e7"])
@@ -602,6 +625,52 @@ def test_oversized_config_duration_exits_3_with_line(tmp_path, capsys):
     assert main(["simulate", str(out), "--config", str(cfg)]) == 3
     assert f"{cfg}:2:" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_zero_step_duration_exits_3(tmp_path, capsys):
+    assert main(["simulate", str(tmp_path / "o.csv"), "--duration", "0.0004"]) == 3
+    assert "duration / delta_t = 0.4 rounds to 0 steps" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_zero_step_config_exits_3_with_line(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("delta_t = 10\nduration = 1\n")
+    out = tmp_path / "o.csv"
+    assert main(["simulate", str(out), "--config", str(cfg)]) == 3
+    assert f"{cfg}:2: duration / delta_t = 0.1 rounds to 0 steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_config_tick_message_is_short(tmp_path, capsys):
+    cfg = tmp_path / "net.cfg"
+    cfg.write_text("delta_t = 1e300\nduration = 1e301\nedge = A,B,11,5\n")
+    assert main(["simulate", str(tmp_path / "o.csv"), "--config", str(cfg)]) == 3
+    (err,) = capsys.readouterr().err.splitlines()
+    assert err == f"error: {cfg}:3: edge delay: 5 ms is not a whole number of ticks at 1e+300 s/tick"
+
+
+@pytest.mark.parametrize(
+    "tick,named", [("1e400", "4 ms is not a whole number of ticks at 1e+400 s/tick"),
+                   ("-1e400", "must be positive, got -1e+400")],
+    ids=["1e400", "-1e400"],
+)
+def test_huge_tick_message_is_short(tiny_csv, capsys, tick, named):
+    assert main(["mine", "serial", str(tiny_csv), "--intervals", "4-6", f"--tick={tick}"]) == 1
+    (err,) = capsys.readouterr().err.splitlines()
+    assert named in err and len(err) < 80
+
+
+@pytest.mark.parametrize(
+    "intervals,message",
+    [("0--1e70", "bad interval '0--1e70', LOW must be below HIGH"),
+     ("0-1e70,1-2", "intervals '0-1e70,1-2' overlap")],
+    ids=["inverted", "overlapping"],
+)
+def test_bad_windows_are_named_by_their_text(tiny_csv, capsys, intervals, message):
+    # in ticks, the first window's bound would run to 74 digits
+    assert main(["mine", "serial", str(tiny_csv), f"--intervals={intervals}"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unknown_pattern_exits_3(tmp_path):

@@ -29,16 +29,6 @@ def serial(*types, iv=(0, 5)):
 
 
 class TestInterval:
-    def test_membership_is_left_open_right_closed(self):
-        iv = Interval(2, 4)
-        assert not iv.contains(2)
-        assert iv.contains(3)
-        assert iv.contains(4)
-        assert not iv.contains(5)
-
-    def test_zero_gap_never_matches(self):
-        assert not Interval(0, 5).contains(0)
-
     @pytest.mark.parametrize("lo,hi", [(-1, 3), (3, 3), (5, 2)])
     def test_bad_bounds(self, lo, hi):
         with pytest.raises(ValueError):

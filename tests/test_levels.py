@@ -172,7 +172,7 @@ def test_wide_alphabets_keep_the_pair_sweep_small():
                 pair = (seq.labels[i], seq.labels[j])
                 if kind is ParallelEpisode:
                     occurring.add(ParallelEpisode(pair))
-                elif window.contains(seq.ticks[j] - seq.ticks[i]):
+                elif window.low < seq.ticks[j] - seq.ticks[i] <= window.high:
                     occurring.add(SerialEpisode(pair, (window,)))
                 i -= 1
         counts = counted(found, False)

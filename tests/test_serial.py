@@ -481,7 +481,7 @@ def test_pair_sweep_codes_types_in_label_order():
         occurring = {
             SerialEpisode((seq.labels[i], seq.labels[j]), (w,))
             for j in range(len(seq)) for i in range(j)
-            for w in windows if w.contains(seq.ticks[j] - seq.ticks[i])
+            for w in windows if w.low < seq.ticks[j] - seq.ticks[i] <= w.high
         }
         found, results = pair_sweep(seq, windows, seeds)
         assert found == sorted(ep for ep in occurring if set(ep.etypes) <= seeded)

@@ -15,11 +15,7 @@ from spikemine import (
     simulate,
     update_rates,
 )
-from spikemine.simulator import (
-    MAX_GRID_CELLS,
-    neuron_labels,
-    write_network_config,
-)
+from spikemine.simulator import MAX_GRID_CELLS, neuron_labels
 
 from oracles import simulate_oracle
 
@@ -84,7 +80,8 @@ class TestSimulate:
         assert 26_000 * 0.85 <= run.total_spikes <= 26_000 * 1.15
         # per-neuron counts near the binomial expectation of the resting rate
         steps = cfg.steps
-        p = -math.expm1(-cfg.resting_rate * cfg.delta_t)
+        (rate,) = update_rates([0.0], cfg)
+        p = -math.expm1(-rate * cfg.delta_t)
         mean, sigma = steps * p, math.sqrt(steps * p * (1 - p))
         per = {label: 0 for label in cfg.labels}
         for ev in run.sequence:
@@ -296,10 +293,12 @@ class TestGridBound:
 
     def test_field_order_does_not_matter(self, tmp_path):
         # 3000 neurons over the default 50 s exceed the bound until duration is read
-        cfg = NetworkConfig(num_neurons=3000, duration=10.0)
         path = tmp_path / "wide.cfg"
-        write_network_config(cfg, path)
-        assert parse_network_config(path) == cfg
+        path.write_text("num_neurons = 3000\nduration = 10.0\n")
+        assert parse_network_config(path) == NetworkConfig(num_neurons=3000, duration=10.0)
+        # and a 100 s step gives the default 50 s no step until duration is read
+        path.write_text("delta_t = 100\nduration = 1000\n")
+        assert parse_network_config(path).steps == 10
         path.write_text("num_neurons = 3000\nseed = 4\n")
         with pytest.raises(ConfigError, match=":1:.*MAX_GRID_CELLS"):
             parse_network_config(path)
@@ -355,30 +354,62 @@ class TestPatterns:
             embed_pattern(NetworkConfig(num_neurons=4), "chain-5")
 
 
+EXAMPLE2_CONFIG = """\
+# network configuration
+num_neurons = 12
+weight_bound = 0.5
+lambda_max = 5000.0
+rate_offset = 6.5699
+delta_t = 0.001
+synaptic_delay_steps = 5
+refractory_steps = 1
+duration = 3.5
+seed = 42
+weight_seed = 7
+strong_weight = 11.0
+relay_weight = 6.41
+group_weight = 3.21
+rate_mode = network
+edge = A,B,11.0,5
+edge = A,C,11.0,5
+edge = A,D,11.0,5
+edge = B,E,3.21,5
+edge = C,E,3.21,5
+edge = D,E,3.21,5
+edge = E,F,11.0,5
+edge = E,G,11.0,5
+edge = E,H,11.0,5
+edge = E,I,11.0,5
+edge = F,J,3.21,5
+edge = G,J,3.21,5
+edge = H,J,3.21,5
+edge = I,J,3.21,5
+edge = J,K,11.0,5
+edge = J,L,11.0,5
+"""
+
+
 class TestConfigFile:
     def test_roundtrip(self, tmp_path):
-        cfg = embed_pattern(
+        # every field and every edge of the example-2 config, read back from text
+        path = tmp_path / "net.cfg"
+        path.write_text(EXAMPLE2_CONFIG)
+        assert parse_network_config(path) == embed_pattern(
             NetworkConfig(num_neurons=12, seed=42, weight_seed=7, duration=3.5), "example2"
         )
-        path = tmp_path / "net.cfg"
-        write_network_config(cfg, path)
-        again = parse_network_config(path)
-        assert again == cfg
 
     def test_roundtrip_past_26_neurons(self, tmp_path):
         # 30 neurons are labelled N0..N29, which the edge lines must read back
-        cfg = NetworkConfig(num_neurons=30, strong_edges=(StrongEdge(3, 5, 11.0, 5),))
         path = tmp_path / "net.cfg"
-        write_network_config(cfg, path)
-        assert "edge = N3,N5,11.0,5\n" in path.read_text()
+        path.write_text("num_neurons = 30\nedge = N3,N5,11.0,5\n")
+        cfg = NetworkConfig(num_neurons=30, strong_edges=(StrongEdge(3, 5, 11.0, 5),))
         assert parse_network_config(path) == cfg
 
-    @pytest.mark.parametrize("delta_t,delay_steps", [(0.0001, 1234567), (0.0003, 7)])
-    def test_roundtrip_keeps_every_delay_step(self, tmp_path, delta_t, delay_steps):
-        cfg = NetworkConfig(num_neurons=3, delta_t=delta_t,
-                            strong_edges=(StrongEdge(0, 1, 11.0, delay_steps),))
+    def test_roundtrip_keeps_every_delay_step(self, tmp_path):
         path = tmp_path / "net.cfg"
-        write_network_config(cfg, path)
+        path.write_text("num_neurons = 3\ndelta_t = 0.0001\nedge = A,B,11.0,123456.7\n")
+        cfg = NetworkConfig(num_neurons=3, delta_t=0.0001,
+                            strong_edges=(StrongEdge(0, 1, 11.0, 1234567),))
         assert parse_network_config(path) == cfg
 
     def test_delay_must_be_whole_steps(self, tmp_path):
