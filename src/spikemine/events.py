@@ -15,7 +15,10 @@ arithmetic:
   else it is refused (ms_to_ticks; the CLI exits 1, or 3 for a config);
 * ticks are written back as decimal text (seconds_formatter) exactly when
   the tick is a decimal fraction, else to the fewest places that stay
-  within half a tick, so write-then-parse reproduces every tick.
+  within half a tick, so write-then-parse reproduces every tick. The
+  writer formats the whole tick column at once: each whole part is one
+  integer division, and each fraction text comes from a table filled
+  once per tick remainder, so no Python function runs per event.
 
 File format (spike CSV): UTF-8 text, ``#``-prefixed comment lines allowed,
 data lines ``label,seconds`` with a non-negative decimal time.
@@ -23,6 +26,7 @@ data lines ``label,seconds`` with a non-negative decimal time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -119,25 +123,33 @@ def ms_to_ticks(text: str, tick_seconds: Fraction) -> int:
 
 
 def seconds_formatter(tick: Fraction):
-    """Ticks -> the decimal text of ``ticks * tick`` that half-up quantization
-    reads back as ``ticks``, with the per-tick constants computed once.
+    """A tick column -> the decimal texts of ``ticks * tick`` that half-up
+    quantization reads back as those ticks, with the per-tick constants
+    computed once and no Python call per tick.
 
     Exact when the reduced denominator of ``tick`` divides a power of ten;
     otherwise rounded to the fewest places that stay within half a tick.
     Trailing zeros are dropped. A tick in milliseconds gives milliseconds.
+
+    A text is ``(ticks * scale + half) // den`` with its last ``places``
+    digits after the point. Its whole part is one integer division by
+    ``den * 10**places``; its fraction repeats with the tick every
+    ``period`` ticks, so it comes from a table of the remainders that occur.
     """
     num, den = tick.numerator, tick.denominator
     exact = 10 ** den.bit_length() % den == 0  # den has no prime factor but 2 and 5
     places = 0
     while (10**places % den if exact else 10**places * num <= den):
         places += 1
-    scale, half, width = num * 10**places, den // 2, places + 1
+    scale, half, unit = num * 10**places, den // 2, den * 10**places
+    period = unit // math.gcd(scale, unit)  # period * scale is a multiple of unit
 
-    def format_ticks(ticks: int) -> str:
-        text = str((ticks * scale + half) // den).rjust(width, "0")
-        point = len(text) - places
-        whole, frac = text[:point], text[point:].rstrip("0")
-        return f"{whole}.{frac}" if frac else whole
+    def format_ticks(ticks) -> list[str]:
+        tails = {}  # remainder mod period -> the text after the whole part
+        for r in {t % period for t in ticks}:
+            digits = (r * scale + half) // den % 10**places
+            tails[r] = "." + str(digits).rjust(places, "0").rstrip("0") if digits else ""
+        return [f"{(t * scale + half) // unit}{tails[t % period]}" for t in ticks]
 
     return format_ticks
 
@@ -270,15 +282,16 @@ def write_spike_file(seq: EventSequence, path) -> None:
     are not written: the re-parsed alphabet is the set of carried labels.
 
     ValueError, before the file is opened, for a carried label that would
-    not read back: empty, with outer whitespace, a comma or line break, or a
-    leading ``#``.
+    not read back: empty, with outer whitespace, a comma or line break, a
+    leading ``#``, or a character UTF-8 cannot encode (a lone surrogate).
     """
     for label in sorted(set(seq.labels)):
         if (not label or label != label.strip() or label[0] == "#"
-                or any(c in label for c in ",\n\r")):
+                or any(c in label for c in ",\n\r")
+                or label != label.encode("utf-8", "replace").decode("utf-8")):
             raise ValueError(f"label {label!r} would not survive a re-parse of the spike CSV")
     path = Path(path)
-    seconds = seconds_formatter(seq.tick_seconds)
+    seconds = seconds_formatter(seq.tick_seconds)(seq.ticks)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# spike stream: label,seconds\n")
-        fh.writelines(f"{x},{seconds(t)}\n" for x, t in zip(seq.labels, seq.ticks))
+        fh.writelines([f"{x},{s}\n" for x, s in zip(seq.labels, seconds)])

@@ -108,6 +108,8 @@ def _grow(seeds: list, seq: EventSequence, track: bool, floor: int, *, expiry: i
     slot)`` of the seeds' join counted ``floor`` times or more, sorted, and
     the join's size."""
     candidates = generate_parallel_candidates(seeds)
+    if not candidates:
+        return [], 0
     slots = _count(candidates, seq, track, expiry)
     return [(ep, slot) for ep, slot in zip(candidates, slots) if slot[0] >= floor], len(candidates)
 

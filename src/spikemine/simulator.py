@@ -57,6 +57,10 @@ order. The events are bit-identical to deciding one step at a time. Uniform
 mode has no input: it decides each step at its own probability, then masks
 refractory spikes in step order.
 
+Events leave the fired grid as its flat indices, divided by
+``num_neurons`` into step and neuron columns: the grid is C-contiguous, so
+the events come by step, and within a step by neuron index.
+
 numpy is imported inside the functions that use it, so mining never loads it.
 """
 
@@ -209,7 +213,7 @@ def simulate(config: NetworkConfig) -> SpikeRun:
             last_spike[fired[k]] = k
 
     labels = config.labels
-    ks, js = np.nonzero(fired)
+    ks, js = np.divmod(np.flatnonzero(fired), n)
     seq = EventSequence._from_columns(
         list(map(labels.__getitem__, js.tolist())), ks.tolist(), config.delta_t, labels
     )
@@ -266,8 +270,14 @@ def _network(config: NetworkConfig, draws, rest: int):
         for src, _, _, delay in layers:
             i, e = np.nonzero(changed[:, src])
             flagged[ks[i] + delay[e]] = True
-        for k in ks[hit].tolist() if rest else ():  # the steps whose mask reads row k
-            flagged[k + 1:k + 1 + rest] = True
+        if rest:  # the steps whose mask reads a changed row
+            hits = ks[hit]
+            if rest < hits.size:  # fewer steps forward than rows: one array op a step
+                for r in range(1, rest + 1):
+                    flagged[hits + r] = True
+            else:
+                for k in hits.tolist():
+                    flagged[k + 1:k + 1 + rest] = True
 
     def step(ks):
         flagged[ks] = False  # earlier calls' changes are read below

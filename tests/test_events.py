@@ -152,6 +152,15 @@ def test_write_refuses_labels_a_reparse_would_change(tmp_path, label):
     assert not path.exists()
 
 
+def test_write_refuses_a_label_utf8_cannot_encode(tmp_path):
+    path = tmp_path / "out.csv"
+    seq = EventSequence([Event("A", 1), Event("\udc80", 2)])
+    with pytest.raises(ValueError, match="would not survive") as info:
+        write_spike_file(seq, path)
+    assert not isinstance(info.value, UnicodeError)
+    assert not path.exists()
+
+
 def test_roundtrip_worked_stream(tmp_path, worked_sequence):
     path = tmp_path / "out.csv"
     write_spike_file(worked_sequence, path)
@@ -341,11 +350,11 @@ def test_negative_time_rejected():
     ],
 )
 def test_format_seconds_exact(value, expected):
-    assert seconds_formatter(Fraction(1, value.denominator))(value.numerator) == expected
+    assert seconds_formatter(Fraction(1, value.denominator))([value.numerator]) == [expected]
 
 
 def format_seconds_reference(ticks: int, tick: Fraction) -> str:
-    """The per-event formula ``write_spike_file`` used before its constants were hoisted."""
+    """The per-event formula ``write_spike_file`` used before it formatted a whole column."""
     num, den = tick.numerator, tick.denominator
     places = 0
     exact = 10 ** den.bit_length() % den == 0
@@ -366,11 +375,23 @@ ANY_TICK = st.one_of(
 @settings(max_examples=300)
 @given(tick=ANY_TICK, ticks=st.lists(st.integers(0, 10**12), min_size=1, max_size=10))
 def test_hoisted_formatter_matches_format_seconds(tick, ticks):
-    seconds = seconds_formatter(tick)
-    for k in ticks:
-        text = seconds(k)
+    texts = seconds_formatter(tick)(ticks)
+    assert len(texts) == len(ticks)
+    for k, text in zip(ticks, texts):
         assert text == format_seconds_reference(k, tick)
         assert quantize_oracle(text, tick) == k  # the text reads back as its tick
+
+
+@pytest.mark.parametrize("tick", [Fraction(1, 3), Fraction(1, 1024), Fraction(7, 3000)])
+def test_written_stamps_match_format_seconds(tmp_path, tick):
+    # every remainder of the fraction table's period, and ticks far past it
+    ticks = [*range(3100), 10**6 + 1, 10**12 + 7, 10**15 - 1, 10**15 - 1]
+    seq = EventSequence([Event("AB"[k % 2], k) for k in ticks], tick)
+    path = tmp_path / "s.csv"
+    write_spike_file(seq, path)
+    expected = "# spike stream: label,seconds\n" + "".join(
+        f"{x},{format_seconds_reference(k, tick)}\n" for x, k in zip(seq.labels, seq.ticks))
+    assert path.read_bytes() == expected.encode()
 
 
 # rows out of tick order, with ties at ticks 2 and 5; sorted, ties keep their row order

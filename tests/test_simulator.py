@@ -137,6 +137,18 @@ def assert_matches_oracle(cfg):
     return events
 
 
+@pytest.mark.parametrize("rate_mode", ["network", "uniform"])
+def test_same_tick_spikes_keep_neuron_index_order(rate_mode):
+    # past 26 neurons the labels are N0, N1, ..., which sort apart from the indices
+    cfg = NetworkConfig(num_neurons=40, weight_bound=0.5, lambda_max=400.0, rate_offset=0.0,
+                        duration=1.0, seed=4, rate_mode=rate_mode)
+    events = assert_matches_oracle(cfg)  # the oracle lists np.nonzero of its grid
+    index = {x: i for i, x in enumerate(cfg.labels)}
+    same_tick = [(a.etype, b.etype) for a, b in zip(events, events[1:]) if a.time == b.time]
+    assert all(index[x] < index[y] for x, y in same_tick)
+    assert any(x > y for x, y in same_tick)  # e.g. N9 before N10
+
+
 class TestDecisionOrder:
     """``simulate`` against the loop that decides one step at a time."""
 
