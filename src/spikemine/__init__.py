@@ -41,6 +41,7 @@ from .simulator import (
 )
 from .synfire import (
     CompositeEvent,
+    CompositeLabelError,
     SynfireResult,
     composite_label,
     mine_synfire,

@@ -30,7 +30,7 @@ from .simulator import (
     parse_network_config,
     simulate,
 )
-from .synfire import mine_synfire
+from .synfire import CompositeLabelError, mine_synfire
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -135,6 +135,10 @@ def _write_levels(path: Path, kind: str, levels, tick_seconds: Fraction) -> None
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.out)
+    manifest = _manifest_path(out)
+    if args.config and Path(args.config).resolve() in (out.resolve(), manifest.resolve()):
+        raise UsageError(f"output {out} would overwrite the input {args.config}")
     config = parse_network_config(args.config) if args.config else NetworkConfig()
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -142,8 +146,6 @@ def cmd_simulate(args) -> int:
         config = replace(config, duration=args.duration)
     if args.pattern:
         config = embed_pattern(config, args.pattern)
-    out = Path(args.out)
-    manifest = _manifest_path(out)
     t0 = time.perf_counter()
     run = simulate(config)
     sim_seconds = time.perf_counter() - t0
@@ -334,7 +336,7 @@ def main(argv=None) -> int:
         return _fail(EXIT_USAGE, str(exc))
     except ConfigError as exc:
         return _fail(EXIT_CONFIG, str(exc))
-    except (SpikeFileError, OSError) as exc:
+    except (SpikeFileError, CompositeLabelError, OSError) as exc:
         return _fail(EXIT_IO, str(exc))
     except MemoryError:
         return _fail(EXIT_USAGE, f"out of memory; retry with {SIZE_OPTIONS[args.command]}")

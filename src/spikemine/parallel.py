@@ -12,7 +12,10 @@ its last completion) and its occurrences. It may use only events after the
 watermark and not before the cut, a suffix of each list, so it completes
 at ``t`` iff, for each of its types with multiplicity ``m``, the ``m``-th
 entry from the end of that list is usable; a tracked occurrence takes the
-earliest ``m`` usable entries of each type. Completing at the earliest
+earliest ``m`` usable entries of each type. For the event's own type
+``x`` at ``m = 1`` that entry is the event itself, always usable, so a
+watcher of ``x`` checks ``x``'s list only when it needs ``x`` twice or
+more; the tracked pick still walks every type. Completing at the earliest
 feasible event gives the maximum non-overlapped count (checked against
 the exhaustive oracle in the test suite, occurrences included).
 
@@ -71,7 +74,9 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
         needs = [(lists[y][0], m) for y, m in mult.items()]
         for y in mult:
             f = next((z for z in mult if z != y), y)
-            lists[y][1].setdefault(f, (lists[f][0], []))[1].append((slot, needs))
+            # the event itself is y's last entry, so y needed once always passes
+            checks = [need for z, need in zip(mult, needs) if z != y or need[1] > 1]
+            lists[y][1].setdefault(f, (lists[f][0], []))[1].append((slot, checks, needs))
 
     labels, ticks = seq.labels, seq.ticks
     for idx in [i for i, x in enumerate(labels) if lists[x] is not None]:
@@ -83,9 +88,9 @@ def _count(candidates: list, seq: EventSequence, track: bool, expiry: int) -> li
         tl.append((t, idx))
         for zq, watchers in files.values():
             if zq and zq[-1][0] >= cut:
-                for slot, needs in watchers:
+                for slot, checks, needs in watchers:
                     mark = slot[1]
-                    for q, m in needs:
+                    for q, m in checks:
                         if len(q) < m or q[-m][0] < cut or q[-m][1] <= mark:
                             break
                     else:

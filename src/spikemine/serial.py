@@ -68,7 +68,21 @@ extends (``episodes.serial_extensions``), and a seed's node gets as
 children the last steps of the seeds whose prefix is its suffix, shared
 by every seed with that suffix, with a slot of its own for each made at
 the extension's first completion. ``count_serial_constrained`` builds
-the trie from explicit candidates of 2 or more nodes.
+the trie from explicit candidates of 2 or more nodes (``_slots``).
+
+A narrow level also counts the levels after it, after dynamic itemset
+counting (Brin, Motwani, Ullman and Tsur, SIGMOD 1997). If a level's join
+has no more members than the alphabet has types, its pass takes the
+speculative joins too: the join of the join, and so on up to
+``max_size``, while each is non-empty and no larger than the one before.
+It counts them all in one explicit-candidate trie (``_slots``). This is
+exact: the next level's seeds are members of this join, so its real join
+is a subset of the speculative one, and each slot holds its own
+candidate's count and occurrences. A level counted ahead runs no pass; it
+reads its real join's slots, so its results and ``n_candidates`` are what
+a pass of its own would give. At a dense level the rule costs one
+comparison: the join has a member per seed it extends, so more such seeds
+than types rule the level out before any join is sized or built.
 """
 
 from __future__ import annotations
@@ -82,6 +96,7 @@ from .episodes import (
     MiningLevel,
     SerialEpisode,
     counted,
+    generate_serial_candidates,
     label_counts,
     mine_levels,
     serial_extensions,
@@ -140,13 +155,19 @@ def count_serial_constrained(
     """
     candidates = list(candidates)
     track = bool(cfg and cfg.track_occurrences)
+    longer = [ep for ep in candidates if len(ep[0]) > 1]
+    ones = label_counts(seq, track) if len(longer) < len(candidates) else {}
+    passed = iter(_slots(longer, seq, track))
+    slots = [next(passed) if len(types) > 1 else ones.get(types[0]) or [0, -1, []] for types, _ in candidates]
+    return counted(zip(candidates, slots), track)
+
+
+def _slots(candidates: list, seq: EventSequence, track: bool) -> list:
+    """The slot of each candidate of 2 or more nodes, in order, from one
+    pass over a trie of them all."""
     roots = dict.fromkeys(seq.alphabet)  # a type outside the alphabet gets a root no event reaches
-    slots, ones, used, reach = [], None, set(), 0
+    slots, used, reach = [], set(), 0
     for types, windows in candidates:
-        if len(types) == 1:
-            ones = ones or label_counts(seq, track)
-            slots.append(ones.get(types[0]) or [0, -1, []])
-            continue
         node = _node(roots, types[:-1], windows[:-1])
         x, window = types[-1], windows[-1]
         child, e = node.kids.get(x, {}).get(window, (None, None))
@@ -158,18 +179,45 @@ def count_serial_constrained(
         used.update(types)
         reach = max(reach, *(w[1] for w in windows))
     _scan(roots, used, reach, seq, track)
-    return counted(zip(candidates, slots), track)
+    return slots
 
 
-def _count(seeds: list, seq: EventSequence, track: bool, floor: int):
+def _count(seeds: list, seq: EventSequence, track: bool, floor: int, ahead: dict, max_size: int):
     """A level of ``mine_serial`` from level 3 on, grown from ``seeds`` (see
     the module docstring): the pairs ``(extension, slot)`` counted
-    ``floor`` times or more, sorted, and the join's size."""
+    ``floor`` times or more, sorted, and the join's size.
+
+    ``ahead`` maps each size that an earlier pass of the same mining
+    counted ahead to the slots of that pass; such a level is read from
+    them, with no pass. A narrow level counts the speculative joins of the
+    sizes after it, up to ``max_size``, in its own pass and files them in
+    ``ahead``."""
+    size = len(seeds[0][0]) + 1
+    slot_of = ahead.pop(size, None)
+    if slot_of is not None:
+        join = generate_serial_candidates(seeds)
+        return [(ep, slot_of[ep]) for ep in join if slot_of[ep][0] >= floor], len(join)
+    # sorted, so each seed's steps, and the extensions found, come nearly sorted
+    extensions = serial_extensions(sorted(seeds))
+    n_types, levels = len(seq.alphabet), []
+    # each seed listed has a step, so its length alone rules out a dense level
+    if (size < max_size and len(extensions) <= n_types
+            and sum(len(steps) for _, steps in extensions) <= n_types):
+        levels = [generate_serial_candidates(seeds)]
+        while size + len(levels) <= max_size:
+            pool = levels[-1]
+            if not 0 < sum(len(steps) for _, steps in serial_extensions(pool)) <= len(pool):
+                break
+            levels.append(generate_serial_candidates(pool))
+    if len(levels) > 1:
+        flat = [ep for level in levels for ep in level]
+        slot_of = dict(zip(flat, _slots(flat, seq, track)))
+        ahead.update(dict.fromkeys(range(size + 1, size + len(levels)), slot_of))
+        return [(ep, slot_of[ep]) for ep in levels[0] if slot_of[ep][0] >= floor], len(levels[0])
     roots = dict.fromkeys(seq.alphabet)
     shared: dict[int, dict] = {}  # id of a suffix's steps -> its seeds' nodes' children
     used, ends, n_candidates, reach = set(), [], 0, 0
-    # sorted, so each seed's steps, and the extensions found, come nearly sorted
-    for seed, steps in serial_extensions(sorted(seeds)):
+    for seed, steps in extensions:
         types, windows = seed
         n_candidates += len(steps)
         kids = shared.get(id(steps))
@@ -250,4 +298,6 @@ def mine_serial(seq: EventSequence, cfg: MiningConfig, *, jobs: int = 1) -> list
     """
     if not cfg.candidate_intervals:
         raise ValueError("serial mining needs a non-empty candidate interval set")
-    return mine_levels(seq, cfg, _count, cfg.candidate_intervals)
+    ahead: dict = {}  # the levels a pass of this call counted ahead, by size
+    return mine_levels(seq, cfg, lambda seeds, *args: _count(seeds, *args, ahead, cfg.max_size),
+                       cfg.candidate_intervals)

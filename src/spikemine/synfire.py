@@ -27,6 +27,10 @@ class CompositeEvent(Event):
     members: tuple[int, ...] = ()
 
 
+class CompositeLabelError(ValueError):
+    """A composite label the rewrite would make is a label of the stream, or two groups make it."""
+
+
 def composite_label(etypes) -> str:
     return "[" + " ".join(etypes) + "]"
 
@@ -40,18 +44,25 @@ def rewrite_stream(
     event wins: an occurrence that touches an event already claimed by an
     earlier one is dropped. ``on_conflict`` names that rule and accepts
     only "skip". Untouched events are preserved and the result is
-    re-sorted stably; the alphabet gains the composite labels.
+    re-sorted stably; the alphabet gains the composite labels. A
+    composite label that is already in ``seq``'s alphabet, or that two
+    groups make (labels with spaces, as ``{A, "B C"}`` and ``{"A B", C}``),
+    would merge unlike events, so it raises ``CompositeLabelError``,
+    naming the label.
     """
     if on_conflict != "skip":
         raise ValueError(f"on_conflict must be 'skip', got {on_conflict!r}")
     claimed: set[int] = set()
     composites: list[CompositeEvent] = []
-    labels: set[str] = set()
+    labels: dict[str, tuple] = {}  # composite label -> the member types that make it
     for count in tracked:
         if count.occurrences is None:
             raise ValueError(f"{count.episode} carries no tracked occurrences")
         label = composite_label(count.episode.etypes)
-        labels.add(label)
+        if label in seq.alphabet:
+            raise CompositeLabelError(f"synfire composite label {label!r} is already a label of the stream")
+        if labels.setdefault(label, count.episode.etypes) != count.episode.etypes:
+            raise CompositeLabelError(f"synfire composite label {label!r} names two groups")
         for occ in count.occurrences:
             if claimed.isdisjoint(occ):
                 claimed.update(occ)
@@ -61,7 +72,7 @@ def rewrite_stream(
     return EventSequence._from_columns(
         [seq.labels[i] for i in kept] + [ev.etype for ev in composites],
         [seq.ticks[i] for i in kept] + [ev.time for ev in composites],
-        seq.tick_seconds, seq.alphabet | labels, [None] * len(kept) + composites,
+        seq.tick_seconds, seq.alphabet.union(labels), [None] * len(kept) + composites,
     )
 
 

@@ -122,6 +122,20 @@ def test_mine_synfire_flow(tmp_path, synfire_csv):
     assert "[B C]" in out.read_text()
 
 
+def test_synfire_composite_label_clash_exits_2(tmp_path, capsys):
+    # the input has A, B and a real "[A B]": the rewrite would merge its
+    # composites of {A B} with those events
+    csv = tmp_path / "clash.csv"
+    csv.write_text("A,0.010\nB,0.010\nC,0.013\nA,0.030\nB,0.030\nC,0.033\n[A B],0.050\n[A B],0.070\n")
+    out = tmp_path / "clash.episodes"
+    argv = ["mine", "synfire", str(csv), "--expiry", "1", "--intervals", "0-2,2-4", "--min-count", "1",
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "error: synfire composite label '[A B]' is already a label of the stream\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clash.csv"]
+
+
 def test_mining_loads_neither_numpy_nor_the_process_pool(tmp_path, tiny_csv, synfire_csv):
     """A cold ``mine`` pays for no simulator arrays and no worker pool."""
     runs = [
@@ -225,6 +239,22 @@ def test_mine_refuses_to_overwrite_its_input(tmp_path, tiny_csv, capsys, name, o
     assert main(argv) == 1
     assert "would overwrite the input" in capsys.readouterr().err
     assert source.read_bytes() == tiny_csv.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name,out", [("net.cfg", "sub/../net.cfg"), ("net.cfg.manifest", "net.cfg")], ids=["out", "out-manifest"]
+)
+def test_simulate_refuses_to_overwrite_its_config(tmp_path, capsys, monkeypatch, name, out):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "simulate", lambda config: pytest.fail("simulated"))
+    config = tmp_path / name
+    config.write_bytes(b"duration = 0.5\nseed = 3\n")
+    (tmp_path / "sub").mkdir()
+    assert main(["simulate", str(tmp_path / out), "--config", str(config)]) == 1
+    assert f"error: output {tmp_path / out} would overwrite the input {config}" in capsys.readouterr().err
+    assert config.read_bytes() == b"duration = 0.5\nseed = 3\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([name, "sub"])
 
 
 @pytest.mark.parametrize("name", ["", "/"])

@@ -226,7 +226,9 @@ def test_negative_cut_at_ticks_below_expiry():
 
 
 def test_shared_pass_over_six_types_matches_oracle():
-    # with six types most keys are filed under a type other than the event's
+    # with six types most keys are filed under a type other than the event's;
+    # {A A B} and {A B C} are always among them, so a watcher of B or C skips
+    # its own type's check while one of A checks A's list for the other A
     rng = random.Random(1806)
     for _ in range(60):
         types = "ABCDEF"[: rng.randint(5, 6)]
@@ -236,8 +238,11 @@ def test_shared_pass_over_six_types_matches_oracle():
             events.append(Event(rng.choice(types), t))
         seq = EventSequence(events, alphabet=types)
         eps = [ParallelEpisode(tuple(rng.choices(types, k=rng.randint(1, 4))))
-               for _ in range(rng.randint(5, 12))]
-        check_shared_pass(eps, seq, rng.randint(1, 6))
+               for _ in range(rng.randint(5, 12))] + [ParallelEpisode("AAB"), ParallelEpisode("ABC")]
+        expiry = rng.randint(1, 6)
+        check_shared_pass(eps, seq, expiry)
+        untracked = count_parallel_expiry(eps, seq, cfg_for(expiry))
+        assert [c.freq for c in untracked] == [parallel_oracle_count(ep, seq, expiry) for ep in eps]
 
 
 def test_an_event_checks_no_key_whose_filing_type_is_out_of_the_window(monkeypatch):

@@ -1,6 +1,8 @@
+import itertools
 import random
 import string
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -516,7 +518,7 @@ def test_seed_pass_equals_the_counted_join():
         seeds = random_seeds(rng, seq, windows, size=2 + case % 2)
         join = generate_serial_candidates(seeds, windows)
         floor, track = rng.randint(1, 3), rng.random() < 0.5
-        found, n_candidates = serial._count(seeds, seq, track, floor)
+        found, n_candidates = serial._count(seeds, seq, track, floor, {}, 5)  # may count ahead
         assert n_candidates == len(join), seeds
         want = [c for c in count_serial_constrained(join, seq, TRACK if track else None) if c.freq >= floor]
         assert counted(found, track) == want
@@ -573,10 +575,153 @@ def test_seed_pass_makes_a_slot_only_for_an_extension_that_occurs(monkeypatch):
         join = generate_serial_candidates(seeds, windows)
         occurs = [ep for ep in join if serial_oracle_count(ep, seq)]
         made.clear()
-        found, _ = serial._count(seeds, seq, rng.random() < 0.5, 1)
+        found, _ = serial._count(seeds, seq, rng.random() < 0.5, 1, {}, 0)  # counts no level ahead
         assert len(made) == len(occurs) and [ep for ep, _ in found] == occurs
         never += len(join) - len(occurs)
     assert never > 0
+
+
+def embedded_chains(rng, windows):
+    """2-3 chains of 4-6 types over A-H, each embedded 8-14 times in all,
+    with sparse noise; the alphabet adds silent channels, so the joins of
+    the deep levels are narrow."""
+    types = "ABCDEFGH"
+    chains = []
+    for _ in range(rng.randint(2, 3)):
+        chain = [rng.choice(types) for _ in range(rng.randint(4, 6))]
+        chains.append((chain, [rng.choice(windows) for _ in chain[1:]]))
+    t, events = 0, []
+    for _ in range(rng.randint(8, 14)):
+        chain, gaps = rng.choice(chains)
+        t += rng.randint(10, 20)
+        events.append(Event(chain[0], t))
+        for x, (low, high) in zip(chain[1:], gaps):
+            t += rng.randint(low + 1, high)
+            events.append(Event(x, t))
+        if rng.random() < 0.5:
+            events.append(Event(rng.choice(types), t + rng.randint(1, 9)))
+    return EventSequence(events, alphabet=set(types) | {f"S{k}" for k in range(12)})
+
+
+def layered_chain(layers, reps=2):
+    """A chain through ``layers``, each a string of the types it may take,
+    each gap 5 or 7 ticks: every mix of types and gaps embedded ``reps``
+    times, far apart. Under the windows (4,6] and (6,8] a pair of layers two
+    apart never fits a window, so level 2 holds the steps between
+    neighbouring layers, and with one type a layer each later level has
+    twice as many chains per start as the one before."""
+    events, t = [], 0
+    for _ in range(reps):
+        for types in itertools.product(*layers):
+            for mix in itertools.product((5, 7), repeat=len(layers) - 1):
+                t += 20
+                events.append(Event(types[0], t))
+                for x, gap in zip(types[1:], mix):
+                    t += gap
+                    events.append(Event(x, t))
+    return EventSequence(events, alphabet=set("".join(layers)) | {f"S{k}" for k in range(12)})
+
+
+LAYER_WINDOWS = (Interval(4, 6), Interval(6, 8))
+
+
+class PassRecorder:
+    """Records each ``serial._scan`` call and the sizes ``serial._slots`` counts."""
+
+    def __init__(self, monkeypatch):
+        self.scans, self.sizes = 0, []
+        scan, slots = serial._scan, serial._slots
+
+        def counting_scan(*args):
+            self.scans += 1
+            return scan(*args)
+
+        def sizing_slots(candidates, *args):
+            self.sizes.append(sorted({len(types) for types, _ in candidates}))
+            return slots(candidates, *args)
+
+        monkeypatch.setattr(serial, "_scan", counting_scan)
+        monkeypatch.setattr(serial, "_slots", sizing_slots)
+
+    def mine(self, seq, cfg):
+        self.scans, self.sizes = 0, []
+        return mine_serial(seq, cfg)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+def test_counting_ahead_equals_reference_levels(monkeypatch, track):
+    # narrow levels count their successors in one pass; each level still
+    # reports its own join's size and only the counts of its own join
+    passes = PassRecorder(monkeypatch)
+    rng = random.Random(3434 + track)
+    windows = (Interval(0, 2), Interval(2, 4), Interval(4, 7))
+    ahead = stopped = 0
+    for case in range(40):
+        seq = embedded_chains(rng, windows)
+        cfg = MiningConfig(max_size=rng.choice((4, 5, 8)), candidate_intervals=windows, min_count=rng.randint(2, 4),
+                           beam_width=rng.choice((None, 2, 3, 4)), track_occurrences=track)
+        levels = passes.mine(seq, cfg)
+        assert level_tuples(levels) == reference_levels(seq, cfg, "serial"), case
+        assert all(sizes[-1] <= cfg.max_size for sizes in passes.sizes)
+        ahead += passes.scans < len(levels[2:])
+        stopped += any(sizes[-1] == cfg.max_size for sizes in passes.sizes)
+    assert ahead >= 5 and stopped >= 2
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["untracked", "tracked"])
+def test_a_beam_that_cuts_seeds_leaves_the_speculative_extra_out(monkeypatch, track):
+    # two gaps per step: level 3 has 8 frequent chains, each counted twice,
+    # and 8 at level 4 counted once. The pass at level 3 counts all 16. A
+    # beam of 6 keeps the 6 level-2 steps but cuts 2 level-3 seeds, so the
+    # real level-4 join is 4 of the 8 counted ahead, the other 4 as frequent
+    passes = PassRecorder(monkeypatch)
+    seq = layered_chain("ABCD")
+    for beam, join_4 in ((6, 4), (None, 8)):
+        cfg = MiningConfig(max_size=8, candidate_intervals=LAYER_WINDOWS, min_count=2,
+                           beam_width=beam, track_occurrences=track)
+        levels = passes.mine(seq, cfg)
+        assert level_tuples(levels) == reference_levels(seq, cfg, "serial")
+        assert [(lv.n_candidates, len(lv.counts)) for lv in levels] == [(16, 4), (32, 6), (8, 8), (join_4, join_4)]
+        assert (passes.scans, passes.sizes) == (1, [[3, 4]])
+    # with a fifth layer, level 4's speculative join (16 chains) is wider
+    # than level 3's join (12), so level 3 counts alone; level 4 counts
+    # level 5 (16) in its own pass
+    seq = layered_chain("ABCDE")
+    levels = passes.mine(seq, cfg)
+    assert level_tuples(levels) == reference_levels(seq, cfg, "serial")
+    assert [lv.n_candidates for lv in levels[2:]] == [12, 16, 16]
+    assert (passes.scans, passes.sizes) == (2, [[4, 5]])
+
+
+def test_a_narrow_chain_runs_one_pass_a_dense_stream_one_per_level(monkeypatch):
+    passes = PassRecorder(monkeypatch)
+    chain = SerialEpisode("ABCDEFG", [(2, 4)] * 6)
+    seq = EventSequence([Event(x, 40 * k + 3 * j) for k in range(12) for j, x in enumerate(chain.etypes)]
+                        + [Event("H", 40 * k + 30) for k in range(12)])
+    cfg = MiningConfig(max_size=8, candidate_intervals=((0, 2), (2, 4)), min_count=5)
+    levels = passes.mine(seq, cfg)
+    assert [lv.counts[0].episode for lv in levels[6:]] == [chain]
+    assert [lv.n_candidates for lv in levels[2:]] == [5, 4, 3, 2, 1]
+    assert (passes.scans, passes.sizes) == (1, [[3, 4, 5, 6, 7]])  # levels 3..7 in one pass
+    for max_size in (3, 4, 6):  # the pass stops at max_size
+        short = passes.mine(seq, replace(cfg, max_size=max_size))
+        assert level_tuples(short) == level_tuples(levels[:max_size])
+        assert (passes.scans, passes.sizes) == (1, [list(range(3, max_size + 1))] if max_size > 3 else [])
+    # 8 of 14 seeds extend at level 3, under the 18 types, but the join (24)
+    # is wider than the alphabet, so level 4 (24) runs a pass of its own
+    fan = layered_chain(("A", "B", "CEF", "D"))
+    cfg = MiningConfig(max_size=8, candidate_intervals=LAYER_WINDOWS, min_count=2)
+    levels = passes.mine(fan, cfg)
+    assert [(lv.n_candidates, len(lv.counts)) for lv in levels] == [(18, 6), (72, 14), (24, 24), (24, 24)]
+    assert (passes.scans, passes.sizes) == (2, [])
+    assert level_tuples(levels) == reference_levels(fan, cfg, "serial")
+    rng = random.Random(99)
+    dense = random_sequence(rng, max_events=200, max_types=4)
+    cfg = MiningConfig(max_size=5, candidate_intervals=((0, 2), (2, 4)), min_count=1)
+    levels = passes.mine(dense, cfg)
+    assert len(levels) == 5 and all(lv.n_candidates > len(dense.alphabet) for lv in levels[2:])
+    assert (passes.scans, passes.sizes) == (3, [])  # levels 3, 4 and 5, each in its own pass
+    assert level_tuples(levels) == reference_levels(dense, cfg, "serial")
 
 
 def churn_windows(rng):

@@ -12,7 +12,7 @@ from spikemine import (
     mine_synfire,
     rewrite_stream,
 )
-from spikemine.synfire import CompositeEvent
+from spikemine.synfire import CompositeEvent, CompositeLabelError
 
 
 def tracked(episode_types, *occurrences):
@@ -68,6 +68,28 @@ def test_cross_episode_conflicts():
     assert rewrite_stream(seq, [first, second], on_conflict="skip") == out
     with pytest.raises(ValueError):
         rewrite_stream(seq, [first, second], on_conflict="error")
+
+
+def test_composite_label_already_in_the_stream_is_refused():
+    # a real "[A B]" beside A and B: composites would merge with its events
+    clash = [Event("A", 0), Event("B", 0), Event("A", 10), Event("B", 10), Event("[A B]", 20)]
+    with pytest.raises(CompositeLabelError, match=r"'\[A B\]'"):
+        rewrite_stream(EventSequence(clash), [tracked(("A", "B"), (0, 1), (2, 3))])
+    cfg = MiningConfig(min_count=1, expiry=1, candidate_intervals=(Interval(0, 2),))
+    with pytest.raises(CompositeLabelError, match=r"'\[A B\]'"):
+        mine_synfire(EventSequence(clash), cfg)
+    # a silent channel named "[A B]" clashes too; "[A B]" with no A or B does not
+    with pytest.raises(CompositeLabelError):
+        mine_synfire(EventSequence(clash[:4], alphabet={"A", "B", "[A B]"}), cfg)
+    alone = EventSequence([Event("[A B]", 5 * k) for k in range(4)] + [Event("C", 5 * k + 1) for k in range(4)])
+    assert mine_synfire(alone, cfg).rewritten_group_counts[0].episode.etypes == ("C", "[A B]")
+    # {A, "B C"} and {"A B", C} both make "[A B C]"
+    spaced = EventSequence([Event(x, t) for t in (0, 10) for x in ("A", "B C")]
+                           + [Event(x, t) for t in (20, 30) for x in ("A B", "C")])
+    with pytest.raises(CompositeLabelError, match=r"'\[A B C\]' names two groups"):
+        mine_synfire(spaced, cfg)
+    group = tracked(("A", "B"), (0, 1))
+    assert rewrite_stream(EventSequence(clash[:4]), [group, group]).labels == ("[A B]", "A", "B")
 
 
 def test_event_conservation():
