@@ -79,14 +79,13 @@ def _write_manifest(path: Path, entries: list[tuple[str, object]]) -> None:
             fh.write(f"{key} = {value}\n")
 
 
-def _manifest_path(out: Path) -> Path:
-    """``out``'s manifest path; OSError (exit 2) if either is a directory or has
-    no parent directory. Called before any work, so a refused run writes nothing."""
-    manifest = Path(f"{out}.manifest")
-    for path in (out, manifest):
+def _checked(*outputs: Path) -> tuple[Path, ...]:
+    """``outputs``; OSError (exit 2) if one is a directory or has no parent
+    directory. Called before any work, so a refused run writes nothing."""
+    for path in outputs:
         if path.is_dir() or not path.parent.is_dir():
             raise OSError(f"output {path} is a directory or has no parent directory")
-    return manifest
+    return outputs
 
 
 def _parse_intervals_ms(spec: str, tick_seconds: Fraction) -> tuple[Interval, ...]:
@@ -135,8 +134,7 @@ def _write_levels(path: Path, kind: str, levels, tick_seconds: Fraction) -> None
 
 
 def cmd_simulate(args) -> int:
-    out = Path(args.out)
-    manifest = _manifest_path(out)
+    out, manifest = _checked(Path(args.out), Path(f"{args.out}.manifest"))
     if args.config and Path(args.config).resolve() in (out.resolve(), manifest.resolve()):
         raise UsageError(f"output {out} would overwrite the input {args.config}")
     config = parse_network_config(args.config) if args.config else NetworkConfig()
@@ -197,7 +195,7 @@ def cmd_mine(args) -> int:
         out = Path(args.out) if args.out else Path(args.input).with_suffix(".episodes")
     except ValueError:  # an input path with no file name, such as "" or "/"
         raise UsageError(f"no default results path for input {args.input!r}; give --out") from None
-    manifest = _manifest_path(out)
+    _, manifest = _checked(out, Path(f"{out}.manifest"))
     if Path(args.input).resolve() in (out.resolve(), manifest.resolve()):
         raise UsageError(f"output {out} would overwrite the input {args.input}")
 
@@ -252,6 +250,8 @@ def cmd_significance(args) -> int:
         raise UsageError("--seed must be at least 0")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    text_path, csv_path, manifest = _checked(*(out_dir / f"significance.{ext}"
+                                               for ext in ("txt", "csv", "manifest")))
     if args.scale == "paper":
         # full-scale run: about 9.8-13.7 s wall, 19.1-26.8 s CPU at --jobs 2 on a 2-core
         # box (Python 3.11); acceptance criterion 8 runs it at --seed 1
@@ -263,8 +263,6 @@ def cmd_significance(args) -> int:
     t0 = time.perf_counter()
     report = run_significance(jobs=args.jobs, seed0=args.seed, **params)
     elapsed = time.perf_counter() - t0
-    text_path = out_dir / "significance.txt"
-    csv_path = out_dir / "significance.csv"
     text_path.write_text(report.to_text(), encoding="utf-8")
     csv_path.write_text(report.to_csv(), encoding="utf-8")
     entries = [
@@ -281,7 +279,7 @@ def cmd_significance(args) -> int:
         ("patterned_samples", report.patterned_samples),
         ("phase.total_sec", f"{elapsed:.3f}"),
     ]
-    _write_manifest(out_dir / "significance.manifest", entries)
+    _write_manifest(manifest, entries)
     print(report.to_text(), end="")
     return EXIT_OK
 

@@ -243,8 +243,9 @@ def parse_spike_file(path, tick_seconds: TickSeconds) -> EventSequence:
     two_den = 2 * tick.denominator
     scales = [(10**k * tick.numerator, 2 * 10**k * tick.numerator) for k in range(18)]
     labels, ticks = [], []
-    # undecodable bytes become lone surrogates, so the line that holds one is known
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    # undecodable bytes become lone surrogates, so the line that holds one is known;
+    # a leading byte-order mark is skipped
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
             if not raw.isascii():
                 try:

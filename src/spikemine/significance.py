@@ -169,12 +169,13 @@ def run_significance(
 ) -> SignificanceReport:
     """Generate both dataset families, mine them, and aggregate profiles.
 
-    ValueError, before anything is simulated, when ``max_size`` exceeds
-    ``CHAIN_LENGTH`` (the chain has no segment of that size) or when a
-    family has no dataset to average.
+    ValueError, before anything is simulated, when ``max_size`` is below 1
+    or exceeds ``CHAIN_LENGTH`` (the chain has no segment of that size) or
+    when a family has no dataset to average.
     """
-    if max_size > CHAIN_LENGTH:
-        raise ValueError(f"max_size {max_size} exceeds the embedded chain length {CHAIN_LENGTH}")
+    if not 1 <= max_size <= CHAIN_LENGTH:
+        raise ValueError(f"max_size {max_size} is below 1 or exceeds the embedded chain length "
+                         f"{CHAIN_LENGTH}")
     base = base if base is not None else NetworkConfig()
     base = replace(base, strong_edges=())
 

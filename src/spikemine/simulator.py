@@ -52,10 +52,10 @@ hands the first function the earliest flagged steps, one batch at a time,
 until none is flagged: every step before the earliest flagged one is final,
 so each batch finalises at least its first step, and its other steps are
 flagged again if a row they read changed. Input sums are exact: each row's
-sum is its own ``@``, and strong-edge weights add to each target in config
-order. The events are bit-identical to deciding one step at a time. Uniform
-mode has no input: it decides each step at its own probability, then masks
-refractory spikes in step order.
+sum is its own ``@``, and ``np.add.at`` adds the strong edges to each
+target one by one, in config order. The events are bit-identical to
+deciding one step at a time. Uniform mode has no input: it decides each
+step at its own probability, then masks refractory spikes in step order.
 
 Events leave the fired grid as its flat indices, divided by
 ``num_neurons`` into step and neuron columns: the grid is C-contiguous, so
@@ -224,7 +224,8 @@ def _network(config: NetworkConfig, draws, rest: int):
     """The fired grid of a network-mode run; ``rest`` rows feed the refractory mask.
 
     ``step`` recomputes the rows of the steps it is given and ``flag`` marks
-    the steps their changed bits reach. The sweep hands ``step`` the earliest
+    the steps their changed bits reach; each takes the strong edges, one list
+    in config order, in one array call. The sweep hands ``step`` the earliest
     flagged steps, from a start that only rises, until none is flagged.
 
     Two rules keep the peak RSS where the grid sets it. Every batch has the
@@ -232,33 +233,26 @@ def _network(config: NetworkConfig, draws, rest: int):
     of each byte size, so arrays of ever new small sizes pile up. And the
     array calls keep to kernels the rest of a run loads anyway (float
     arithmetic, no integer comparisons), since each new kernel adds its code
-    pages.
+    pages. ``np.add.at``, run only for strong edges, is the one exception: its
+    pages stay inside the run-to-run noise of a CLI ``simulate``'s peak RSS.
     """
     import numpy as np
     steps, n = draws.shape
+    h = min(config.synaptic_delay_steps, steps)  # any delay >= steps reaches past the run
+    edges = config.strong_edges
+    srcs = np.array([e.src for e in edges], dtype=np.intp)
+    dsts = np.array([e.dst for e in edges], dtype=np.intp)
+    gains = np.array([e.weight for e in edges])
+    delays = np.array([min(e.delay_steps, steps) for e in edges], dtype=np.intp)
     weight_seed = config.weight_seed if config.weight_seed is not None else config.seed
     weights = np.random.default_rng([weight_seed, 0]).uniform(
         -config.weight_bound, config.weight_bound, (n, n))
     np.fill_diagonal(weights, 0.0)
-    for edge in config.strong_edges:
-        weights[edge.src, edge.dst] = 0.0  # strong edges applied with their own delay
-
-    h = min(config.synaptic_delay_steps, steps)  # any delay >= steps reaches past the run
-    # strong edges in layers with one edge per target, each layer holding every
-    # target's next edge in config order, so weights add in the per-step order
-    layers, ranks = [], {}
-    for edge in config.strong_edges:
-        rank = ranks[edge.dst] = ranks.get(edge.dst, -1) + 1
-        if rank == len(layers):
-            layers.append([])
-        layers[rank].append(edge)
-    layers = [(np.array([e.src for e in layer], dtype=np.intp),
-               np.array([e.dst for e in layer], dtype=np.intp),
-               np.array([e.weight for e in layer]),
-               np.array([min(e.delay_steps, steps) for e in layer], dtype=np.intp))
-              for layer in layers]
+    weights[srcs, dsts] = 0.0  # strong edges applied with their own delay
+    # each edge's cell in a batch's flat (step, neuron) input block, in config order
+    targets = (np.arange(_BATCH_STEPS)[:, None] * n + dsts).ravel()
     # silent rows before step 0, so a step reads k - delay without a bounds test
-    lead = max(rest, h, *(min(edge.delay_steps, steps) for edge in config.strong_edges))
+    lead = max(rest, h, *delays.tolist())
     cells = np.zeros((lead + steps, n), dtype=bool)
     fired = cells[lead:]
     np.less(draws, -np.expm1(-update_rates(np.zeros(n), config) * config.delta_t), out=fired)
@@ -267,9 +261,9 @@ def _network(config: NetworkConfig, draws, rest: int):
     def flag(ks, changed):
         hit = changed.any(axis=1)
         flagged[ks + h] |= hit
-        for src, _, _, delay in layers:
-            i, e = np.nonzero(changed[:, src])
-            flagged[ks[i] + delay[e]] = True
+        if edges:
+            i, e = np.nonzero(changed[:, srcs])
+            flagged[ks[i] + delays[e]] = True
         if rest:  # the steps whose mask reads a changed row
             hits = ks[hit]
             if rest < hits.size:  # fewer steps forward than rows: one array op a step
@@ -281,11 +275,12 @@ def _network(config: NetworkConfig, draws, rest: int):
 
     def step(ks):
         flagged[ks] = False  # earlier calls' changes are read below
-        # one (1, n) @ (n, n) product per row rounds as ``fired[k - h] @ weights`` does
-        total_in = np.matmul(cells[ks + (lead - h), None], weights)[:, 0]
-        for src, dst, gain, delay in layers:
-            total_in[:, dst] += cells[ks[:, None] + (lead - delay), src] * gain  # a miss adds 0.0
-        row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t)
+        # one (1, n) @ (n, n) product per row rounds as ``fired[k - h] @ weights`` does;
+        # its fresh result is contiguous, so the flat block is a view of it
+        total_in = np.matmul(cells[ks + (lead - h), None], weights).ravel()
+        if edges:  # a target's repeated cells add one by one, in config order; a miss adds 0.0
+            np.add.at(total_in, targets, (cells[ks[:, None] + (lead - delays), srcs] * gains).ravel())
+        row = draws[ks] < -np.expm1(-update_rates(total_in, config) * config.delta_t).reshape(-1, n)
         if rest:  # refractory: a spike of the same neuron in the last rest rows
             ends, back = ks + lead, 0
             while 0 < rest - back < np.count_nonzero(row):  # rows left < spikes: mask a row
@@ -395,7 +390,7 @@ def parse_network_config(path) -> NetworkConfig:
     values: dict[str, object] = {}
     bad_grid = None  # a grid-size error that a later field line may still lift
     edge_specs: list[tuple[int, str]] = []
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:  # skips a BOM
         for lineno, raw in enumerate(fh, 1):
             try:
                 raw.encode("utf-8")

@@ -449,6 +449,19 @@ def test_significance_max_size_beyond_chain_exits_1(tmp_path, monkeypatch, capsy
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("blocked", ["txt", "csv", "manifest"])
+def test_significance_output_that_is_a_directory_exits_2_before_simulating(
+        tmp_path, monkeypatch, capsys, blocked):
+    import spikemine.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "run_significance", lambda **_: pytest.fail("simulated"))
+    out_dir = tmp_path / "sig"
+    (out_dir / f"significance.{blocked}").mkdir(parents=True)
+    assert main(["significance", str(out_dir), "--max-size", "2"]) == 2
+    assert f"significance.{blocked} is a directory" in capsys.readouterr().err
+    assert [p.name for p in out_dir.iterdir()] == [f"significance.{blocked}"]
+
+
 @pytest.mark.parametrize(
     "scale_argv, max_size",
     [([], 6), (["--max-size", "4"], 4),

@@ -129,6 +129,19 @@ def test_non_ascii_utf8_labels_are_read(tmp_path):
     assert parse_spike_file(path, 0.001).labels == ("é", "Å")
 
 
+@pytest.mark.parametrize("written", [False, True], ids=["data-first", "comment-first"])
+def test_a_leading_byte_order_mark_is_skipped(tmp_path, worked_sequence, written):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    if written:  # a spikemine CSV, whose first line is a comment
+        write_spike_file(worked_sequence, plain)
+    else:
+        plain.write_text("A,0.001\nB,0.002\nA,0.004\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    seq, again = (parse_spike_file(path, worked_sequence.tick_seconds) for path in (plain, marked))
+    assert (again.events, again.alphabet) == (seq.events, seq.alphabet)
+    assert "\ufeffA" not in again.alphabet
+
+
 def test_empty_file_is_empty_sequence(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

@@ -175,6 +175,13 @@ def test_max_size_beyond_chain_refused_before_simulating(monkeypatch):
         run_significance(max_size=11)
 
 
+@pytest.mark.parametrize("max_size", [0, -1])
+def test_max_size_below_1_refused_before_simulating(monkeypatch, max_size):
+    monkeypatch.setattr(significance, "simulate", lambda config: pytest.fail("simulated"))
+    with pytest.raises(ValueError, match=f"max_size {max_size} is below 1"):
+        run_significance(max_size=max_size)
+
+
 @pytest.mark.parametrize("empty", [
     dict(patterned_runs=0),
     dict(weight_seeds=0, random_rate_runs=0),

@@ -230,6 +230,21 @@ class TestDecisionOrder:
             per_step = np.bincount([ev.time for ev in events])
             assert (per_step >= 3).sum() > 50
 
+    @pytest.mark.parametrize("delays", [(2, 2, 2, 2), (2, 3, 1, 2)], ids=["equal", "mixed"])
+    def test_converging_edges_add_in_config_order(self, delays):
+        # into D, in this unsorted order: 1e20 and -1e20 cancel, then 10 twice (a
+        # duplicate edge) drives D; reversed, the 10s are lost beside the 1e20s
+        gains = ((4, 1e20), (1, -1e20), (2, 10.0), (2, 10.0))
+        edges = tuple(StrongEdge(src, 3, gain, delay)
+                      for (src, gain), delay in zip(gains, delays)) + (StrongEdge(0, 4, 11.0, 1),)
+        assert sorted(edges) != list(edges)
+        for seed in range(3):  # busy sources, so all of them often reach D together
+            cfg = NetworkConfig(num_neurons=5, rate_offset=1.0, duration=1.0, seed=seed,
+                                strong_edges=edges)
+            events = assert_matches_oracle(cfg)
+            reversed_cfg = replace(cfg, strong_edges=edges[::-1])
+            assert simulate_oracle(reversed_cfg) != events  # the case is order-sensitive
+
     @pytest.mark.parametrize("num_neurons", [1, 2])
     def test_tiny_networks_with_a_strong_edge(self, num_neurons):
         edges = (StrongEdge(0, num_neurons - 1, 11.0, 3),)
@@ -467,6 +482,15 @@ class TestConfigFile:
             path.write_text(f"num_neurons = 3\nedge = {edge}\n")
             with pytest.raises(ConfigError, match=":2:"):
                 parse_network_config(path)
+
+    @pytest.mark.parametrize("first", ["num_neurons = 12", "# network configuration"])
+    def test_leading_byte_order_mark_is_skipped(self, tmp_path, first):
+        text = EXAMPLE2_CONFIG.replace("# network configuration", first, 1)
+        plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf" + first.encode())
+        assert parse_network_config(marked) == parse_network_config(plain)
 
     def test_edge_indices_validated(self, tmp_path):
         path = tmp_path / "bad.cfg"
